@@ -40,6 +40,7 @@ from rigidform.controllers import (
     model_field,
     directed_field,
     evaluate_field,
+    field_gain,
     eta_matrix,
     node_potential,
     edge_potential,
@@ -99,6 +100,7 @@ __all__ = [
     "model_field",
     "directed_field",
     "evaluate_field",
+    "field_gain",
     "eta_matrix",
     "node_potential",
     "edge_potential",

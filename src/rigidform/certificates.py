@@ -32,12 +32,9 @@ from rigidform.controllers import ControllerSpec, eta_matrix
 from rigidform.graphs import Configuration, Graph, Orientation
 from rigidform.rigidity import (
     RankDeficiencyError,
-    generic_rank,
-    is_generically_rigid,
-    matrix_rank,
-    rigidity_matrix,
-    tangent_basis,
+    _regular_svd,
     distance_map,
+    is_generically_rigid,
 )
 
 TOL_PD = 1e-8
@@ -111,9 +108,10 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
 
 
 def _restricted_operator(spec: ControllerSpec, p: Configuration, seed: int) -> tuple[np.ndarray, int]:
-    P = tangent_basis(spec.graph, p).matrix
-    eta = eta_matrix(spec, p, seed)
-    return P.T @ eta @ P, P.shape[1]
+    """A = P^T eta P over the basis P of Im R(p); raises off regular points."""
+    U, _, _, r = _regular_svd(spec.graph, p, seed)
+    P = np.ascontiguousarray(U[:, :r])
+    return P.T @ eta_matrix(spec, p, seed) @ P, r
 
 
 def restricted_sym_form(
@@ -130,20 +128,19 @@ def restricted_sym_form(
     A target where R drops below the generic rank yields "indeterminate".
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
-    r = matrix_rank(rigidity_matrix(spec.graph, p_star))
-    expected = generic_rank(spec.graph, p_star.d, seed)
-    if r != expected:
+    try:
+        A, r = _restricted_operator(spec, p_star, seed)
+    except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
             verdict="indeterminate",
             min_sym_eigenvalue=None,
             spectrum=(),
-            rank_r=r,
+            rank_r=exc.rank,
             tol=tol_pd,
             spectral_norm=None,
-            detail=f"target is not a regular point: rank {r} != generic rank {expected}",
+            detail=f"target is {exc}",
         )
-    A, r = _restricted_operator(spec, p_star, seed)
     sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
     min_eig = float(sym_eigs[0])
     norm = float(np.abs(sym_eigs).max())
@@ -167,22 +164,21 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    r = matrix_rank(rigidity_matrix(spec.graph, p_star))
-    expected = generic_rank(spec.graph, p_star.d, seed)
-    if r != expected:
-        raise RankDeficiencyError(
-            f"target is not a regular point: rank {r} != generic rank {expected}"
-        )
     A, r = _restricted_operator(spec, p_star, seed)
     return EdgeLinearization(A, _sorted_spectrum(np.linalg.eigvals(A)), r)
 
 
-def _sample_regular(graph: Graph, d: int, rng: np.random.Generator, seed: int) -> Configuration:
-    expected = generic_rank(graph, d, seed)
+def _sample_regular(graph: Graph, kind: str, orientation: Orientation | None, d: int,
+                    rng: np.random.Generator, seed: int) -> np.ndarray:
+    """Restricted operator at a random target, resampled until regular."""
     for _ in range(_RESAMPLE_CAP):
         p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
-        if matrix_rank(rigidity_matrix(graph, p)) == expected:
-            return p
+        oriented = orientation if kind == "directed" else None
+        spec = ControllerSpec(graph, kind, distance_map(graph, p), oriented)
+        try:
+            return _restricted_operator(spec, p, seed)[0]
+        except RankDeficiencyError:
+            continue
     raise RuntimeError(
         f"failed to sample a regular configuration in {_RESAMPLE_CAP} tries"
     )
@@ -202,15 +198,7 @@ def _admissibility(
     per_sample = []
     verdict = "pass"
     for stream in streams:
-        rng = np.random.default_rng(stream)
-        p = _sample_regular(graph, d, rng, seed)
-        spec = ControllerSpec(
-            graph,
-            kind,
-            distance_map(graph, p),
-            orientation if kind == "directed" else None,
-        )
-        A, _ = _restricted_operator(spec, p, seed)
+        A = _sample_regular(graph, kind, orientation, d, np.random.default_rng(stream), seed)
         eigs = np.linalg.eigvals(A)
         norm = float(np.abs(eigs).max())
         if test == "dynamic":

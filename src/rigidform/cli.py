@@ -20,14 +20,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from rigidform import __version__
 from rigidform.certificates import (
-    AdmissibilityReport,
-    CertificateReport,
-    PersistenceReport,
     algebraic_admissibility,
     dynamic_admissibility,
     linearized_edge_matrix,
@@ -38,6 +35,7 @@ from rigidform.rigidity import (
     RankDeficiencyError,
     generic_rank,
     is_generically_rigid,
+    is_regular_point,
     matrix_rank,
     max_generic_rank,
     rigidity_matrix,
@@ -86,10 +84,6 @@ def _master_seed(arg_seed: int | None) -> int:
     return env if env is not None else 0
 
 
-def _complex_pairs(spectrum) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in spectrum]
-
-
 def _fmt_complex(z: complex) -> str:
     if abs(z.imag) < 1e-12 * max(1.0, abs(z.real)):
         return f"{z.real:.6g}"
@@ -97,50 +91,15 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6g}{sign}{abs(z.imag):.6g}j"
 
 
-def _certificate_dict(rep: CertificateReport) -> dict:
-    return {
-        "kind": rep.kind,
-        "verdict": rep.verdict,
-        "min_sym_eigenvalue": rep.min_sym_eigenvalue,
-        "spectrum": _complex_pairs(rep.spectrum),
-        "rank_r": rep.rank_r,
-        "tol": rep.tol,
-        "spectral_norm": rep.spectral_norm,
-        "detail": rep.detail,
-    }
-
-
-def _admissibility_dict(rep: AdmissibilityReport) -> dict:
-    return {
-        "test": rep.test,
-        "controller_kind": rep.controller_kind,
-        "verdict": rep.verdict,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "tol": rep.tol,
-        "per_sample": [
-            {
-                "margin": s.margin,
-                "spectral_norm": s.spectral_norm,
-                "ok": s.ok,
-                "spectrum": _complex_pairs(s.spectrum),
-            }
-            for s in rep.per_sample
-        ],
-    }
-
-
-def _persistence_dict(rep: PersistenceReport) -> dict:
-    return {
-        "verdict": rep.verdict,
-        "reductions_checked": rep.reductions_checked,
-        "witness": [list(e) for e in rep.witness] if rep.witness is not None else None,
-        "detail": rep.detail,
-    }
+def _complex_pair(z):
+    """JSON form of a spectrum entry: complex z as [re, im]."""
+    if isinstance(z, complex):
+        return [z.real, z.imag]
+    raise TypeError(f"{type(z).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, doc: dict):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, default=_complex_pair) + "\n")
 
 
 def cmd_examples(args) -> int:
@@ -158,6 +117,7 @@ def cmd_analyze(args) -> int:
     rank = generic_rank(graph, d, seed)
     rigid = is_generically_rigid(graph, d, seed)
     target_rank = matrix_rank(rigidity_matrix(graph, scn.target))
+    regular = is_regular_point(graph, scn.target, seed)
     spec = scn.controller_spec()
     cert = restricted_sym_form(spec, scn.target, seed)
     spectrum: list[complex] = []
@@ -174,7 +134,7 @@ def cmd_analyze(args) -> int:
     print(f"scenario: {scn.name} ({scn.controller} controller, d={d}, n={graph.n}, edges={graph.num_edges})")
     print(f"generic rank: {rank} / {max_generic_rank(graph.n, d)}"
           f" -> {'generically rigid' if rigid else 'NOT generically rigid'}")
-    print(f"target: rank {target_rank} -> {'regular point' if target_rank == rank else 'NOT a regular point'}")
+    print(f"target: rank {target_rank} -> {'regular point' if regular else 'NOT a regular point'}")
     line = f"certificate ({cert.kind}): {cert.verdict}"
     if cert.min_sym_eigenvalue is not None:
         line += f"  [min sym eig {cert.min_sym_eigenvalue:.6g}, tol {cert.tol:g} rel]"
@@ -203,12 +163,12 @@ def cmd_analyze(args) -> int:
             "max_generic_rank": max_generic_rank(graph.n, d),
             "generically_rigid": rigid,
             "target_rank": target_rank,
-            "target_regular": target_rank == rank,
-            "certificate": _certificate_dict(cert),
-            "linearized_spectrum": _complex_pairs(spectrum),
-            "dynamic_admissibility": _admissibility_dict(dyn),
-            "algebraic_admissibility": _admissibility_dict(alg),
-            "persistence": _persistence_dict(persist) if persist is not None else None,
+            "target_regular": regular,
+            "certificate": asdict(cert),
+            "linearized_spectrum": spectrum,
+            "dynamic_admissibility": asdict(dyn),
+            "algebraic_admissibility": asdict(alg),
+            "persistence": asdict(persist) if persist is not None else None,
             "seed": seed,
         })
 
@@ -352,8 +312,8 @@ def cmd_admissibility(args) -> int:
     if args.json:
         _write_json(args.json, {
             "scenario": scn.name,
-            "dynamic_admissibility": _admissibility_dict(dyn),
-            "algebraic_admissibility": _admissibility_dict(alg),
+            "dynamic_admissibility": asdict(dyn),
+            "algebraic_admissibility": asdict(alg),
         })
     return EXIT_PASS if dyn.verdict == "pass" and alg.verdict == "pass" else EXIT_FAIL
 
@@ -371,7 +331,7 @@ def cmd_persistence(args) -> int:
     if rep.detail:
         print(f"note: {rep.detail}")
     if args.json:
-        _write_json(args.json, {"scenario": scn.name, "persistence": _persistence_dict(rep)})
+        _write_json(args.json, {"scenario": scn.name, "persistence": asdict(rep)})
     if rep.verdict == "persistent":
         return EXIT_PASS
     if rep.verdict == "not persistent":

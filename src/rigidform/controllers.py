@@ -12,6 +12,12 @@ the edge error m* - m:
 * directed: u = Rdir^T (m* - m); only the tail agent of each edge reacts,
   so information flow is one-way and the flow is no longer a gradient.
 
+The gradient and directed fields never build R: over the edge vectors
+D = P[I] - P[J], R^T e scatter-adds e_k D_k onto I[k] and subtracts it from
+J[k], Rdir^T e adds e_k (p_t - p_h) at each tail t only, and v = 2 R u is
+twice the row-wise dot of D with u[I] - u[J].  The operator norm of the
+edge-to-node map is computed on demand by :func:`field_gain`.
+
 The edge error dynamics of all three are v = eta (m* - m) with the matrix
 eta given by :func:`eta_matrix`; its restriction to the achievable edge
 velocities is what the certificates module analyzes.
@@ -25,13 +31,12 @@ import numpy as np
 
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
-    RankDeficiencyError,
-    _svd,
+    _edge_vectors,
+    _regular_svd,
+    _rowdot,
     directed_rigidity_matrix,
     distance_map,
-    generic_rank,
     rigidity_matrix,
-    tangent_basis,
 )
 
 CONTROLLER_KINDS = ("gradient", "model", "directed")
@@ -65,20 +70,32 @@ class ControllerSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldEvaluation:
-    """One controller evaluation: node velocity u, edge velocity v, and an
-    operator-norm estimate of the edge-to-node map at this state."""
+    """One controller evaluation: node velocity u and edge velocity v."""
 
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-    nu_norm: float
+
+
+def _scatter(n: int, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, d) node array with rows[k] summed onto node at[k]."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, at, rows)
+    return out
+
+
+def _incidence_field(graph: Graph, D: np.ndarray, u: np.ndarray) -> FieldEvaluation:
+    """Pack node velocity u, shape (n, d), with its edge velocity 2 R u."""
+    I, J = graph.endpoints
+    return FieldEvaluation(u.reshape(-1), 2.0 * _rowdot(D, u[I] - u[J]))
 
 
 def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> FieldEvaluation:
     """Distributed gradient-descent field of the squared-length error."""
-    R = rigidity_matrix(graph, p)
-    u = R.T @ (m_star.values - distance_map(graph, p).values)
-    sv = np.linalg.svd(R, compute_uv=False)
-    return FieldEvaluation(u, 2.0 * (R @ u), float(sv[0]) if sv.size else 0.0)
+    I, J = graph.endpoints
+    D = _edge_vectors(graph, p)
+    pull = (m_star.values - _rowdot(D, D))[:, None] * D
+    u = _scatter(graph.n, I, pull) - _scatter(graph.n, J, pull)
+    return _incidence_field(graph, D, u)
 
 
 def model_field(
@@ -90,18 +107,12 @@ def model_field(
     graph's generic rank, where the projector stops tracking the feasible
     set and integration should abort.
     """
-    U, s, Vt, r = _svd(graph, p)
-    expected = generic_rank(graph, p.d, seed)
-    if r < expected:
-        raise RankDeficiencyError(
-            f"rigidity matrix rank {r} below generic rank {expected}; "
-            "configuration is not a regular point"
-        )
+    U, s, Vt, r = _regular_svd(graph, p, seed)
     err = m_star.values - distance_map(graph, p).values
     coeffs = U[:, :r].T @ err
     u = 0.5 * (Vt[:r].T @ (coeffs / s[:r]))
     v = U[:, :r] @ coeffs
-    return FieldEvaluation(u, v, 0.5 / float(s[r - 1]))
+    return FieldEvaluation(u, v)
 
 
 def directed_field(
@@ -109,11 +120,10 @@ def directed_field(
 ) -> FieldEvaluation:
     """One-way variant of the gradient field: per edge, only the tail moves."""
     graph = orientation.graph
-    Rdir = directed_rigidity_matrix(orientation, p)
-    R = rigidity_matrix(graph, p)
-    u = Rdir.T @ (m_star.values - distance_map(graph, p).values)
-    sv = np.linalg.svd(Rdir, compute_uv=False)
-    return FieldEvaluation(u, 2.0 * (R @ u), float(sv[0]) if sv.size else 0.0)
+    T, H = orientation.arrows
+    D = _edge_vectors(graph, p)
+    pull = (m_star.values - _rowdot(D, D))[:, None] * (p.points[T] - p.points[H])
+    return _incidence_field(graph, D, _scatter(graph.n, T, pull))
 
 
 def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> FieldEvaluation:
@@ -123,6 +133,20 @@ def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> Fie
     if spec.kind == "model":
         return model_field(spec.graph, p, spec.m_star, seed)
     return directed_field(spec.orientation, p, spec.m_star)
+
+
+def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
+    """Operator norm of the map from edge error m* - m to node velocity u at p:
+    sigma_max(R) for gradient, sigma_max(Rdir) for directed, 1 / (2 sigma_r(R))
+    for model (which, like the field, needs a regular point)."""
+    if spec.kind == "model":
+        _, s, _, r = _regular_svd(spec.graph, p, seed)
+        return 0.5 / float(s[r - 1])
+    if spec.kind == "gradient":
+        R = rigidity_matrix(spec.graph, p)
+    else:
+        R = directed_rigidity_matrix(spec.orientation, p)
+    return float(np.linalg.svd(R, compute_uv=False).max(initial=0.0))
 
 
 def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndarray:
@@ -136,13 +160,7 @@ def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndar
         R = rigidity_matrix(spec.graph, p)
         return 2.0 * (R @ R.T)
     if spec.kind == "model":
-        U, _, _, r = _svd(spec.graph, p)
-        expected = generic_rank(spec.graph, p.d, seed)
-        if r < expected:
-            raise RankDeficiencyError(
-                f"rigidity matrix rank {r} below generic rank {expected}; "
-                "projector undefined off the regular set"
-            )
+        U, _, _, r = _regular_svd(spec.graph, p, seed)
         P = U[:, :r]
         return P @ P.T
     R = rigidity_matrix(spec.graph, p)

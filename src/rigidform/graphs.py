@@ -15,6 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _memo(obj, name: str, build):
+    """Value cached lazily on a frozen dataclass instance under ``name``."""
+    value = obj.__dict__.get(name)
+    if value is None:
+        value = build()
+        object.__setattr__(obj, name, value)
+    return value
+
+
+def _index_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only index columns from a sequence of pairs."""
+    cols = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
+    cols.setflags(write=False)
+    return tuple(cols)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with a canonical edge order.
@@ -45,13 +61,19 @@ class Graph:
             raise ValueError(f"({i + 1}, {j + 1}) is not an edge") from None
 
     @property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint index arrays (I, J): edge k joins 0-based
+        vertices I[k] < J[k]."""
+        return _memo(self, "_endpoints", lambda: _index_arrays(self.edges))
+
+    @property
     def _index(self) -> dict[tuple[int, int], int]:
-        # cached lazily; the dataclass is frozen so go through object.__setattr__
-        cache = self.__dict__.get("_index_cache")
-        if cache is None:
-            cache = {e: k for k, e in enumerate(self.edges)}
-            object.__setattr__(self, "_index_cache", cache)
-        return cache
+        return _memo(self, "_index_cache", lambda: {e: k for k, e in enumerate(self.edges)})
+
+    @property
+    def _rank_memo(self) -> dict[tuple[int, int], int]:
+        """Generic ranks of this graph keyed by (d, seed); freed with the graph."""
+        return _memo(self, "_rank_memo_cache", dict)
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,7 @@ class Orientation:
 
     graph: Graph
     tails: tuple[int, ...]
+    heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tails) != self.graph.num_edges:
@@ -74,22 +97,22 @@ class Orientation:
                     f"tail {t + 1} of edge {k} is not an endpoint of "
                     f"({i + 1}, {j + 1})"
                 )
+        heads = tuple(j if t == i else i for (i, j), t in zip(self.graph.edges, self.tails))
+        object.__setattr__(self, "heads", heads)
+
+    @property
+    def arrows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays (tails, heads), in canonical edge order."""
+        return _memo(self, "_arrows", lambda: _index_arrays(zip(self.tails, self.heads)))
 
     @property
     def directed_labels(self) -> tuple[tuple[int, int], ...]:
         """Edges as 1-based (tail, head) pairs, in canonical order."""
-        out = []
-        for (i, j), t in zip(self.graph.edges, self.tails):
-            h = j if t == i else i
-            out.append((t + 1, h + 1))
-        return tuple(out)
+        return tuple((t + 1, h + 1) for t, h in zip(self.tails, self.heads))
 
     def reversed(self) -> "Orientation":
         """The orientation with every edge flipped."""
-        flipped = tuple(
-            j if t == i else i for (i, j), t in zip(self.graph.edges, self.tails)
-        )
-        return Orientation(self.graph, flipped)
+        return Orientation(self.graph, self.heads)
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Canonical indices of the edges whose tail is 0-based vertex v."""

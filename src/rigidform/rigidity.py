@@ -8,9 +8,15 @@ the agents, and its kernel at regular points of rigid graphs is exactly the
 rigid motions.  Everything else here (tangent bases, projectors, minimum-norm
 lifts, rank tests) is derived from R via SVD.
 
+Per-edge quantities are array expressions over the endpoint arrays (I, J)
+of :attr:`Graph.endpoints`: the edge vectors D = P[I] - P[J], their squared
+norms, and R with D and -D in the blocks of I and J.
+
 Rank decisions use the relative singular-value cutoff
 ``sigma > sigma_max * max(shape) * SVD_RTOL``; generic ranks are estimated by
-maximizing the rank over a few seeded random configurations.
+maximizing the rank over a few seeded random configurations.  A regular
+point is one where R attains the generic rank; :func:`_regular_svd` is the
+single test of it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ GENERIC_SAMPLES = 3
 
 class RankDeficiencyError(RuntimeError):
     """Raised when an operation requires a regular point but the rigidity
-    matrix has dropped rank there."""
+    matrix has dropped rank there; ``rank`` is that rank when known."""
+
+    rank: int | None = None
 
 
 def _check_dims(graph: Graph, p: Configuration) -> None:
@@ -50,12 +58,22 @@ def matrix_rank(m: np.ndarray) -> int:
     return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
+def _edge_vectors(graph: Graph, p: Configuration) -> np.ndarray:
+    """D = P[I] - P[J]: row k is p_i - p_j for edge k = {i, j}, i < j."""
+    _check_dims(graph, p)
+    I, J = graph.endpoints
+    return p.points[I] - p.points[J]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (|E|, d) arrays."""
+    return (a * b).sum(axis=1)
+
+
 def distance_map(graph: Graph, p: Configuration) -> Measurement:
     """Squared lengths of all edges, in canonical edge order."""
-    _check_dims(graph, p)
-    pts = p.points
-    vals = np.array([np.sum((pts[j] - pts[i]) ** 2) for i, j in graph.edges])
-    return Measurement(vals)
+    D = _edge_vectors(graph, p)
+    return Measurement(_rowdot(D, D))
 
 
 def rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
@@ -64,14 +82,12 @@ def rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
     Satisfies R(p) @ p.vector == distance_map(graph, p) and equals half the
     differential of the squared-length map.
     """
-    _check_dims(graph, p)
-    d, pts = p.d, p.points
-    out = np.zeros((graph.num_edges, d * graph.n))
-    for k, (i, j) in enumerate(graph.edges):
-        diff = pts[i] - pts[j]
-        out[k, d * i : d * (i + 1)] = diff
-        out[k, d * j : d * (j + 1)] = -diff
-    return out
+    I, J = graph.endpoints
+    D = _edge_vectors(graph, p)
+    out = np.zeros((graph.num_edges, graph.n, p.d))
+    rows = np.arange(graph.num_edges)
+    out[rows, I], out[rows, J] = D, -D
+    return out.reshape(graph.num_edges, -1)
 
 
 def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.ndarray:
@@ -82,26 +98,22 @@ def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.n
     """
     graph = orientation.graph
     _check_dims(graph, p)
-    d, pts = p.d, p.points
-    out = np.zeros((graph.num_edges, d * graph.n))
-    for k, ((i, j), t) in enumerate(zip(graph.edges, orientation.tails)):
-        h = j if t == i else i
-        out[k, d * t : d * (t + 1)] = pts[t] - pts[h]
-    return out
-
-
-_generic_rank_cache: dict[tuple[Graph, int, int], int] = {}
+    T, H = orientation.arrows
+    out = np.zeros((graph.num_edges, graph.n, p.d))
+    out[np.arange(graph.num_edges), T] = p.points[T] - p.points[H]
+    return out.reshape(graph.num_edges, -1)
 
 
 def generic_rank(graph: Graph, d: int, seed: int = 0) -> int:
     """Rank of R at a generic configuration in R^d.
 
     Estimated as the max rank over a few random configurations with
-    coordinates uniform on [-1, 1].  Deterministic per seed; cached per
-    (graph, d, seed).
+    coordinates uniform on [-1, 1].  Deterministic per seed; memoized on the
+    graph object per (d, seed), so the memo is freed with the graph.
     """
-    key = (graph, int(d), int(seed))
-    cached = _generic_rank_cache.get(key)
+    key = (int(d), int(seed))
+    memo = graph._rank_memo
+    cached = memo.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(seed)
@@ -109,7 +121,7 @@ def generic_rank(graph: Graph, d: int, seed: int = 0) -> int:
     for _ in range(GENERIC_SAMPLES):
         pts = rng.uniform(-1.0, 1.0, size=(graph.n, d))
         best = max(best, matrix_rank(rigidity_matrix(graph, Configuration(d, pts))))
-    _generic_rank_cache[key] = best
+    memo[key] = best
     return best
 
 
@@ -127,8 +139,11 @@ def is_generically_rigid(graph: Graph, d: int, seed: int = 0) -> bool:
 
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:
     """Whether R(p) attains the graph's generic rank at this configuration."""
-    _check_dims(graph, p)
-    return matrix_rank(rigidity_matrix(graph, p)) == generic_rank(graph, p.d, seed)
+    try:
+        _regular_svd(graph, p, seed)
+    except RankDeficiencyError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +159,18 @@ def _svd(graph: Graph, p: Configuration):
     R = rigidity_matrix(graph, p)
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
     return U, s, Vt, _rank_from_singular_values(s, R.shape)
+
+
+def _regular_svd(graph: Graph, p: Configuration, seed: int = 0):
+    """:func:`_svd` of R(p); raises :class:`RankDeficiencyError`, with its
+    ``rank`` set, unless the rank is the generic rank (p is regular)."""
+    U, s, Vt, r = _svd(graph, p)
+    expected = generic_rank(graph, p.d, seed)
+    if r != expected:
+        exc = RankDeficiencyError(f"not a regular point: rank {r} != generic rank {expected}")
+        exc.rank = r
+        raise exc
+    return U, s, Vt, r
 
 
 def tangent_basis(graph: Graph, p: Configuration) -> TangentBasis:

@@ -14,7 +14,7 @@ files round-trip through :func:`load_scenario` unchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -128,24 +128,8 @@ class Scenario:
                 "seed": self.initial_seed if self.initial_seed is not None else 0,
                 "relative_scale": self.relative_scale,
             }
-        cfg = self.integrator
-        doc["integrator"] = {
-            "method": cfg.method,
-            "t_max": cfg.t_max,
-            "dt": cfg.dt,
-            "rtol": cfg.rtol,
-            "atol": cfg.atol,
-            "dt_max": cfg.dt_max,
-            "dt_init": cfg.dt_init,
-            "sample_every": cfg.sample_every,
-        }
-        crit = self.termination
-        doc["termination"] = {
-            "tol_edge": crit.tol_edge,
-            "tol_node": crit.tol_node,
-            "window": crit.window,
-            "min_speed": crit.min_speed,
-        }
+        doc["integrator"] = asdict(self.integrator)
+        doc["termination"] = asdict(self.termination)
         return doc
 
 
@@ -161,8 +145,8 @@ _TOP_FIELDS = {
     "integrator",
     "termination",
 }
-_INTEGRATOR_FIELDS = {"method", "t_max", "dt", "rtol", "atol", "dt_max", "dt_init", "sample_every"}
-_TERMINATION_FIELDS = {"tol_edge", "tol_node", "window", "min_speed"}
+_INTEGRATOR_FIELDS = {f.name for f in fields(IntegratorConfig)}
+_TERMINATION_FIELDS = {f.name for f in fields(TerminationCriteria)}
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:

@@ -15,7 +15,8 @@ step) or a fixed-step classical RK4.  A run ends in one of four ways:
                           (only the minimum-norm controller can).
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
-and final states), so CSV output is deterministic for a given run.
+and final states), so CSV output is deterministic for a given run.  A
+sample's speed reuses the field value the integrator computed at that state.
 """
 
 from __future__ import annotations
@@ -186,25 +187,26 @@ def integrate(
 
     rec = _Recorder(criteria)
 
-    def sample(t: float, x: np.ndarray):
+    def sample(t: float, x: np.ndarray, u: np.ndarray):
+        """Record state x, whose field value u = rhs(t, x) the caller has."""
         p = Configuration.from_vector(d, x)
         m = distance_map(graph, p).values
         err = float(np.linalg.norm(m - spec.m_star.values))
-        spd = float(np.linalg.norm(evaluate_field(spec, p, seed).u))
-        rec.add(t, p.points, m, err, spd)
+        rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
 
     x0 = p0.vector
     try:
-        sample(0.0, x0)
+        u0 = rhs(0.0, x0)
     except RankDeficiencyError:
         raise RankDeficiencyError("initial configuration is rank deficient")
+    sample(0.0, x0, u0)
     verdict = rec.verdict()
     if verdict == "converged":
         return _finish(spec, rec, verdict)
 
     if integrator.method == "rk45":
         return _run_rk45(spec, rec, rhs, sample, x0, integrator)
-    return _run_rk4(spec, rec, rhs, sample, x0, integrator)
+    return _run_rk4(spec, rec, rhs, sample, x0, u0, integrator)
 
 
 def _run_rk45(spec, rec, rhs, sample, x0, cfg: IntegratorConfig) -> Trajectory:
@@ -228,37 +230,31 @@ def _run_rk45(spec, rec, rhs, sample, x0, cfg: IntegratorConfig) -> Trajectory:
             return _finish(spec, rec, "aborted")
         steps += 1
         if steps % cfg.sample_every == 0 or solver.status == "finished":
-            try:
-                sample(solver.t, solver.y)
-            except RankDeficiencyError:
-                return _finish(spec, rec, "aborted")
+            sample(solver.t, solver.y, solver.f)
             verdict = rec.verdict()
             if verdict is not None:
                 return _finish(spec, rec, verdict)
     return _finish(spec, rec, "horizon")
 
 
-def _run_rk4(spec, rec, rhs, sample, x0, cfg: IntegratorConfig) -> Trajectory:
-    t, x = 0.0, x0.copy()
+def _run_rk4(spec, rec, rhs, sample, x0, u0, cfg: IntegratorConfig) -> Trajectory:
+    t, x, k1 = 0.0, x0.copy(), u0
     steps = 0
     while t < cfg.t_max - 1e-12:
         h = min(cfg.dt, cfg.t_max - t)
         try:
-            k1 = rhs(t, x)
             k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
             k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
             k4 = rhs(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            k1 = rhs(t, x)  # the next step's first stage, and this sample's speed
         except RankDeficiencyError:
             return _finish(spec, rec, "aborted")
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
         steps += 1
         last = t >= cfg.t_max - 1e-12
         if steps % cfg.sample_every == 0 or last:
-            try:
-                sample(t, x)
-            except RankDeficiencyError:
-                return _finish(spec, rec, "aborted")
+            sample(t, x, k1)
             verdict = rec.verdict()
             if verdict is not None:
                 return _finish(spec, rec, verdict)

@@ -1,5 +1,7 @@
 """Certificates: restricted positive definiteness, admissibility, persistence."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from rigidform import (
     Measurement,
     RankDeficiencyError,
     algebraic_admissibility,
+    Graph,
     build_graph,
     distance_map,
     dynamic_admissibility,
@@ -202,6 +205,21 @@ def test_persistence_cap_yields_indeterminate():
     rep = persistence_check(scn.orientation, 2, max_reductions=5)
     assert rep.verdict == "indeterminate"
     assert "9" in rep.detail
+
+
+def test_persistence_leaves_no_reduction_graphs_alive():
+    # generic ranks are memoized per graph object, so the reduction subgraphs
+    # of a check, each ranked under a seed no other call used, die with it
+    scn = builtin_scenario("fig4-nonpersistent")
+
+    def live_graphs():
+        gc.collect()
+        return sum(isinstance(obj, Graph) for obj in gc.get_objects())
+
+    before = live_graphs()
+    rep = persistence_check(scn.orientation, 2, seed=918_273)
+    assert rep.reductions_checked == 9
+    assert live_graphs() == before
 
 
 def test_persistence_rejects_bad_dimension(w5_arrows):

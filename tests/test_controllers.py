@@ -12,10 +12,12 @@ from rigidform import (
     RankDeficiencyError,
     build_graph,
     directed_field,
+    directed_rigidity_matrix,
     distance_map,
     edge_potential,
     evaluate_field,
     eta_matrix,
+    field_gain,
     gradient_field,
     model_field,
     node_potential,
@@ -24,7 +26,7 @@ from rigidform import (
     rigidity_matrix,
 )
 
-from conftest import random_instance, random_orientation
+from conftest import random_graph, random_instance, random_orientation
 
 # The one-edge example in d=1: p = (0, 1), current squared length 1,
 # target 4, error e = 3.
@@ -113,20 +115,29 @@ def test_model_field_matches_projected_error(w5, p_star):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tangency_random(seed):
-    # C1: v = 2 R u for every controller kind at every evaluation
+    # C1: v = 2 R u for every controller kind at every evaluation, in every
+    # dimension; the incidence kernels of the gradient and directed fields
+    # also agree with the matrix forms u = R^T e and u = Rdir^T e
     rng = np.random.default_rng(seed)
-    graph, p = random_instance(rng, n_max=6)
-    R = rigidity_matrix(graph, p)
-    m_star = Measurement(distance_map(graph, p).values + rng.standard_normal(graph.num_edges))
+    graph = random_graph(rng, n_max=6)
     o = random_orientation(rng, graph)
-    for kind, orientation in (("gradient", None), ("model", None), ("directed", o)):
-        spec = ControllerSpec(graph, kind, m_star, orientation)
-        try:
-            ev = evaluate_field(spec, p)
-        except RankDeficiencyError:
-            continue  # random instance happened to be non-regular
-        vnorm = float(np.linalg.norm(ev.v))
-        assert np.linalg.norm(ev.v - 2.0 * R @ ev.u) <= 1e-10 * (1.0 + vnorm)
+    for d in (1, 2, 3):
+        p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
+        R = rigidity_matrix(graph, p)
+        m_star = Measurement(distance_map(graph, p).values + rng.standard_normal(graph.num_edges))
+        e = m_star.values - distance_map(graph, p).values
+        reference = {"gradient": R.T @ e, "directed": directed_rigidity_matrix(o, p).T @ e}
+        for kind, orientation in (("gradient", None), ("model", None), ("directed", o)):
+            spec = ControllerSpec(graph, kind, m_star, orientation)
+            try:
+                ev = evaluate_field(spec, p)
+            except RankDeficiencyError:
+                continue  # random instance happened to be non-regular
+            vnorm = float(np.linalg.norm(ev.v))
+            assert np.linalg.norm(ev.v - 2.0 * R @ ev.u) <= 1e-10 * (1.0 + vnorm)
+            if kind in reference:
+                ref = reference[kind]
+                assert np.linalg.norm(ev.u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,15 +173,15 @@ def test_directed_locality(w5, p_star, w5_arrows):
     assert np.allclose(u_after[1], u_before[1], atol=1e-15)
 
 
-def test_nu_norm_is_operator_bound(w5, p_star):
-    # the reported nu bounds the edge-to-node gain: ||u|| <= nu * ||error||
+def test_nu_norm_is_operator_bound(w5, p_star, w5_arrows):
+    # the gain nu = field_gain bounds the edge-to-node map: ||u|| <= nu * ||error||
     rng = np.random.default_rng(5)
     for _ in range(5):
         m_star = Measurement(
             distance_map(w5, p_star).values + rng.standard_normal(8)
         )
         e = m_star.values - distance_map(w5, p_star).values
-        for kind in ("gradient", "model"):
-            spec = ControllerSpec(w5, kind, m_star)
+        for kind in ("gradient", "model", "directed"):
+            spec = ControllerSpec(w5, kind, m_star, w5_arrows if kind == "directed" else None)
             ev = evaluate_field(spec, p_star)
-            assert np.linalg.norm(ev.u) <= ev.nu_norm * np.linalg.norm(e) + 1e-12
+            assert np.linalg.norm(ev.u) <= field_gain(spec, p_star) * np.linalg.norm(e) + 1e-12

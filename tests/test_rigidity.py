@@ -29,7 +29,7 @@ from rigidform import (
     tangent_basis,
 )
 
-from conftest import random_instance
+from conftest import random_instance, random_orientation
 
 # Squared target lengths of the wheel at the standard placement, by hand:
 # |p1-p2|^2 = .25+.25, |p1-p3|^2 = 1+1, |p1-p4|^2 = 4/9+1, |p1-p5|^2 = 1+1,
@@ -205,3 +205,24 @@ def test_distance_map_differential_random(seed):
 def test_rank_cache_determinism(w5):
     assert generic_rank(w5, 2, seed=0) == generic_rank(w5, 2, seed=0)
     assert generic_rank(w5, 2, seed=1) == 7  # generic property: seed-independent
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_incidence_kernels_match_edge_loops(seed):
+    # the array expressions over the endpoint arrays reproduce the per-edge
+    # definitions exactly: same arithmetic, so bit-for-bit equal
+    rng = np.random.default_rng(seed)
+    graph, p = random_instance(rng)
+    o = random_orientation(rng, graph)
+    pts, d = p.points, p.d
+    lengths = np.array([np.sum((pts[j] - pts[i]) ** 2) for i, j in graph.edges])
+    R = np.zeros((graph.num_edges, d * graph.n))
+    Rdir = np.zeros_like(R)
+    for k, ((i, j), t, h) in enumerate(zip(graph.edges, o.tails, o.heads)):
+        R[k, d * i : d * (i + 1)] = pts[i] - pts[j]
+        R[k, d * j : d * (j + 1)] = pts[j] - pts[i]
+        Rdir[k, d * t : d * (t + 1)] = pts[t] - pts[h]
+    assert np.array_equal(distance_map(graph, p).values, lengths)
+    assert np.array_equal(rigidity_matrix(graph, p), R)
+    assert np.array_equal(directed_rigidity_matrix(o, p), Rdir)

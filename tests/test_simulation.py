@@ -216,6 +216,26 @@ def test_mid_run_rank_loss_terminates_aborted(monkeypatch):
     assert traj.termination_time == traj.times[-1]
 
 
+def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
+    # four stages per step, the last shared with the sample at the new state,
+    # plus the initial state: 1 + 4 * steps, with every step sampled
+    scn = builtin_scenario("w5-undirected")
+    real = simulate_mod.evaluate_field
+    calls = []
+
+    def counting(spec_, p, seed=0):
+        calls.append(p)
+        return real(spec_, p, seed)
+
+    monkeypatch.setattr(simulate_mod, "evaluate_field", counting)
+    cfg = IntegratorConfig(method="rk4", dt=0.01, t_max=0.25)
+    traj = integrate(scn.controller_spec(), scn.initial_configuration(1), cfg,
+                     TerminationCriteria(tol_edge=1e-12))
+    steps = len(traj.times) - 1
+    assert traj.termination == "horizon" and steps == 25
+    assert len(calls) == 1 + 4 * steps
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
