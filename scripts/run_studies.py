@@ -22,7 +22,6 @@ from rigidform import (
     decay_rate,
     detect_convergence,
     integrate,
-    linearized_edge_matrix,
     persistence_check,
     restricted_sym_form,
 )
@@ -36,11 +35,10 @@ def study_certificate(out: Path) -> str:
     for tag, name in (("p_star", "w5-directed-good"), ("q_star", "w5-directed-bad")):
         scn = builtin_scenario(name)
         cert = restricted_sym_form(scn.controller_spec(), scn.target)
-        lin = linearized_edge_matrix(scn.controller_spec(), scn.target)
         reports[tag] = {
             "verdict": cert.verdict,
             "min_symmetric_eigenvalue": cert.min_sym_eigenvalue,
-            "flow_spectrum": [[z.real, z.imag] for z in lin.spectrum],
+            "flow_spectrum": [[z.real, z.imag] for z in cert.spectrum],
         }
     path = out / "certificate.json"
     path.write_text(json.dumps(reports, indent=2) + "\n")

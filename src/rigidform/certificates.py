@@ -110,6 +110,8 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
 def _restricted_operator(spec: ControllerSpec, p: Configuration, seed: int) -> tuple[np.ndarray, int]:
     """A = P^T eta P over the basis P of Im R(p); raises off regular points."""
     U, _, _, r = _regular_svd(spec.graph, p, seed)
+    if spec.kind == "model":
+        return np.eye(r), r  # eta is the projector P P^T, so P^T eta P = I_r
     P = np.ascontiguousarray(U[:, :r])
     return P.T @ eta_matrix(spec, p, seed) @ P, r
 

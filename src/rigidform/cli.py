@@ -27,7 +27,6 @@ from rigidform import __version__
 from rigidform.certificates import (
     algebraic_admissibility,
     dynamic_admissibility,
-    linearized_edge_matrix,
     persistence_check,
     restricted_sym_form,
 )
@@ -35,10 +34,7 @@ from rigidform.rigidity import (
     RankDeficiencyError,
     generic_rank,
     is_generically_rigid,
-    is_regular_point,
-    matrix_rank,
     max_generic_rank,
-    rigidity_matrix,
 )
 from rigidform.scenarios import (
     Scenario,
@@ -116,13 +112,10 @@ def cmd_analyze(args) -> int:
     graph, d = scn.graph, scn.d
     rank = generic_rank(graph, d, seed)
     rigid = is_generically_rigid(graph, d, seed)
-    target_rank = matrix_rank(rigidity_matrix(graph, scn.target))
-    regular = is_regular_point(graph, scn.target, seed)
-    spec = scn.controller_spec()
-    cert = restricted_sym_form(spec, scn.target, seed)
-    spectrum: list[complex] = []
-    if cert.verdict != "indeterminate":
-        spectrum = list(linearized_edge_matrix(spec, scn.target, seed).spectrum)
+    # the certificate already ranks R(p*), decides regularity and holds the
+    # spectrum of the restricted operator
+    cert = restricted_sym_form(scn.controller_spec(), scn.target, seed)
+    target_rank, regular = cert.rank_r, cert.verdict != "indeterminate"
     dyn = dynamic_admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
     alg = algebraic_admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
     persist = None
@@ -141,8 +134,8 @@ def cmd_analyze(args) -> int:
     if cert.detail:
         line += f"  ({cert.detail})"
     print(line)
-    if spectrum:
-        print("linearized edge spectrum: " + ", ".join(_fmt_complex(z) for z in spectrum))
+    if cert.spectrum:
+        print("linearized edge spectrum: " + ", ".join(_fmt_complex(z) for z in cert.spectrum))
     for rep in (dyn, alg):
         margins = ", ".join(f"{s.margin:.3g}" for s in rep.per_sample)
         print(f"{rep.test} admissibility: {rep.verdict}  [{rep.samples} samples, seed {rep.seed}, margins {margins}]")
@@ -165,7 +158,7 @@ def cmd_analyze(args) -> int:
             "target_rank": target_rank,
             "target_regular": regular,
             "certificate": asdict(cert),
-            "linearized_spectrum": spectrum,
+            "linearized_spectrum": cert.spectrum,
             "dynamic_admissibility": asdict(dyn),
             "algebraic_admissibility": asdict(alg),
             "persistence": asdict(persist) if persist is not None else None,
@@ -272,12 +265,7 @@ def cmd_simulate(args) -> int:
             "termination": traj.termination,
             "termination_time": traj.termination_time,
             "samples": len(traj.times),
-            "final_edge_error": outcome.final_edge_error,
-            "final_speed": outcome.final_speed,
-            "edge_converged": outcome.edge_converged,
-            "node_converged": outcome.node_converged,
-            "congruent": outcome.congruent,
-            "congruence_residual": outcome.congruence_residual,
+            **asdict(outcome),
             "energy": energy,
             "decay_rate": rate,
             "csv": Path(args.output).name if args.output else None,

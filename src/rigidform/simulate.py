@@ -1,9 +1,12 @@
 """Closed-loop integration of formation controllers.
 
 The state is the stacked node configuration x = vec(p); the vector field is
-the controller's node velocity u(p).  Integration is either adaptive
-(scipy's RK45, stepped manually so termination can be checked per accepted
-step) or a fixed-step classical RK4.  A run ends in one of four ways:
+the controller's node velocity u(p).  A stepper only steps: it yields each
+accepted state as (t, x, u, last), with u = rhs(t, x) and ``last`` marking
+the step that reaches t_max.  The adaptive stepper wraps scipy's RK45; the
+fixed-step one is classical RK4, whose last stage at a state is the next
+step's first.  One loop in :func:`integrate` samples, judges and ends every
+run, whichever stepper drives it.  A run ends in one of four ways:
 
 * ``converged``           edge error dropped below ``tol_edge``;
 * ``limit-cycle-suspect`` the edge error has leveled off over the trailing
@@ -12,17 +15,18 @@ step) or a fixed-step classical RK4.  A run ends in one of four ways:
                           with the wrong shape;
 * ``horizon``             reached t_max;
 * ``aborted``             the controller hit a rank-deficient configuration
-                          (only the minimum-norm controller can).
+                          (only the minimum-norm controller can), or the
+                          adaptive stepper failed.
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
 and final states), so CSV output is deterministic for a given run.  A
-sample's speed reuses the field value the integrator computed at that state.
+sample's speed is the field value the stepper yielded with its state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import RK45, cumulative_trapezoid
@@ -185,31 +189,41 @@ def integrate(
         del t
         return evaluate_field(spec, Configuration.from_vector(d, x), seed).u
 
-    rec = _Recorder(criteria)
-
-    def sample(t: float, x: np.ndarray, u: np.ndarray):
-        """Record state x, whose field value u = rhs(t, x) the caller has."""
-        p = Configuration.from_vector(d, x)
-        m = distance_map(graph, p).values
-        err = float(np.linalg.norm(m - spec.m_star.values))
-        rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
-
     x0 = p0.vector
     try:
         u0 = rhs(0.0, x0)
     except RankDeficiencyError:
         raise RankDeficiencyError("initial configuration is rank deficient")
-    sample(0.0, x0, u0)
-    verdict = rec.verdict()
-    if verdict == "converged":
-        return _finish(spec, rec, verdict)
-
     if integrator.method == "rk45":
-        return _run_rk45(spec, rec, rhs, sample, x0, integrator)
-    return _run_rk4(spec, rec, rhs, sample, x0, u0, integrator)
+        steps = _rk45_steps(rhs, x0, integrator)
+    else:
+        steps = _rk4_steps(rhs, x0, u0, integrator)
+
+    # the start is state 0, sampled and judged before the first step is taken
+    rec = _Recorder(criteria)
+    termination = "horizon"
+    try:
+        for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
+            if k % integrator.sample_every == 0 or last:
+                p = Configuration.from_vector(d, x)
+                m = distance_map(graph, p).values
+                err = float(np.linalg.norm(m - spec.m_star.values))
+                rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
+                verdict = rec.verdict()
+                if verdict is not None:
+                    termination = verdict
+                    break
+    except (RankDeficiencyError, _StepFailed):
+        termination = "aborted"
+    return _finish(spec, rec, termination)
 
 
-def _run_rk45(spec, rec, rhs, sample, x0, cfg: IntegratorConfig) -> Trajectory:
+class _StepFailed(Exception):
+    """The adaptive stepper could not continue (SciPy's status "failed")."""
+
+
+def _rk45_steps(rhs, x0, cfg: IntegratorConfig):
+    """Accepted states (t, x, rhs(t, x), last) of SciPy's adaptive RK45."""
     solver = RK45(
         rhs,
         0.0,
@@ -220,45 +234,25 @@ def _run_rk45(spec, rec, rhs, sample, x0, cfg: IntegratorConfig) -> Trajectory:
         atol=cfg.atol,
         **({"first_step": cfg.dt_init} if cfg.dt_init else {}),
     )
-    steps = 0
     while solver.status == "running":
-        try:
-            solver.step()
-        except RankDeficiencyError:
-            return _finish(spec, rec, "aborted")
+        message = solver.step()
         if solver.status == "failed":
-            return _finish(spec, rec, "aborted")
-        steps += 1
-        if steps % cfg.sample_every == 0 or solver.status == "finished":
-            sample(solver.t, solver.y, solver.f)
-            verdict = rec.verdict()
-            if verdict is not None:
-                return _finish(spec, rec, verdict)
-    return _finish(spec, rec, "horizon")
+            raise _StepFailed(message)
+        yield solver.t, solver.y, solver.f, solver.status == "finished"
 
 
-def _run_rk4(spec, rec, rhs, sample, x0, u0, cfg: IntegratorConfig) -> Trajectory:
+def _rk4_steps(rhs, x0, u0, cfg: IntegratorConfig):
+    """Accepted states (t, x, rhs(t, x), last) of classical RK4 with step dt."""
     t, x, k1 = 0.0, x0.copy(), u0
-    steps = 0
     while t < cfg.t_max - 1e-12:
         h = min(cfg.dt, cfg.t_max - t)
-        try:
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            k1 = rhs(t, x)  # the next step's first stage, and this sample's speed
-        except RankDeficiencyError:
-            return _finish(spec, rec, "aborted")
-        steps += 1
-        last = t >= cfg.t_max - 1e-12
-        if steps % cfg.sample_every == 0 or last:
-            sample(t, x, k1)
-            verdict = rec.verdict()
-            if verdict is not None:
-                return _finish(spec, rec, verdict)
-    return _finish(spec, rec, "horizon")
+        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        k1 = rhs(t, x)  # the next step's first stage, and this state's field value
+        yield t, x, k1, t >= cfg.t_max - 1e-12
 
 
 def detect_convergence(

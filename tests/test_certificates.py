@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
     ControllerSpec,
@@ -90,6 +91,24 @@ def test_gradient_certificate_passes_on_rigid_graphs(w5, p_star):
     # gradient eta is symmetric, so A's spectrum is real and positive
     assert all(abs(z.imag) < 1e-10 for z in rep.spectrum)
     assert all(z.real > 0 for z in rep.spectrum)
+
+
+def test_model_certificate_takes_one_svd(monkeypatch):
+    # model eta is the projector onto Im R, so its restriction is exactly I_r
+    # and needs no SVD beyond the one that finds the basis
+    scn = builtin_scenario("w5-undirected")
+    real = rigidity_mod._svd
+    calls = []
+
+    def counting(graph, p):
+        calls.append(p)
+        return real(graph, p)
+
+    monkeypatch.setattr(rigidity_mod, "_svd", counting)
+    rep = restricted_sym_form(scn.controller_spec("model"), scn.target)
+    assert len(calls) == 1
+    assert rep.verdict == "pass" and rep.min_sym_eigenvalue == 1.0
+    assert rep.spectrum == (1.0,) * rep.rank_r
 
 
 def test_certificate_indeterminate_off_regular_points(w5, w5_arrows):

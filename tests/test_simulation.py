@@ -1,9 +1,12 @@
 """Closed-loop integration: convergence, termination, energy, decay fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import rigidform.simulate as simulate_mod
+from rigidform.controllers import FieldEvaluation
 from rigidform import (
     Configuration,
     ControllerSpec,
@@ -197,7 +200,8 @@ def test_model_rank_loss_aborts_immediately():
         integrate(spec, collinear, IntegratorConfig(t_max=1.0))
 
 
-def test_mid_run_rank_loss_terminates_aborted(monkeypatch):
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_mid_run_rank_loss_terminates_aborted(monkeypatch, method):
     scn = builtin_scenario("w5-undirected")
     spec = scn.controller_spec()
     real = simulate_mod.evaluate_field
@@ -210,10 +214,27 @@ def test_mid_run_rank_loss_terminates_aborted(monkeypatch):
 
     failing.calls = 0
     monkeypatch.setattr(simulate_mod, "evaluate_field", failing)
-    traj = integrate(spec, scn.initial_configuration(8), scn.integrator, scn.termination)
+    cfg = replace(scn.integrator, method=method)
+    traj = integrate(spec, scn.initial_configuration(8), cfg, scn.termination)
     assert traj.termination == "aborted"
     assert len(traj.times) >= 1
     assert traj.termination_time == traj.times[-1]
+
+
+def test_failed_adaptive_step_terminates_aborted(monkeypatch):
+    # x' = x^2 blows up at t = 1 / x0, where RK45's step falls below the
+    # spacing of floats and the solver reports "failed"
+    scn = builtin_scenario("w5-undirected")
+
+    def blowup(spec_, p, seed=0):
+        return FieldEvaluation(p.vector**2, np.zeros(spec_.graph.num_edges))
+
+    monkeypatch.setattr(simulate_mod, "evaluate_field", blowup)
+    p0 = Configuration(2, np.full((5, 2), 2.0))
+    traj = integrate(scn.controller_spec(), p0, IntegratorConfig(t_max=1.0),
+                     TerminationCriteria(window=10**6))
+    assert traj.termination == "aborted"
+    assert traj.termination_time == pytest.approx(0.5, abs=1e-6)
 
 
 def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
@@ -234,6 +255,23 @@ def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
     steps = len(traj.times) - 1
     assert traj.termination == "horizon" and steps == 25
     assert len(calls) == 1 + 4 * steps
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_thinned_run_samples_its_final_state(method):
+    # 7 does not divide the step count, yet the state at t_max is sampled
+    scn = builtin_scenario("w5-undirected")
+    full, thin = (
+        integrate(scn.controller_spec(), scn.initial_configuration(3),
+                  IntegratorConfig(method=method, t_max=0.25, sample_every=k),
+                  TerminationCriteria(tol_edge=1e-12))
+        for k in (1, 7)
+    )
+    assert (len(full.times) - 1) % 7 != 0
+    assert full.termination == thin.termination == "horizon"
+    assert thin.times[-1] == full.times[-1] == pytest.approx(0.25)
+    assert np.array_equal(thin.times, np.append(full.times[::7], full.times[-1]))
+    assert np.array_equal(thin.positions[-1], full.positions[-1])
 
 
 def test_config_validation():
