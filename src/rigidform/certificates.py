@@ -5,6 +5,17 @@ response matrix eta to the achievable edge velocities at the target: with P
 an orthonormal basis of Im R(p*), the restricted operator is A = P^T eta P
 and the linearized edge-error flow is e' = -A e.
 
+The basis is P = U_r from the SVD R = U diag(s) V^T that also decides
+regularity, and A comes in closed form from the factors of that one SVD;
+the |E| x |E| eta of :func:`~rigidform.controllers.eta_matrix` is never
+built:
+
+* gradient: eta = 2 R R^T, so A = diag(2 s_r^2), from the singular values
+  alone and with no eigensolve;
+* model:    eta = P P^T, so A = I_r, again from the singular values alone;
+* directed: eta = 2 R Rdir^T, so A = 2 diag(s_r) V_r^T Rdir^T U_r, whose
+  spectrum takes one general eigensolve.
+
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
   exponential convergence to the target shape.
@@ -14,6 +25,8 @@ and the linearized edge-error flow is e' = -A e.
 * :func:`persistence_check` decides the classical directed-graph persistence
   property by enumerating all out-degree-d reductions and rank-testing each;
   the enumeration is exponential in the redundant out-edges, hence the cap.
+  Every reduction is ranked as a row subset of R at the seeded draws of the
+  generic-rank estimate, so no reduction graph is built.
 
 Verdicts are numerical: thresholds are relative to the spectral norm of the
 tested matrix, and randomized tests decide generic properties with
@@ -28,13 +41,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rigidform.controllers import ControllerSpec, eta_matrix
+from rigidform.controllers import ControllerSpec
 from rigidform.graphs import Configuration, Graph, Orientation
 from rigidform.rigidity import (
     RankDeficiencyError,
+    _generic_draws,
     _regular_svd,
+    directed_rigidity_matrix,
     distance_map,
-    is_generically_rigid,
+    matrix_rank,
+    max_generic_rank,
+    rigidity_matrix,
 )
 
 TOL_PD = 1e-8
@@ -107,13 +124,23 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
 
 
-def _restricted_operator(spec: ControllerSpec, p: Configuration, seed: int) -> tuple[np.ndarray, int]:
-    """A = P^T eta P over the basis P of Im R(p); raises off regular points."""
-    U, _, _, r = _regular_svd(spec.graph, p, seed)
+def _restricted_operator(
+    spec: ControllerSpec, p: Configuration, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(A, eigenvalues of A, r) for A = P^T eta P over the basis P = U_r of
+    Im R(p), in the closed forms of the module docstring; raises off regular
+    points."""
+    if spec.kind == "directed":
+        U, s, Vt, r = _regular_svd(spec.graph, p, seed)
+        RdirV = directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
+        A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
+        return A, np.linalg.eigvals(A), r
+    _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
     if spec.kind == "model":
-        return np.eye(r), r  # eta is the projector P P^T, so P^T eta P = I_r
-    P = np.ascontiguousarray(U[:, :r])
-    return P.T @ eta_matrix(spec, p, seed) @ P, r
+        eigs = np.ones(r)  # eta is the projector P P^T
+    else:
+        eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
+    return np.diag(eigs), eigs, r
 
 
 def restricted_sym_form(
@@ -124,14 +151,16 @@ def restricted_sym_form(
 ) -> CertificateReport:
     """Positive-definiteness certificate of the controller at a target.
 
-    Builds eta at p*, restricts its symmetric part to the orthonormal basis P
-    of Im R(p*), and passes iff the smallest eigenvalue exceeds
-    ``tol_pd`` times the spectral norm of the restricted symmetric matrix.
+    Restricts the symmetric part of eta at p* to the orthonormal basis P of
+    Im R(p*), in the closed forms of the module docstring (for the gradient
+    and model controllers A is diagonal, so no eigensolve is needed), and
+    passes iff the smallest eigenvalue exceeds ``tol_pd`` times the spectral
+    norm of the restricted symmetric matrix.
     A target where R drops below the generic rank yields "indeterminate".
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
-        A, r = _restricted_operator(spec, p_star, seed)
+        A, eigs, r = _restricted_operator(spec, p_star, seed)
     except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
@@ -143,7 +172,10 @@ def restricted_sym_form(
             spectral_norm=None,
             detail=f"target is {exc}",
         )
-    sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+    if spec.kind == "directed":
+        sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+    else:
+        sym_eigs = np.sort(eigs)  # A is diagonal, so it is its symmetric part
     min_eig = float(sym_eigs[0])
     norm = float(np.abs(sym_eigs).max())
     verdict = "pass" if min_eig > tol_pd * norm else "fail"
@@ -151,7 +183,7 @@ def restricted_sym_form(
         kind=kind,
         verdict=verdict,
         min_sym_eigenvalue=min_eig,
-        spectrum=_sorted_spectrum(np.linalg.eigvals(A)),
+        spectrum=_sorted_spectrum(eigs),
         rank_r=r,
         tol=tol_pd,
         spectral_norm=norm,
@@ -166,19 +198,20 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, r = _restricted_operator(spec, p_star, seed)
-    return EdgeLinearization(A, _sorted_spectrum(np.linalg.eigvals(A)), r)
+    A, eigs, r = _restricted_operator(spec, p_star, seed)
+    return EdgeLinearization(A, _sorted_spectrum(eigs), r)
 
 
 def _sample_regular(graph: Graph, kind: str, orientation: Orientation | None, d: int,
                     rng: np.random.Generator, seed: int) -> np.ndarray:
-    """Restricted operator at a random target, resampled until regular."""
+    """Spectrum of the restricted operator at a random target, resampled
+    until regular."""
     for _ in range(_RESAMPLE_CAP):
         p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
         oriented = orientation if kind == "directed" else None
         spec = ControllerSpec(graph, kind, distance_map(graph, p), oriented)
         try:
-            return _restricted_operator(spec, p, seed)[0]
+            return _restricted_operator(spec, p, seed)[1]
         except RankDeficiencyError:
             continue
     raise RuntimeError(
@@ -200,8 +233,7 @@ def _admissibility(
     per_sample = []
     verdict = "pass"
     for stream in streams:
-        A = _sample_regular(graph, kind, orientation, d, np.random.default_rng(stream), seed)
-        eigs = np.linalg.eigvals(A)
+        eigs = _sample_regular(graph, kind, orientation, d, np.random.default_rng(stream), seed)
         norm = float(np.abs(eigs).max())
         if test == "dynamic":
             margin = float(np.abs(eigs.real).min())
@@ -280,7 +312,9 @@ def persistence_check(
     Every vertex with out-degree above d is trimmed to each d-subset of its
     out-edges; the orientation is persistent iff the underlying undirected
     graph of every such reduction is generically d-rigid.  The first failing
-    reduction is returned as a witness (as 1-based tail->head pairs).
+    reduction is returned as a witness (as 1-based tail->head pairs), and no
+    reduction after it is ranked; ``reductions_checked`` is the size of the
+    whole enumeration either way.
     """
     if d not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
@@ -301,20 +335,18 @@ def persistence_check(
     choice_sets = [
         tuple(combinations(orientation.out_edges(v), d)) for v in heavy
     ]
-    witness = None
-    checked = 0
+    # a reduction's R at a draw is the rows of the whole graph's R it keeps;
+    # it is rigid iff some draw reaches full rank, which none can exceed
+    full = max_generic_rank(graph.n, d)
+    frames = [rigidity_matrix(graph, p) for p in _generic_draws(graph.n, d, seed)]
     for chosen in product(*choice_sets):
         kept = sorted(fixed + [k for combo in chosen for k in combo])
-        sub = Graph(graph.n, tuple(graph.edges[k] for k in kept))
-        checked += 1
-        if witness is None and not is_generically_rigid(sub, d, seed):
+        if not any(matrix_rank(R[kept]) == full for R in frames):
             labels = orientation.directed_labels
-            witness = tuple(labels[k] for k in kept)
-    if witness is not None:
-        return PersistenceReport(
-            verdict="not persistent",
-            reductions_checked=checked,
-            witness=witness,
-            detail="witness reduction is not generically rigid",
-        )
-    return PersistenceReport(verdict="persistent", reductions_checked=checked)
+            return PersistenceReport(
+                verdict="not persistent",
+                reductions_checked=total,
+                witness=tuple(labels[k] for k in kept),
+                detail="witness reduction is not generically rigid",
+            )
+    return PersistenceReport(verdict="persistent", reductions_checked=total)

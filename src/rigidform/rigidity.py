@@ -14,9 +14,9 @@ norms, and R with D and -D in the blocks of I and J.
 
 Rank decisions use the relative singular-value cutoff
 ``sigma > sigma_max * max(shape) * SVD_RTOL``; generic ranks are estimated by
-maximizing the rank over a few seeded random configurations.  A regular
-point is one where R attains the generic rank; :func:`_regular_svd` is the
-single test of it.
+maximizing the rank over a few seeded random configurations, which depend
+only on (n, d, seed).  A regular point is one where R attains the generic
+rank; :func:`_regular_svd` is the single test of it.
 """
 
 from __future__ import annotations
@@ -104,23 +104,36 @@ def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.n
     return out.reshape(graph.num_edges, -1)
 
 
+def _generic_draws(n: int, d: int, seed: int):
+    """The GENERIC_SAMPLES configurations a generic rank is estimated at:
+    coordinates uniform on [-1, 1], drawn from ``seed``.  They depend on
+    (n, d, seed) only, so every graph on n vertices shares them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(GENERIC_SAMPLES):
+        yield Configuration(d, rng.uniform(-1.0, 1.0, size=(n, d)))
+
+
 def generic_rank(graph: Graph, d: int, seed: int = 0) -> int:
     """Rank of R at a generic configuration in R^d.
 
-    Estimated as the max rank over a few random configurations with
-    coordinates uniform on [-1, 1].  Deterministic per seed; memoized on the
-    graph object per (d, seed), so the memo is freed with the graph.
+    Estimated as the max rank over the seeded draws of
+    :func:`_generic_draws`.  No draw can exceed the ceiling
+    min(|E|, max_generic_rank(n, d)), so the draws stop once one reaches it:
+    a generically rigid graph takes one SVD.  Deterministic per seed;
+    memoized on the graph object per (d, seed), so the memo is freed with
+    the graph.
     """
     key = (int(d), int(seed))
     memo = graph._rank_memo
     cached = memo.get(key)
     if cached is not None:
         return cached
-    rng = np.random.default_rng(seed)
+    ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
     best = 0
-    for _ in range(GENERIC_SAMPLES):
-        pts = rng.uniform(-1.0, 1.0, size=(graph.n, d))
-        best = max(best, matrix_rank(rigidity_matrix(graph, Configuration(d, pts))))
+    for p in _generic_draws(graph.n, d, seed):
+        best = max(best, matrix_rank(rigidity_matrix(graph, p)))
+        if best == ceiling:
+            break
     memo[key] = best
     return best
 
@@ -140,7 +153,7 @@ def is_generically_rigid(graph: Graph, d: int, seed: int = 0) -> bool:
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:
     """Whether R(p) attains the graph's generic rank at this configuration."""
     try:
-        _regular_svd(graph, p, seed)
+        _regular_svd(graph, p, seed, compute_uv=False)
     except RankDeficiencyError:
         return False
     return True
@@ -154,17 +167,22 @@ class TangentBasis:
     rank: int
 
 
-def _svd(graph: Graph, p: Configuration):
-    """SVD of R(p) plus its numerical rank: (U, s, Vt, r)."""
+def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
+    """SVD of R(p) plus its numerical rank: (U, s, Vt, r).  With
+    ``compute_uv=False`` only the singular values are computed and U, Vt
+    are None."""
     R = rigidity_matrix(graph, p)
-    U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    if compute_uv:
+        U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    else:
+        U, s, Vt = None, np.linalg.svd(R, compute_uv=False), None
     return U, s, Vt, _rank_from_singular_values(s, R.shape)
 
 
-def _regular_svd(graph: Graph, p: Configuration, seed: int = 0):
+def _regular_svd(graph: Graph, p: Configuration, seed: int = 0, compute_uv: bool = True):
     """:func:`_svd` of R(p); raises :class:`RankDeficiencyError`, with its
     ``rank`` set, unless the rank is the generic rank (p is regular)."""
-    U, s, Vt, r = _svd(graph, p)
+    U, s, Vt, r = _svd(graph, p, compute_uv)
     expected = generic_rank(graph, p.d, seed)
     if r != expected:
         exc = RankDeficiencyError(f"not a regular point: rank {r} != generic rank {expected}")

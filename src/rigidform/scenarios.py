@@ -59,6 +59,8 @@ def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
         raise ScenarioError(f"{where}: not a numeric coordinate array ({exc})") from None
     if arr.shape != (n, d):
         raise ScenarioError(f"{where}: expected {n} rows of {d} coordinates, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{where}: coordinates must be finite")
     return Configuration(d, arr)
 
 
@@ -212,8 +214,9 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         if not isinstance(initial_seed, int):
             raise ScenarioError(f"{where}.initial.seed: must be an integer")
         relative_scale = init_doc.get("relative_scale", DEFAULT_RELATIVE_SCALE)
-        if not isinstance(relative_scale, (int, float)) or relative_scale <= 0:
-            raise ScenarioError(f"{where}.initial.relative_scale: must be positive")
+        if (not isinstance(relative_scale, (int, float)) or relative_scale <= 0
+                or not np.isfinite(relative_scale)):
+            raise ScenarioError(f"{where}.initial.relative_scale: must be positive and finite")
         relative_scale = float(relative_scale)
     else:
         initial = _coordinates(init_doc, graph.n, d, f"{where}.initial")

@@ -15,8 +15,11 @@ run, whichever stepper drives it.  A run ends in one of four ways:
                           with the wrong shape;
 * ``horizon``             reached t_max;
 * ``aborted``             the controller hit a rank-deficient configuration
-                          (only the minimum-norm controller can), or the
-                          adaptive stepper failed.
+                          (only the minimum-norm controller can), the
+                          adaptive stepper failed, or the run diverged: a
+                          state or its field value is not finite (NaN or
+                          infinite).  The trajectory then ends at the last
+                          sample recorded before, which is finite.
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
 and final states), so CSV output is deterministic for a given run.  A
@@ -25,7 +28,8 @@ sample's speed is the field value the stepper yielded with its state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -36,6 +40,15 @@ from rigidform.graphs import Configuration
 from rigidform.rigidity import RankDeficiencyError, congruence_check, distance_map
 
 TERMINATIONS = ("converged", "limit-cycle-suspect", "horizon", "aborted")
+
+
+def _require_finite(config) -> None:
+    """Raise ValueError naming the first float field that is NaN or infinite
+    (a NaN passes every ``<= 0`` check)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,7 @@ class IntegratorConfig:
     sample_every: int = 1
 
     def __post_init__(self):
+        _require_finite(self)
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
@@ -83,6 +97,7 @@ class TerminationCriteria:
     min_speed: float = 1e-4
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.tol_edge, self.tol_node, self.min_speed) <= 0 or self.window < 2:
             raise ValueError("termination thresholds must be positive (window >= 2)")
 
@@ -180,7 +195,10 @@ def integrate(
     criteria: TerminationCriteria = TerminationCriteria(),
     seed: int = 0,
 ) -> Trajectory:
-    """Run the closed loop from p0 until convergence, cycling, or t_max."""
+    """Run the closed loop from p0 until convergence, cycling, or t_max.
+
+    Raises ValueError when p0 or the field value there is not finite.
+    """
     graph, d, n = spec.graph, p0.d, p0.n
     if len(spec.m_star) != graph.num_edges:
         raise ValueError("target measurement does not match the graph")
@@ -190,10 +208,14 @@ def integrate(
         return evaluate_field(spec, Configuration.from_vector(d, x), seed).u
 
     x0 = p0.vector
+    if not np.isfinite(x0).all():
+        raise ValueError("initial configuration is not finite")
     try:
         u0 = rhs(0.0, x0)
     except RankDeficiencyError:
         raise RankDeficiencyError("initial configuration is rank deficient")
+    if not np.isfinite(u0).all():
+        raise ValueError("field value at the initial configuration is not finite")
     if integrator.method == "rk45":
         steps = _rk45_steps(rhs, x0, integrator)
     else:
@@ -204,6 +226,9 @@ def integrate(
     termination = "horizon"
     try:
         for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
+            if not (np.isfinite(x).all() and np.isfinite(u).all()):
+                termination = "aborted"  # diverged
+                break
             if k % integrator.sample_every == 0 or last:
                 p = Configuration.from_vector(d, x)
                 m = distance_map(graph, p).values

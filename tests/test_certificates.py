@@ -1,11 +1,13 @@
 """Certificates: restricted positive definiteness, admissibility, persistence."""
 
 import gc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import rigidform.rigidity as rigidity_mod
 from rigidform import (
@@ -18,14 +20,16 @@ from rigidform import (
     build_graph,
     distance_map,
     dynamic_admissibility,
+    eta_matrix,
     is_generically_rigid,
     linearized_edge_matrix,
     orient,
     persistence_check,
     restricted_sym_form,
+    tangent_basis,
 )
 from rigidform.certificates import reduction_count
-from rigidform.scenarios import builtin_scenario
+from rigidform.scenarios import builtin_names, builtin_scenario
 
 from conftest import random_instance, random_orientation
 
@@ -100,15 +104,92 @@ def test_model_certificate_takes_one_svd(monkeypatch):
     real = rigidity_mod._svd
     calls = []
 
-    def counting(graph, p):
-        calls.append(p)
-        return real(graph, p)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(rigidity_mod, "_svd", counting)
     rep = restricted_sym_form(scn.controller_spec("model"), scn.target)
     assert len(calls) == 1
     assert rep.verdict == "pass" and rep.min_sym_eigenvalue == 1.0
     assert rep.spectrum == (1.0,) * rep.rank_r
+
+
+# ------------------------------------------------------------- closed forms
+
+def _assert_same_spectrum(got, ref, rtol=1e-10):
+    # pair each eigenvalue with its nearest counterpart, so that rounding
+    # cannot reorder near-equal ones; relative to the spectral radius, as a
+    # directed operator may have eigenvalues at rounding level around zero
+    got, ref = np.asarray(got, dtype=complex), np.asarray(ref, dtype=complex)
+    assert got.shape == ref.shape
+    rows, cols = linear_sum_assignment(np.abs(got[:, None] - ref[None, :]))
+    assert np.abs(got[rows] - ref[cols]).max() <= rtol * np.abs(ref).max()
+
+
+def _assert_matches_reference(spec, p):
+    # the closed forms against their definition A = P^T eta P, P = U_r
+    P = tangent_basis(spec.graph, p).matrix
+    A_ref = P.T @ eta_matrix(spec, p) @ P
+    lin = linearized_edge_matrix(spec, p)
+    assert lin.rank_r == P.shape[1]
+    assert np.linalg.norm(lin.matrix - A_ref) <= 1e-10 * np.linalg.norm(A_ref)
+    _assert_same_spectrum(lin.spectrum, np.linalg.eigvals(A_ref))
+    rep = restricted_sym_form(spec, p)
+    sym_ref = np.linalg.eigvalsh(0.5 * (A_ref + A_ref.T))
+    norm = np.abs(sym_ref).max()
+    assert rep.spectral_norm == pytest.approx(norm, rel=1e-10)
+    assert abs(rep.min_sym_eigenvalue - sym_ref[0]) <= 1e-10 * norm
+    assert rep.spectrum == lin.spectrum
+
+
+def test_closed_forms_match_the_definition_on_builtins():
+    for name in builtin_names():
+        scn = builtin_scenario(name)
+        kinds = ("gradient", "model") + (("directed",) if scn.orientation else ())
+        for kind in kinds:
+            _assert_matches_reference(scn.controller_spec(kind), scn.target)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_closed_forms_match_the_definition_random(seed):
+    rng = np.random.default_rng(seed)
+    n = 20
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graph = build_graph(n, [e for e in pairs if rng.random() < 0.25])
+    p = Configuration(2, rng.uniform(-1.0, 1.0, size=(n, 2)))
+    m_star = distance_map(graph, p)
+    for spec in (
+        ControllerSpec(graph, "gradient", m_star),
+        ControllerSpec(graph, "model", m_star),
+        ControllerSpec(graph, "directed", m_star, random_orientation(rng, graph)),
+    ):
+        _assert_matches_reference(spec, p)
+
+
+@pytest.mark.parametrize("kind", ["gradient", "model", "directed"])
+def test_eigensolves_per_certificate(monkeypatch, kind):
+    # gradient and model restrictions are diagonal, read off the singular
+    # values; only the directed one needs eigensolves
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    scn = builtin_scenario("w5-directed-good")
+    spec = scn.controller_spec(kind)
+    restricted_sym_form(spec, scn.target)
+    linearized_edge_matrix(spec, scn.target)
+    dynamic_admissibility(scn.graph, kind, spec.orientation, 2, samples=2)
+    if kind == "directed":
+        assert sorted(calls) == ["eigvals"] * 4 + ["eigvalsh"]
+    else:
+        assert calls == []
 
 
 def test_certificate_indeterminate_off_regular_points(w5, w5_arrows):
@@ -239,6 +320,48 @@ def test_persistence_leaves_no_reduction_graphs_alive():
     rep = persistence_check(scn.orientation, 2, seed=918_273)
     assert rep.reductions_checked == 9
     assert live_graphs() == before
+
+
+def _reference_persistence(orientation, d, seed):
+    # the enumeration with one Graph and one generic-rank estimate per
+    # reduction: (verdict, reductions, witness)
+    graph = orientation.graph
+    heavy = [v for v in range(graph.n) if len(orientation.out_edges(v)) > d]
+    fixed = [k for k in range(graph.num_edges) if orientation.tails[k] not in heavy]
+    choices = [tuple(combinations(orientation.out_edges(v), d)) for v in heavy]
+    total = reduction_count(orientation, d)
+    for chosen in product(*choices):
+        kept = sorted(fixed + [k for combo in chosen for k in combo])
+        sub = Graph(graph.n, tuple(graph.edges[k] for k in kept))
+        if not is_generically_rigid(sub, d, seed):
+            labels = orientation.directed_labels
+            return "not persistent", total, tuple(labels[k] for k in kept)
+    return "persistent", total, None
+
+
+def _assert_persistence_matches_reference(orientation, d, seed):
+    rep = persistence_check(orientation, d, seed)
+    ref = _reference_persistence(orientation, d, seed)
+    assert (rep.verdict, rep.reductions_checked, rep.witness) == ref
+
+
+def test_persistence_matches_reference_on_builtins():
+    for name in builtin_names():
+        scn = builtin_scenario(name)
+        if scn.orientation is not None:
+            for seed in (0, 1):
+                _assert_persistence_matches_reference(scn.orientation, scn.d, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_persistence_matches_reference_random(seed):
+    rng = np.random.default_rng(seed)
+    graph, p = random_instance(rng, n_max=7)
+    o = random_orientation(rng, graph)
+    for d in (2, 3):
+        if reduction_count(o, d) <= 2000:
+            _assert_persistence_matches_reference(o, d, seed)
 
 
 def test_persistence_rejects_bad_dimension(w5_arrows):

@@ -227,3 +227,16 @@ def test_strict_validation_propagates(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "controler" in err
+
+
+def test_non_finite_target_is_a_named_input_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "name": "x", "dimension": 2, "controller": "gradient",
+        "graph": {"vertices": 2, "edges": [[1, 2]]},
+        "target": [[0.0, 0.0], [float("nan"), 0.0]],
+    }))
+    assert "NaN" in path.read_text()
+    code, _, err = run(capsys, "simulate", str(path))
+    assert code == 3
+    assert "target: coordinates must be finite" in err

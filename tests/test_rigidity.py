@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
     build_graph,
@@ -96,6 +97,39 @@ def test_w5_is_generically_rigid(w5):
     assert generic_rank(w5, 2) == 7
     assert max_generic_rank(5, 2) == 7
     assert is_generically_rigid(w5, 2)
+
+
+def _count_matrix_ranks(monkeypatch) -> list:
+    calls = []
+    real = rigidity_mod.matrix_rank
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(rigidity_mod, "matrix_rank", counting)
+    return calls
+
+
+def test_generic_rank_stops_at_the_ceiling(monkeypatch, w5):
+    # no draw can exceed min(|E|, 2n - 3) = 7, so the first draw that
+    # reaches it ends the estimate
+    calls = _count_matrix_ranks(monkeypatch)
+    assert generic_rank(w5, 2) == 7
+    assert len(calls) == 1
+    # the flexible 4-cycle's four edges are independent: rank |E| = 4 < 5
+    cyc4 = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert generic_rank(cyc4, 2) == 4
+    assert len(calls) == 2
+
+
+def test_generic_rank_below_the_ceiling_takes_every_draw(monkeypatch):
+    # K4 plus a pendant vertex: K4 has one redundant edge and the pendant
+    # vertex one free rotation, so the rank 6 stays under min(7, 7)
+    calls = _count_matrix_ranks(monkeypatch)
+    g = build_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
+    assert generic_rank(g, 2) == 6
+    assert len(calls) == 3
 
 
 def test_small_n_rank_formula():

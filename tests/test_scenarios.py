@@ -107,6 +107,26 @@ def test_bad_values_rejected():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("where", ["target", "initial", "initial.relative_scale",
+                                   "integrator.t_max", "termination.tol_edge"])
+def test_non_finite_numbers_rejected_by_name(where):
+    # json.loads accepts NaN and Infinity, so a document can carry them
+    for value in (float("nan"), float("inf")):
+        doc = _wheel_doc()
+        if where == "target":
+            doc["target"][1][0] = value
+        elif where == "initial":
+            doc["initial"] = [list(row) for row in doc["target"]]
+            doc["initial"][2][1] = value
+        elif where == "initial.relative_scale":
+            doc["initial"] = {"seed": 0, "relative_scale": value}
+        else:
+            section, key = where.split(".")
+            doc.setdefault(section, {})[key] = value
+        with pytest.raises(ScenarioError, match=where.replace(".", "[.: ]+") + ".*finite"):
+            scenario_from_dict(doc)
+
+
 def test_parse_error_reports_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"name": "x",\n  "dimension": }')

@@ -237,6 +237,29 @@ def test_failed_adaptive_step_terminates_aborted(monkeypatch):
     assert traj.termination_time == pytest.approx(0.5, abs=1e-6)
 
 
+def test_diverged_rk4_run_terminates_aborted():
+    # dt = 0.03 is too long a step for this start: the state overflows to
+    # NaN within the first seven steps, before the second sample
+    scn = builtin_scenario("fig4-nonpersistent")
+    cfg = IntegratorConfig(method="rk4", dt=0.03, t_max=30.0, sample_every=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(scn.controller_spec("gradient"), scn.initial_configuration(2),
+                         cfg, scn.termination)
+    assert traj.termination == "aborted"
+    assert traj.termination_time == traj.times[-1] < 30.0
+    assert np.isfinite(traj.positions).all() and np.isfinite(traj.edge_error).all()
+
+
+def test_non_finite_start_is_an_input_error():
+    spec = _pair_spec()
+    with pytest.raises(ValueError, match="initial configuration is not finite"):
+        integrate(spec, Configuration(1, [[0.0], [np.nan]]))
+    # finite coordinates whose field value overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="field value .* not finite"):
+            integrate(spec, Configuration(1, [[0.0], [1e200]]))
+
+
 def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
     # four stages per step, the last shared with the sample at the new state,
     # plus the initial state: 1 + 4 * steps, with every step sampled
@@ -285,6 +308,21 @@ def test_config_validation():
         TerminationCriteria(tol_edge=0.0)
     with pytest.raises(ValueError):
         TerminationCriteria(window=1)
+
+
+@pytest.mark.parametrize("field", ["t_max", "dt", "rtol", "atol", "dt_max", "dt_init", "sample_every"])
+def test_integrator_config_rejects_non_finite(field):
+    # a NaN passes every "<= 0" comparison, so it needs its own check
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            IntegratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tol_edge", "tol_node", "window", "min_speed"])
+def test_termination_criteria_rejects_non_finite(field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TerminationCriteria(**{field: value})
 
 
 def test_directed_rate_respects_spectral_bound():
