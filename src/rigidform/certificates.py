@@ -25,8 +25,9 @@ built:
 * :func:`persistence_check` decides the classical directed-graph persistence
   property by enumerating all out-degree-d reductions and rank-testing each;
   the enumeration is exponential in the redundant out-edges, hence the cap.
-  Every reduction is ranked as a row subset of R at the seeded draws of the
-  generic-rank estimate, so no reduction graph is built.
+  Every reduction is ranked as the row subset of the whole graph's R that it
+  keeps (``is_generically_rigid`` with ``edges``), so no reduction graph is
+  built.
 
 Verdicts are numerical: thresholds are relative to the spectral norm of the
 tested matrix, and randomized tests decide generic properties with
@@ -45,13 +46,10 @@ from rigidform.controllers import ControllerSpec
 from rigidform.graphs import Configuration, Graph, Orientation
 from rigidform.rigidity import (
     RankDeficiencyError,
-    _generic_draws,
     _regular_svd,
     directed_rigidity_matrix,
     distance_map,
-    matrix_rank,
-    max_generic_rank,
-    rigidity_matrix,
+    is_generically_rigid,
 )
 
 TOL_PD = 1e-8
@@ -125,22 +123,25 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
 
 
 def _restricted_operator(
-    spec: ControllerSpec, p: Configuration, seed: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(A, eigenvalues of A, r) for A = P^T eta P over the basis P = U_r of
-    Im R(p), in the closed forms of the module docstring; raises off regular
-    points."""
+    spec: ControllerSpec, p: Configuration, seed: int, sym: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """(A, eigenvalues of A, ascending eigenvalues of its symmetric part or
+    None, r) for A = P^T eta P over the basis P = U_r of Im R(p), in the
+    closed forms of the module docstring; the symmetric part's eigenvalues
+    are computed only with ``sym``.  Raises off regular points."""
     if spec.kind == "directed":
         U, s, Vt, r = _regular_svd(spec.graph, p, seed)
         RdirV = directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
         A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
-        return A, np.linalg.eigvals(A), r
+        sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T)) if sym else None
+        return A, np.linalg.eigvals(A), sym_eigs, r
     _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
     if spec.kind == "model":
         eigs = np.ones(r)  # eta is the projector P P^T
     else:
         eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
-    return np.diag(eigs), eigs, r
+    # A is diagonal, so it is its own symmetric part
+    return np.diag(eigs), eigs, np.sort(eigs) if sym else None, r
 
 
 def restricted_sym_form(
@@ -160,7 +161,7 @@ def restricted_sym_form(
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
-        A, eigs, r = _restricted_operator(spec, p_star, seed)
+        _, eigs, sym_eigs, r = _restricted_operator(spec, p_star, seed, sym=True)
     except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
@@ -172,10 +173,6 @@ def restricted_sym_form(
             spectral_norm=None,
             detail=f"target is {exc}",
         )
-    if spec.kind == "directed":
-        sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    else:
-        sym_eigs = np.sort(eigs)  # A is diagonal, so it is its symmetric part
     min_eig = float(sym_eigs[0])
     norm = float(np.abs(sym_eigs).max())
     verdict = "pass" if min_eig > tol_pd * norm else "fail"
@@ -198,7 +195,7 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, eigs, r = _restricted_operator(spec, p_star, seed)
+    A, eigs, _, r = _restricted_operator(spec, p_star, seed)
     return EdgeLinearization(A, _sorted_spectrum(eigs), r)
 
 
@@ -335,13 +332,9 @@ def persistence_check(
     choice_sets = [
         tuple(combinations(orientation.out_edges(v), d)) for v in heavy
     ]
-    # a reduction's R at a draw is the rows of the whole graph's R it keeps;
-    # it is rigid iff some draw reaches full rank, which none can exceed
-    full = max_generic_rank(graph.n, d)
-    frames = [rigidity_matrix(graph, p) for p in _generic_draws(graph.n, d, seed)]
     for chosen in product(*choice_sets):
         kept = sorted(fixed + [k for combo in chosen for k in combo])
-        if not any(matrix_rank(R[kept]) == full for R in frames):
+        if not is_generically_rigid(graph, d, seed, edges=kept):
             labels = orientation.directed_labels
             return PersistenceReport(
                 verdict="not persistent",

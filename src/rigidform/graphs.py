@@ -75,6 +75,12 @@ class Graph:
         """Generic ranks of this graph keyed by (d, seed); freed with the graph."""
         return _memo(self, "_rank_memo_cache", dict)
 
+    @property
+    def _draw_memo(self) -> dict[tuple[int, int], list[np.ndarray]]:
+        """Rigidity matrices at the generic-rank draws keyed by (d, seed), for
+        ranking spanning subgraphs as row subsets; freed with the graph."""
+        return _memo(self, "_draw_memo_cache", dict)
+
 
 @dataclass(frozen=True)
 class Orientation:

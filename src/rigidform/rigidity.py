@@ -87,7 +87,7 @@ def rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
     out = np.zeros((graph.num_edges, graph.n, p.d))
     rows = np.arange(graph.num_edges)
     out[rows, I], out[rows, J] = D, -D
-    return out.reshape(graph.num_edges, -1)
+    return out.reshape(graph.num_edges, graph.n * p.d)
 
 
 def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.ndarray:
@@ -101,40 +101,56 @@ def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.n
     T, H = orientation.arrows
     out = np.zeros((graph.num_edges, graph.n, p.d))
     out[np.arange(graph.num_edges), T] = p.points[T] - p.points[H]
-    return out.reshape(graph.num_edges, -1)
+    return out.reshape(graph.num_edges, graph.n * p.d)
 
 
-def _generic_draws(n: int, d: int, seed: int):
-    """The GENERIC_SAMPLES configurations a generic rank is estimated at:
-    coordinates uniform on [-1, 1], drawn from ``seed``.  They depend on
-    (n, d, seed) only, so every graph on n vertices shares them."""
+def _draw_matrices(graph: Graph, d: int, seed: int):
+    """R(p) at each of the GENERIC_SAMPLES configurations a generic rank is
+    estimated at: coordinates uniform on [-1, 1], drawn from ``seed``.  The
+    draws depend on (n, d, seed) only, so a spanning subgraph's R at a draw
+    is the rows of the graph's R for the edges it keeps."""
     rng = np.random.default_rng(seed)
     for _ in range(GENERIC_SAMPLES):
-        yield Configuration(d, rng.uniform(-1.0, 1.0, size=(n, d)))
+        yield rigidity_matrix(graph, Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d))))
 
 
-def generic_rank(graph: Graph, d: int, seed: int = 0) -> int:
+def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     """Rank of R at a generic configuration in R^d.
 
     Estimated as the max rank over the seeded draws of
-    :func:`_generic_draws`.  No draw can exceed the ceiling
+    :func:`_draw_matrices`.  No draw can exceed the ceiling
     min(|E|, max_generic_rank(n, d)), so the draws stop once one reaches it:
     a generically rigid graph takes one SVD.  Deterministic per seed;
     memoized on the graph object per (d, seed), so the memo is freed with
     the graph.
+
+    With ``edges``, a sequence of edge indices, the rank is that of the
+    spanning subgraph on those edges, taken as the rows ``edges`` of the
+    graph's R at the same draws.  Those R are built once per (d, seed) and
+    kept on the graph, so ranking many subgraphs builds no graph and no R
+    of their own; subgraph ranks are not memoized.
     """
     key = (int(d), int(seed))
-    memo = graph._rank_memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
+    if edges is None:
+        cached = graph._rank_memo.get(key)
+        if cached is not None:
+            return cached
+        ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
+        matrices = _draw_matrices(graph, d, seed)
+    else:
+        draws = graph._draw_memo.get(key)
+        if draws is None:
+            draws = graph._draw_memo[key] = list(_draw_matrices(graph, d, seed))
+        rows = np.asarray(edges, dtype=np.intp)
+        ceiling = min(rows.size, max_generic_rank(graph.n, d))
+        matrices = (R[rows] for R in draws)
     best = 0
-    for p in _generic_draws(graph.n, d, seed):
-        best = max(best, matrix_rank(rigidity_matrix(graph, p)))
+    for R in matrices:
+        best = max(best, matrix_rank(R))
         if best == ceiling:
             break
-    memo[key] = best
+    if edges is None:
+        graph._rank_memo[key] = best
     return best
 
 
@@ -145,9 +161,11 @@ def max_generic_rank(n: int, d: int) -> int:
     return n * (n - 1) // 2
 
 
-def is_generically_rigid(graph: Graph, d: int, seed: int = 0) -> bool:
-    """Whether generic frameworks of the graph in R^d admit only rigid motions."""
-    return generic_rank(graph, d, seed) == max_generic_rank(graph.n, d)
+def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> bool:
+    """Whether generic frameworks of the graph in R^d admit only rigid motions;
+    with ``edges``, of its spanning subgraph on those edges (see
+    :func:`generic_rank`)."""
+    return generic_rank(graph, d, seed, edges) == max_generic_rank(graph.n, d)
 
 
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:

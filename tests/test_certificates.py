@@ -322,6 +322,29 @@ def test_persistence_leaves_no_reduction_graphs_alive():
     assert live_graphs() == before
 
 
+def test_persistence_ranks_each_reduction_up_to_the_witness(monkeypatch):
+    # one is_generically_rigid call per reduction ranked, each a row subset
+    # of the orientation's own graph, and none after the witness
+    import rigidform.certificates as certificates_mod
+
+    scn = builtin_scenario("fig4-nonpersistent")
+    calls = []
+    real = certificates_mod.is_generically_rigid
+
+    def counting(graph, d, seed=0, edges=None):
+        verdict = real(graph, d, seed, edges=edges)
+        calls.append((graph, tuple(edges), verdict))
+        return verdict
+
+    monkeypatch.setattr(certificates_mod, "is_generically_rigid", counting)
+    rep = persistence_check(scn.orientation, 2)
+    assert rep.verdict == "not persistent" and 1 <= len(calls) <= 9
+    assert all(g is scn.graph for g, _, _ in calls)
+    assert [v for _, _, v in calls] == [True] * (len(calls) - 1) + [False]
+    labels = scn.orientation.directed_labels
+    assert tuple(labels[k] for k in calls[-1][1]) == rep.witness
+
+
 def _reference_persistence(orientation, d, seed):
     # the enumeration with one Graph and one generic-rank estimate per
     # reduction: (verdict, reductions, witness)
