@@ -19,9 +19,12 @@ built:
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
   exponential convergence to the target shape.
-* :func:`dynamic_admissibility` / :func:`algebraic_admissibility` decide, by
-  randomized sampling of generic targets, whether A is hyperbolic /
-  invertible: necessary conditions for exponential convergence anywhere.
+* :func:`admissibility` decides, by randomized sampling of generic targets,
+  whether A is hyperbolic (dynamic) and invertible (algebraic): necessary
+  conditions for exponential convergence anywhere.  One pass takes each
+  sampled target's spectrum once and judges both tests on it;
+  :func:`dynamic_admissibility` / :func:`algebraic_admissibility` return
+  its halves.
 * :func:`persistence_check` decides the classical directed-graph persistence
   property by enumerating all out-degree-d reductions and rank-testing each;
   the enumeration is exponential in the redundant out-edges, hence the cap.
@@ -48,7 +51,6 @@ from rigidform.rigidity import (
     RankDeficiencyError,
     _regular_svd,
     directed_rigidity_matrix,
-    distance_map,
     is_generically_rigid,
 )
 
@@ -123,20 +125,22 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
 
 
 def _restricted_operator(
-    spec: ControllerSpec, p: Configuration, seed: int, sym: bool = False
+    graph: Graph, kind: str, orientation: Orientation | None, p: Configuration,
+    seed: int, sym: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
     """(A, eigenvalues of A, ascending eigenvalues of its symmetric part or
     None, r) for A = P^T eta P over the basis P = U_r of Im R(p), in the
     closed forms of the module docstring; the symmetric part's eigenvalues
-    are computed only with ``sym``.  Raises off regular points."""
-    if spec.kind == "directed":
-        U, s, Vt, r = _regular_svd(spec.graph, p, seed)
-        RdirV = directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
+    are computed only with ``sym``; ``orientation`` is read only by the
+    directed controller.  Raises off regular points."""
+    if kind == "directed":
+        U, s, Vt, r = _regular_svd(graph, p, seed)
+        RdirV = directed_rigidity_matrix(orientation, p) @ Vt[:r].T
         A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
         sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T)) if sym else None
         return A, np.linalg.eigvals(A), sym_eigs, r
-    _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
-    if spec.kind == "model":
+    _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
+    if kind == "model":
         eigs = np.ones(r)  # eta is the projector P P^T
     else:
         eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
@@ -161,7 +165,8 @@ def restricted_sym_form(
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
-        _, eigs, sym_eigs, r = _restricted_operator(spec, p_star, seed, sym=True)
+        _, eigs, sym_eigs, r = _restricted_operator(
+            spec.graph, spec.kind, spec.orientation, p_star, seed, sym=True)
     except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
@@ -195,59 +200,59 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, eigs, _, r = _restricted_operator(spec, p_star, seed)
+    A, eigs, _, r = _restricted_operator(spec.graph, spec.kind, spec.orientation, p_star, seed)
     return EdgeLinearization(A, _sorted_spectrum(eigs), r)
 
 
-def _sample_regular(graph: Graph, kind: str, orientation: Orientation | None, d: int,
-                    rng: np.random.Generator, seed: int) -> np.ndarray:
-    """Spectrum of the restricted operator at a random target, resampled
-    until regular."""
-    for _ in range(_RESAMPLE_CAP):
-        p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
-        oriented = orientation if kind == "directed" else None
-        spec = ControllerSpec(graph, kind, distance_map(graph, p), oriented)
-        try:
-            return _restricted_operator(spec, p, seed)[1]
-        except RankDeficiencyError:
-            continue
-    raise RuntimeError(
-        f"failed to sample a regular configuration in {_RESAMPLE_CAP} tries"
-    )
-
-
-def _admissibility(
-    test: str,
+def admissibility(
     graph: Graph,
     kind: str,
     orientation: Orientation | None,
     d: int,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> AdmissibilityReport:
-    streams = np.random.SeedSequence(seed).spawn(samples)
-    per_sample = []
-    verdict = "pass"
-    for stream in streams:
-        eigs = _sample_regular(graph, kind, orientation, d, np.random.default_rng(stream), seed)
-        norm = float(np.abs(eigs).max())
-        if test == "dynamic":
-            margin = float(np.abs(eigs.real).min())
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    tol_hyp: float = TOL_HYP,
+    tol_inv: float = TOL_INV,
+) -> tuple[AdmissibilityReport, AdmissibilityReport]:
+    """(dynamic, algebraic) admissibility from one pass over sampled targets.
+
+    Each of ``samples`` random configurations, one per stream spawned from
+    ``seed`` and redrawn until regular, has the spectrum of its restricted
+    operator taken once; the dynamic test judges min |Re z| against
+    ``tol_hyp`` and the algebraic test min |z| against ``tol_inv``, both
+    relative to the spectral norm.
+    """
+    tests = (("dynamic", tol_hyp), ("algebraic", tol_inv))
+    per_sample = ([], [])
+    for stream in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(stream)
+        for _ in range(_RESAMPLE_CAP):
+            p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
+            try:
+                eigs = _restricted_operator(graph, kind, orientation, p, seed)[1]
+                break
+            except RankDeficiencyError:
+                continue
         else:
-            margin = float(np.abs(eigs).min())
-        ok = margin > tol * norm
-        if not ok:
-            verdict = "fail"
-        per_sample.append(SampleSpectrum(margin, norm, _sorted_spectrum(eigs), ok))
-    return AdmissibilityReport(
-        test=test,
-        controller_kind=kind,
-        verdict=verdict,
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        per_sample=tuple(per_sample),
+            raise RuntimeError(
+                f"failed to sample a regular configuration in {_RESAMPLE_CAP} tries"
+            )
+        norm = float(np.abs(eigs).max())
+        spectrum = _sorted_spectrum(eigs)
+        margins = (float(np.abs(eigs.real).min()), float(np.abs(eigs).min()))
+        for out, margin, (_, tol) in zip(per_sample, margins, tests):
+            out.append(SampleSpectrum(margin, norm, spectrum, margin > tol * norm))
+    return tuple(
+        AdmissibilityReport(
+            test=test,
+            controller_kind=kind,
+            verdict="pass" if all(s.ok for s in out) else "fail",
+            samples=samples,
+            seed=seed,
+            tol=tol,
+            per_sample=tuple(out),
+        )
+        for (test, tol), out in zip(tests, per_sample)
     )
 
 
@@ -267,7 +272,7 @@ def dynamic_admissibility(
     norm, on every sample.  Necessary for exponential convergence to any
     target.  Deterministic per seed.
     """
-    return _admissibility("dynamic", graph, kind, orientation, d, samples, seed, tol_hyp)
+    return admissibility(graph, kind, orientation, d, samples, seed, tol_hyp=tol_hyp)[0]
 
 
 def algebraic_admissibility(
@@ -285,7 +290,7 @@ def algebraic_admissibility(
     draw identical configurations) but thresholds eigenvalue magnitudes, so a
     dynamic pass implies an algebraic pass.
     """
-    return _admissibility("algebraic", graph, kind, orientation, d, samples, seed, tol_inv)
+    return admissibility(graph, kind, orientation, d, samples, seed, tol_inv=tol_inv)[1]
 
 
 def reduction_count(orientation: Orientation, d: int) -> int:

@@ -24,23 +24,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from rigidform import __version__
-from rigidform.certificates import (
-    algebraic_admissibility,
-    dynamic_admissibility,
-    persistence_check,
-    restricted_sym_form,
-)
-from rigidform.rigidity import (
-    RankDeficiencyError,
-    generic_rank,
-    is_generically_rigid,
-    max_generic_rank,
-)
+from rigidform.certificates import admissibility, persistence_check, restricted_sym_form
+from rigidform.rigidity import RankDeficiencyError, generic_rank, max_generic_rank
 from rigidform.scenarios import (
     Scenario,
     ScenarioError,
     builtin_names,
-    builtin_path,
     builtin_scenario,
     load_scenario,
 )
@@ -111,13 +100,13 @@ def cmd_analyze(args) -> int:
     seed = _master_seed(args.seed)
     graph, d = scn.graph, scn.d
     rank = generic_rank(graph, d, seed)
-    rigid = is_generically_rigid(graph, d, seed)
+    max_rank = max_generic_rank(graph.n, d)
+    rigid = rank == max_rank
     # the certificate already ranks R(p*), decides regularity and holds the
     # spectrum of the restricted operator
     cert = restricted_sym_form(scn.controller_spec(), scn.target, seed)
     target_rank, regular = cert.rank_r, cert.verdict != "indeterminate"
-    dyn = dynamic_admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
-    alg = algebraic_admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
+    dyn, alg = admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
     persist = None
     if args.persistence:
         if scn.orientation is None:
@@ -125,7 +114,7 @@ def cmd_analyze(args) -> int:
         persist = persistence_check(scn.orientation, d, seed)
 
     print(f"scenario: {scn.name} ({scn.controller} controller, d={d}, n={graph.n}, edges={graph.num_edges})")
-    print(f"generic rank: {rank} / {max_generic_rank(graph.n, d)}"
+    print(f"generic rank: {rank} / {max_rank}"
           f" -> {'generically rigid' if rigid else 'NOT generically rigid'}")
     print(f"target: rank {target_rank} -> {'regular point' if regular else 'NOT a regular point'}")
     line = f"certificate ({cert.kind}): {cert.verdict}"
@@ -153,7 +142,7 @@ def cmd_analyze(args) -> int:
             "vertices": graph.n,
             "edges": [list(e) for e in graph.edge_labels],
             "generic_rank": rank,
-            "max_generic_rank": max_generic_rank(graph.n, d),
+            "max_generic_rank": max_rank,
             "generically_rigid": rigid,
             "target_rank": target_rank,
             "target_regular": regular,
@@ -287,10 +276,8 @@ def _graph_source(args) -> Scenario:
 def cmd_admissibility(args) -> int:
     scn = _graph_source(args)
     seed = _master_seed(args.seed)
-    dyn = dynamic_admissibility(scn.graph, scn.controller, scn.orientation, scn.d,
-                                args.samples, seed)
-    alg = algebraic_admissibility(scn.graph, scn.controller, scn.orientation, scn.d,
-                                  args.samples, seed)
+    dyn, alg = admissibility(scn.graph, scn.controller, scn.orientation, scn.d,
+                             args.samples, seed)
     print(f"graph: {scn.name} ({scn.controller} controller, d={scn.d}, "
           f"n={scn.graph.n}, edges={scn.graph.num_edges})")
     for rep in (dyn, alg):

@@ -78,7 +78,8 @@ class Graph:
     @property
     def _draw_memo(self) -> dict[tuple[int, int], list[np.ndarray]]:
         """Rigidity matrices at the generic-rank draws keyed by (d, seed), for
-        ranking spanning subgraphs as row subsets; freed with the graph."""
+        ranking spanning subgraphs as row subsets; holds the newest (d, seed)
+        only and is freed with the graph."""
         return _memo(self, "_draw_memo_cache", dict)
 
 

@@ -127,8 +127,9 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     With ``edges``, a sequence of edge indices, the rank is that of the
     spanning subgraph on those edges, taken as the rows ``edges`` of the
     graph's R at the same draws.  Those R are built once per (d, seed) and
-    kept on the graph, so ranking many subgraphs builds no graph and no R
-    of their own; subgraph ranks are not memoized.
+    kept on the graph until a subgraph is ranked at another (d, seed), so
+    ranking many subgraphs builds no graph and no R of their own and the
+    graph keeps one set of draws at most; subgraph ranks are not memoized.
     """
     key = (int(d), int(seed))
     if edges is None:
@@ -140,6 +141,7 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     else:
         draws = graph._draw_memo.get(key)
         if draws is None:
+            graph._draw_memo.clear()
             draws = graph._draw_memo[key] = list(_draw_matrices(graph, d, seed))
         rows = np.asarray(edges, dtype=np.intp)
         ceiling = min(rows.size, max_generic_rank(graph.n, d))

@@ -210,36 +210,39 @@ def integrate(
     x0 = p0.vector
     if not np.isfinite(x0).all():
         raise ValueError("initial configuration is not finite")
-    try:
-        u0 = rhs(0.0, x0)
-    except RankDeficiencyError:
-        raise RankDeficiencyError("initial configuration is rank deficient")
-    if not np.isfinite(u0).all():
-        raise ValueError("field value at the initial configuration is not finite")
-    if integrator.method == "rk45":
-        steps = _rk45_steps(rhs, x0, integrator)
-    else:
-        steps = _rk4_steps(rhs, x0, u0, integrator)
+    # a diverging state overflows inside the field; the finite checks below,
+    # not NumPy's warnings, turn that into an input error or "aborted"
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u0 = rhs(0.0, x0)
+        except RankDeficiencyError:
+            raise RankDeficiencyError("initial configuration is rank deficient")
+        if not np.isfinite(u0).all():
+            raise ValueError("field value at the initial configuration is not finite")
+        if integrator.method == "rk45":
+            steps = _rk45_steps(rhs, x0, integrator)
+        else:
+            steps = _rk4_steps(rhs, x0, u0, integrator)
 
-    # the start is state 0, sampled and judged before the first step is taken
-    rec = _Recorder(criteria)
-    termination = "horizon"
-    try:
-        for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
-            if not (np.isfinite(x).all() and np.isfinite(u).all()):
-                termination = "aborted"  # diverged
-                break
-            if k % integrator.sample_every == 0 or last:
-                p = Configuration.from_vector(d, x)
-                m = distance_map(graph, p).values
-                err = float(np.linalg.norm(m - spec.m_star.values))
-                rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
-                verdict = rec.verdict()
-                if verdict is not None:
-                    termination = verdict
+        # the start is state 0, sampled and judged before the first step is taken
+        rec = _Recorder(criteria)
+        termination = "horizon"
+        try:
+            for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
+                if not (np.isfinite(x).all() and np.isfinite(u).all()):
+                    termination = "aborted"  # diverged
                     break
-    except (RankDeficiencyError, _StepFailed):
-        termination = "aborted"
+                if k % integrator.sample_every == 0 or last:
+                    p = Configuration.from_vector(d, x)
+                    m = distance_map(graph, p).values
+                    err = float(np.linalg.norm(m - spec.m_star.values))
+                    rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
+                    verdict = rec.verdict()
+                    if verdict is not None:
+                        termination = verdict
+                        break
+        except (RankDeficiencyError, _StepFailed):
+            termination = "aborted"
     return _finish(spec, rec, termination)
 
 

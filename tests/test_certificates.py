@@ -1,6 +1,7 @@
 """Certificates: restricted positive definiteness, admissibility, persistence."""
 
 import gc
+from dataclasses import asdict
 from itertools import combinations, product
 
 import numpy as np
@@ -15,6 +16,7 @@ from rigidform import (
     ControllerSpec,
     Measurement,
     RankDeficiencyError,
+    admissibility,
     algebraic_admissibility,
     Graph,
     build_graph,
@@ -252,11 +254,15 @@ def test_admissibility_gradient_rigid_graph(w5):
     assert dyn.verdict == "pass" and alg.verdict == "pass"
 
 
-def test_admissibility_shares_samples_and_hierarchy(w5, w5_arrows):
+@pytest.mark.parametrize("kind", ["gradient", "model", "directed"])
+def test_admissibility_shares_samples_and_hierarchy(w5, w5_arrows, kind):
     # same seed => the two tests examine identical sampled targets, so the
-    # spectra agree; and |Re z| <= |z| makes dynamic the stricter test (Z4)
-    dyn = dynamic_admissibility(w5, "directed", w5_arrows, 2, seed=42)
-    alg = algebraic_admissibility(w5, "directed", w5_arrows, 2, seed=42)
+    # spectra agree; and |Re z| <= |z| makes dynamic the stricter test (Z4);
+    # the one-pass pair is exactly the two named reports
+    dyn = dynamic_admissibility(w5, kind, w5_arrows, 2, seed=42)
+    alg = algebraic_admissibility(w5, kind, w5_arrows, 2, seed=42)
+    pair = admissibility(w5, kind, w5_arrows, 2, seed=42)
+    assert [asdict(rep) for rep in pair] == [asdict(dyn), asdict(alg)]
     for s_dyn, s_alg in zip(dyn.per_sample, alg.per_sample):
         assert np.allclose(
             np.asarray(s_dyn.spectrum), np.asarray(s_alg.spectrum), atol=0
@@ -320,6 +326,15 @@ def test_persistence_leaves_no_reduction_graphs_alive():
     rep = persistence_check(scn.orientation, 2, seed=918_273)
     assert rep.reductions_checked == 9
     assert live_graphs() == before
+
+
+def test_persistence_keeps_one_set_of_draws_per_graph():
+    # the row-subset draws are kept for the newest (d, seed) only, so checks
+    # at many seeds hold one set of rigidity matrices, not one per seed
+    scn = builtin_scenario("fig4-nonpersistent")
+    for seed in range(50):
+        persistence_check(scn.orientation, 2, seed=seed)
+    assert list(scn.graph._draw_memo) == [(2, 49)]
 
 
 def test_persistence_ranks_each_reduction_up_to_the_witness(monkeypatch):

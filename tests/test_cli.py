@@ -5,6 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
+import rigidform.certificates as certificates_mod
 from rigidform.cli import main
 
 from conftest import P_STAR
@@ -161,6 +162,24 @@ def test_simulate_t_max_override(capsys, tmp_path):
     summary = json.loads(json_path.read_text())
     assert summary["termination"] == "horizon"
     assert summary["termination_time"] == pytest.approx(1.0)
+
+
+def test_admissibility_takes_each_sample_spectrum_once(capsys, monkeypatch):
+    # one restricted operator per sampled target, shared by the dynamic and
+    # algebraic verdicts; analyze adds one for the certificate at the target
+    real = certificates_mod._restricted_operator
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificates_mod, "_restricted_operator", counting)
+    run(capsys, "analyze", "w5-directed-good", "--seed", "0")
+    assert len(calls) == 6
+    calls.clear()
+    run(capsys, "admissibility", "--builtin", "w5-directed-good", "--seed", "0")
+    assert len(calls) == 5
 
 
 def test_admissibility_command(capsys, tmp_path):

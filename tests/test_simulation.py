@@ -242,9 +242,8 @@ def test_diverged_rk4_run_terminates_aborted():
     # NaN within the first seven steps, before the second sample
     scn = builtin_scenario("fig4-nonpersistent")
     cfg = IntegratorConfig(method="rk4", dt=0.03, t_max=30.0, sample_every=7)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate(scn.controller_spec("gradient"), scn.initial_configuration(2),
-                         cfg, scn.termination)
+    traj = integrate(scn.controller_spec("gradient"), scn.initial_configuration(2),
+                     cfg, scn.termination)
     assert traj.termination == "aborted"
     assert traj.termination_time == traj.times[-1] < 30.0
     assert np.isfinite(traj.positions).all() and np.isfinite(traj.edge_error).all()
@@ -255,9 +254,8 @@ def test_non_finite_start_is_an_input_error():
     with pytest.raises(ValueError, match="initial configuration is not finite"):
         integrate(spec, Configuration(1, [[0.0], [np.nan]]))
     # finite coordinates whose field value overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="field value .* not finite"):
-            integrate(spec, Configuration(1, [[0.0], [1e200]]))
+    with pytest.raises(ValueError, match="field value .* not finite"):
+        integrate(spec, Configuration(1, [[0.0], [1e200]]))
 
 
 def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
