@@ -149,17 +149,14 @@ def _restricted_operator(
 
 
 def restricted_sym_form(
-    spec: ControllerSpec,
-    p_star: Configuration,
-    seed: int = 0,
-    tol_pd: float = TOL_PD,
+    spec: ControllerSpec, p_star: Configuration, seed: int = 0
 ) -> CertificateReport:
     """Positive-definiteness certificate of the controller at a target.
 
     Restricts the symmetric part of eta at p* to the orthonormal basis P of
     Im R(p*), in the closed forms of the module docstring (for the gradient
     and model controllers A is diagonal, so no eigensolve is needed), and
-    passes iff the smallest eigenvalue exceeds ``tol_pd`` times the spectral
+    passes iff the smallest eigenvalue exceeds ``TOL_PD`` times the spectral
     norm of the restricted symmetric matrix.
     A target where R drops below the generic rank yields "indeterminate".
     """
@@ -174,20 +171,20 @@ def restricted_sym_form(
             min_sym_eigenvalue=None,
             spectrum=(),
             rank_r=exc.rank,
-            tol=tol_pd,
+            tol=TOL_PD,
             spectral_norm=None,
             detail=f"target is {exc}",
         )
     min_eig = float(sym_eigs[0])
     norm = float(np.abs(sym_eigs).max())
-    verdict = "pass" if min_eig > tol_pd * norm else "fail"
+    verdict = "pass" if min_eig > TOL_PD * norm else "fail"
     return CertificateReport(
         kind=kind,
         verdict=verdict,
         min_sym_eigenvalue=min_eig,
         spectrum=_sorted_spectrum(eigs),
         rank_r=r,
-        tol=tol_pd,
+        tol=TOL_PD,
         spectral_norm=norm,
     )
 
@@ -211,18 +208,19 @@ def admissibility(
     d: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol_hyp: float = TOL_HYP,
-    tol_inv: float = TOL_INV,
 ) -> tuple[AdmissibilityReport, AdmissibilityReport]:
     """(dynamic, algebraic) admissibility from one pass over sampled targets.
 
     Each of ``samples`` random configurations, one per stream spawned from
     ``seed`` and redrawn until regular, has the spectrum of its restricted
     operator taken once; the dynamic test judges min |Re z| against
-    ``tol_hyp`` and the algebraic test min |z| against ``tol_inv``, both
-    relative to the spectral norm.
+    ``TOL_HYP`` and the algebraic test min |z| against ``TOL_INV``, both
+    relative to the spectral norm.  Raises ValueError unless ``samples`` is
+    a positive integer.
     """
-    tests = (("dynamic", tol_hyp), ("algebraic", tol_inv))
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    tests = (("dynamic", TOL_HYP), ("algebraic", TOL_INV))
     per_sample = ([], [])
     for stream in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(stream)
@@ -263,16 +261,15 @@ def dynamic_admissibility(
     d: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol_hyp: float = TOL_HYP,
 ) -> AdmissibilityReport:
     """Hyperbolicity of the restricted edge-error operator at generic targets.
 
     Samples random configurations, restricts eta to Im R there, and requires
-    every eigenvalue's real part to clear ``tol_hyp`` times the spectral
+    every eigenvalue's real part to clear ``TOL_HYP`` times the spectral
     norm, on every sample.  Necessary for exponential convergence to any
     target.  Deterministic per seed.
     """
-    return admissibility(graph, kind, orientation, d, samples, seed, tol_hyp=tol_hyp)[0]
+    return admissibility(graph, kind, orientation, d, samples, seed)[0]
 
 
 def algebraic_admissibility(
@@ -282,7 +279,6 @@ def algebraic_admissibility(
     d: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol_inv: float = TOL_INV,
 ) -> AdmissibilityReport:
     """Invertibility of the restricted edge-error operator at generic targets.
 
@@ -290,7 +286,7 @@ def algebraic_admissibility(
     draw identical configurations) but thresholds eigenvalue magnitudes, so a
     dynamic pass implies an algebraic pass.
     """
-    return admissibility(graph, kind, orientation, d, samples, seed, tol_inv=tol_inv)[1]
+    return admissibility(graph, kind, orientation, d, samples, seed)[1]
 
 
 def reduction_count(orientation: Orientation, d: int) -> int:
@@ -303,12 +299,7 @@ def reduction_count(orientation: Orientation, d: int) -> int:
     return count
 
 
-def persistence_check(
-    orientation: Orientation,
-    d: int,
-    seed: int = 0,
-    max_reductions: int = REDUCTION_CAP,
-) -> PersistenceReport:
+def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> PersistenceReport:
     """Directed persistence via rigidity of all out-degree-d reductions.
 
     Every vertex with out-degree above d is trimmed to each d-subset of its
@@ -316,17 +307,18 @@ def persistence_check(
     graph of every such reduction is generically d-rigid.  The first failing
     reduction is returned as a witness (as 1-based tail->head pairs), and no
     reduction after it is ranked; ``reductions_checked`` is the size of the
-    whole enumeration either way.
+    whole enumeration either way.  An enumeration above ``REDUCTION_CAP``
+    is not ranked and yields "indeterminate".
     """
     if d not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
     graph = orientation.graph
     total = reduction_count(orientation, d)
-    if total > max_reductions:
+    if total > REDUCTION_CAP:
         return PersistenceReport(
             verdict="indeterminate",
             reductions_checked=0,
-            detail=f"{total} reductions exceed the cap of {max_reductions}",
+            detail=f"{total} reductions exceed the cap of {REDUCTION_CAP}",
         )
     heavy = [v for v in range(graph.n) if len(orientation.out_edges(v)) > d]
     fixed = [

@@ -10,8 +10,8 @@ Subcommands:
 * ``persistence``    out-degree-reduction test for an orientation.
 
 Exit codes for verdict-producing commands: 0 pass, 1 fail, 2 indeterminate,
-3 error.  The environment variable RIGIDFORM_SEED supplies the default seed;
-an explicit --seed always wins.
+3 usage or input error.  The environment variable RIGIDFORM_SEED supplies
+the default seed; an explicit --seed always wins.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from rigidform import __version__
-from rigidform.certificates import admissibility, persistence_check, restricted_sym_form
+from rigidform.certificates import (
+    DEFAULT_SAMPLES,
+    admissibility,
+    persistence_check,
+    restricted_sym_form,
+)
+from rigidform.controllers import CONTROLLER_KINDS
 from rigidform.rigidity import RankDeficiencyError, generic_rank, max_generic_rank
 from rigidform.scenarios import (
     Scenario,
@@ -40,15 +46,16 @@ ENV_SEED = "RIGIDFORM_SEED"
 
 EXIT_PASS, EXIT_FAIL, EXIT_INDETERMINATE, EXIT_ERROR = 0, 1, 2, 3
 
+_VERDICT_EXIT = {"pass": EXIT_PASS, "persistent": EXIT_PASS, "fail": EXIT_FAIL,
+                 "not persistent": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR; argparse's own 2 is the indeterminate code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_scenario(ref: str) -> Scenario:
@@ -62,11 +69,22 @@ def _resolve_scenario(ref: str) -> Scenario:
     )
 
 
-def _master_seed(arg_seed: int | None) -> int:
+def _master_seed(arg_seed: int | None, fallback: int = 0) -> int:
+    """--seed, else RIGIDFORM_SEED, else ``fallback``; a given seed must be a
+    non-negative integer, as NumPy requires."""
     if arg_seed is not None:
-        return arg_seed
-    env = _env_seed()
-    return env if env is not None else 0
+        source, raw = "--seed", str(arg_seed)
+    elif (raw := os.environ.get(ENV_SEED)) is not None:
+        source = ENV_SEED
+    else:
+        return fallback
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ScenarioError(f"{source} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ScenarioError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _fmt_complex(z: complex) -> str:
@@ -153,12 +171,7 @@ def cmd_analyze(args) -> int:
             "persistence": asdict(persist) if persist is not None else None,
             "seed": seed,
         })
-
-    if cert.verdict == "pass":
-        return EXIT_PASS
-    if cert.verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_INDETERMINATE
+    return _VERDICT_EXIT[cert.verdict]
 
 
 def _csv_header(scn: Scenario) -> str:
@@ -190,14 +203,11 @@ def cmd_simulate(args) -> int:
     if args.t_max is not None:
         scn = replace(scn, integrator=replace(scn.integrator, t_max=args.t_max))
 
-    if args.seed is not None:
-        seed = args.seed
-        p0 = scn.initial_configuration(seed)
-    elif scn.initial is not None:
-        seed = 0
-        p0 = scn.initial
+    if args.seed is None and scn.initial is not None:
+        seed, p0 = 0, scn.initial
     else:
-        seed = _master_seed(None) if _env_seed() is not None else (scn.initial_seed or 0)
+        # a loaded scenario without explicit coordinates always has a seed
+        seed = _master_seed(args.seed, scn.initial_seed)
         p0 = scn.initial_configuration(seed)
 
     try:
@@ -307,15 +317,11 @@ def cmd_persistence(args) -> int:
         print(f"note: {rep.detail}")
     if args.json:
         _write_json(args.json, {"scenario": scn.name, "persistence": asdict(rep)})
-    if rep.verdict == "persistent":
-        return EXIT_PASS
-    if rep.verdict == "not persistent":
-        return EXIT_FAIL
-    return EXIT_INDETERMINATE
+    return _VERDICT_EXIT[rep.verdict]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidform",
         description="Distance-based formation control: rigidity analysis, "
                     "stability certificates, and closed-loop simulation.",
@@ -330,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="built-in name or scenario JSON path")
     p.add_argument("--persistence", action="store_true",
                    help="also run the (possibly expensive) persistence test")
-    p.add_argument("--samples", type=int, default=5, help="admissibility samples")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="admissibility samples")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", metavar="OUT", help="write the full report as JSON")
     p.set_defaults(func=cmd_analyze)
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="start from a seeded perturbation of the target "
                         "(overrides the scenario's initial condition)")
-    p.add_argument("--controller", choices=("gradient", "model", "directed"),
+    p.add_argument("--controller", choices=CONTROLLER_KINDS,
                    help="override the scenario's controller kind")
     p.add_argument("--t-max", type=float, default=None, help="override the horizon")
     p.set_defaults(func=cmd_simulate)
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissibility", help="randomized generic-spectrum tests")
     p.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
     p.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the graph")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=cmd_admissibility)
@@ -370,9 +376,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

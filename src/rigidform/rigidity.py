@@ -34,6 +34,8 @@ SVD_RTOL = 1e-12
 # the rank with probability 1, repetition guards against near-degeneracy
 GENERIC_SAMPLES = 3
 
+LIFT_RESIDUAL_TOL = 1e-8
+
 
 class RankDeficiencyError(RuntimeError):
     """Raised when an operation requires a regular point but the rigidity
@@ -230,17 +232,13 @@ def projector(graph: Graph, p: Configuration) -> np.ndarray:
     return P @ P.T
 
 
-def min_norm_lift(
-    graph: Graph,
-    p: Configuration,
-    v: np.ndarray,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     """Least-norm node velocity u with 2 R(p) u equal to the projection of v.
 
     ``v`` is an edge velocity expected to lie in Im R(p); a component outside
-    it (integrator drift) is reported via a RuntimeWarning and projected away,
-    which the pseudoinverse does implicitly.  The returned u is orthogonal to
+    it (integrator drift) of norm above ``LIFT_RESIDUAL_TOL`` * (1 + |v|) is
+    reported via a RuntimeWarning and projected away, which the
+    pseudoinverse does implicitly.  The returned u is orthogonal to
     Ker R(p), hence minimal among all node velocities realizing the same edge
     velocity.
     """
@@ -250,7 +248,7 @@ def min_norm_lift(
     U, s, Vt, r = _svd(graph, p)
     coeffs = U[:, :r].T @ v
     residual = float(np.linalg.norm(v - U[:, :r] @ coeffs))
-    if residual > residual_tol * (1.0 + float(np.linalg.norm(v))):
+    if residual > LIFT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(v))):
         warnings.warn(
             f"edge velocity has residual {residual:.3e} outside Im R; projected",
             RuntimeWarning,

@@ -147,8 +147,20 @@ _TOP_FIELDS = {
     "integrator",
     "termination",
 }
-_INTEGRATOR_FIELDS = {f.name for f in fields(IntegratorConfig)}
-_TERMINATION_FIELDS = {f.name for f in fields(TerminationCriteria)}
+
+
+def _settings(doc: dict, key: str, cls, where: str):
+    """The settings object ``cls`` from ``doc[key]`` (default: all defaults),
+    its allowed keys being the dataclass fields."""
+    sub = doc.get(key, {})
+    where = f"{where}.{key}"
+    if not isinstance(sub, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    _reject_unknown(sub, {f.name for f in fields(cls)}, where)
+    try:
+        return cls(**sub)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
@@ -221,24 +233,6 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     else:
         initial = _coordinates(init_doc, graph.n, d, f"{where}.initial")
 
-    int_doc = doc.get("integrator", {})
-    if not isinstance(int_doc, dict):
-        raise ScenarioError(f"{where}.integrator: must be an object")
-    _reject_unknown(int_doc, _INTEGRATOR_FIELDS, f"{where}.integrator")
-    try:
-        integrator = IntegratorConfig(**int_doc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.integrator: {exc}") from None
-
-    term_doc = doc.get("termination", {})
-    if not isinstance(term_doc, dict):
-        raise ScenarioError(f"{where}.termination: must be an object")
-    _reject_unknown(term_doc, _TERMINATION_FIELDS, f"{where}.termination")
-    try:
-        termination = TerminationCriteria(**term_doc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.termination: {exc}") from None
-
     return Scenario(
         name=name,
         description=description,
@@ -250,8 +244,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         initial=initial,
         initial_seed=initial_seed,
         relative_scale=relative_scale,
-        integrator=integrator,
-        termination=termination,
+        integrator=_settings(doc, "integrator", IntegratorConfig, where),
+        termination=_settings(doc, "termination", TerminationCriteria, where),
     )
 
 

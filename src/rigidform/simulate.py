@@ -39,8 +39,6 @@ from rigidform.controllers import ControllerSpec, evaluate_field
 from rigidform.graphs import Configuration
 from rigidform.rigidity import RankDeficiencyError, congruence_check, distance_map
 
-TERMINATIONS = ("converged", "limit-cycle-suspect", "horizon", "aborted")
-
 
 def _require_finite(config) -> None:
     """Raise ValueError naming the first float field that is NaN or infinite
@@ -308,18 +306,15 @@ def detect_convergence(
     )
 
 
-def decay_rate(traj: Trajectory, tail_fraction: float = 0.5) -> float:
+def decay_rate(traj: Trajectory) -> float:
     """Exponential decay rate of the edge error over the trailing samples.
 
-    Least-squares slope of log(edge error) against time over the last
-    ``tail_fraction`` of the run, sign-flipped so decay is positive.
+    Least-squares slope of log(edge error) against time over the last half
+    of the k samples (from index k // 2), sign-flipped so decay is positive.
     Raises ValueError when fewer than two positive-error samples remain
     (e.g. a run that started at the equilibrium).
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    k = len(traj.times)
-    start = min(k - 1, int(np.floor(k * (1.0 - tail_fraction))))
+    start = len(traj.times) // 2
     t = traj.times[start:]
     e = traj.edge_error[start:]
     keep = e > 0.0

@@ -281,6 +281,13 @@ def test_admissibility_deterministic(w5, w5_arrows):
         assert sa.spectrum == sb.spectrum
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_admissibility_needs_a_positive_sample_count(w5, samples):
+    # zero samples would be a vacuous pass, and SeedSequence rejects negatives
+    with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
+        admissibility(w5, "gradient", None, 2, samples=samples)
+
+
 # -------------------------------------------------------------- persistence
 
 def test_triangle_and_wheel_are_persistent(w5_arrows):
@@ -307,10 +314,15 @@ def test_fig4_is_not_persistent():
 
 
 def test_persistence_cap_yields_indeterminate():
-    scn = builtin_scenario("fig4-nonpersistent")
-    rep = persistence_check(scn.orientation, 2, max_reductions=5)
+    # vertices 1, 2, 3 each sense the same 30 others: C(30, 2)^3 = 82,312,875
+    # reductions, counted without enumerating them
+    sensed = range(4, 34)
+    graph = build_graph(33, [(t, h) for t in (1, 2, 3) for h in sensed])
+    orientation = orient(graph, [(t, h) for t in (1, 2, 3) for h in sensed])
+    rep = persistence_check(orientation, 2)
     assert rep.verdict == "indeterminate"
-    assert "9" in rep.detail
+    assert rep.reductions_checked == 0
+    assert str(reduction_count(orientation, 2)) in rep.detail
 
 
 def test_persistence_leaves_no_reduction_graphs_alive():

@@ -199,6 +199,50 @@ def test_admissibility_command(capsys, tmp_path):
     assert doc["dynamic_admissibility"]["seed"] == 5
 
 
+@pytest.mark.parametrize("argv, env_seed, message", [
+    (["analyze", "w5-undirected", "--samples", "0"], None,
+     "samples must be a positive integer, got 0"),
+    (["analyze", "w5-undirected", "--samples", "-2"], None,
+     "samples must be a positive integer, got -2"),
+    (["admissibility", "--builtin", "w5-undirected", "--samples", "0"], None,
+     "samples must be a positive integer, got 0"),
+    (["admissibility", "--builtin", "w5-undirected", "--samples", "-2"], None,
+     "samples must be a positive integer, got -2"),
+    (["analyze", "w5-undirected", "--seed", "-1"], None,
+     "--seed must be a non-negative integer, got '-1'"),
+    (["simulate", "w5-undirected"], "-4",
+     "RIGIDFORM_SEED must be a non-negative integer, got '-4'"),
+    (["analyze", "w5-undirected", "--samples", "abc"], None,
+     "argument --samples: invalid int value: 'abc'"),
+    (["simulate", "w5-undirected", "--controller", "pid"], None,
+     "argument --controller: invalid choice: 'pid'"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+], ids=["analyze-samples-0", "analyze-samples-neg", "admissibility-samples-0",
+        "admissibility-samples-neg", "seed-neg", "env-seed-neg", "samples-not-int",
+        "unknown-controller", "unknown-command"])
+def test_rejected_input_exits_3_with_its_name(capsys, monkeypatch, argv, env_seed, message):
+    # 2 is the indeterminate verdict, so no usage or input error may exit 2
+    if env_seed is None:
+        monkeypatch.delenv("RIGIDFORM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RIGIDFORM_SEED", env_seed)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports usage errors by exiting
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert "rigidform" in capsys.readouterr().out
+
+
 def test_persistence_command(capsys):
     code, out, _ = run(capsys, "persistence", "--builtin", "fig4-nonpersistent")
     assert code == 1

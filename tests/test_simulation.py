@@ -58,7 +58,7 @@ def test_single_edge_decay_rate_matches_linearization():
         IntegratorConfig(t_max=5.0),
         TerminationCriteria(tol_edge=1e-9),
     )
-    rate = decay_rate(traj, tail_fraction=0.5)
+    rate = decay_rate(traj)
     p_eq = Configuration(1, [[0.0], [2.0]])
     lam = linearized_edge_matrix(spec, p_eq).spectrum[0].real
     assert lam == pytest.approx(16.0, abs=1e-9)
