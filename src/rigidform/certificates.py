@@ -50,6 +50,7 @@ from rigidform.graphs import Configuration, Graph, Orientation
 from rigidform.rigidity import (
     RankDeficiencyError,
     _regular_svd,
+    _require_seed,
     directed_rigidity_matrix,
     is_generically_rigid,
 )
@@ -158,7 +159,8 @@ def restricted_sym_form(
     and model controllers A is diagonal, so no eigensolve is needed), and
     passes iff the smallest eigenvalue exceeds ``TOL_PD`` times the spectral
     norm of the restricted symmetric matrix.
-    A target where R drops below the generic rank yields "indeterminate".
+    A target where R drops below the generic rank, or that is not finite,
+    yields "indeterminate" with the cause in ``detail``.
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
@@ -173,7 +175,7 @@ def restricted_sym_form(
             rank_r=exc.rank,
             tol=TOL_PD,
             spectral_norm=None,
-            detail=f"target is {exc}",
+            detail=f"target: {exc}",
         )
     min_eig = float(sym_eigs[0])
     norm = float(np.abs(sym_eigs).max())
@@ -216,10 +218,11 @@ def admissibility(
     operator taken once; the dynamic test judges min |Re z| against
     ``TOL_HYP`` and the algebraic test min |z| against ``TOL_INV``, both
     relative to the spectral norm.  Raises ValueError unless ``samples`` is
-    a positive integer.
+    a positive integer and ``seed`` a non-negative one.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
+    _require_seed(seed)
     tests = (("dynamic", TOL_HYP), ("algebraic", TOL_INV))
     per_sample = ([], [])
     for stream in np.random.SeedSequence(seed).spawn(samples):

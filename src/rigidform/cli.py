@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes for verdict-producing commands: 0 pass, 1 fail, 2 indeterminate,
 3 usage or input error.  The environment variable RIGIDFORM_SEED supplies
-the default seed; an explicit --seed always wins.
+the default seed; an explicit --seed always wins.  ``simulate`` keeps a
+scenario's explicit start unless --seed is given, but rejects an invalid
+RIGIDFORM_SEED all the same.
 """
 
 from __future__ import annotations
@@ -204,6 +206,8 @@ def cmd_simulate(args) -> int:
         scn = replace(scn, integrator=replace(scn.integrator, t_max=args.t_max))
 
     if args.seed is None and scn.initial is not None:
+        # RIGIDFORM_SEED does not move an explicit start, but it must be valid
+        _master_seed(None)
         seed, p0 = 0, scn.initial
     else:
         # a loaded scenario without explicit coordinates always has a seed

@@ -15,8 +15,11 @@ the edge error m* - m:
 The gradient and directed fields never build R: over the edge vectors
 D = P[I] - P[J], R^T e scatter-adds e_k D_k onto I[k] and subtracts it from
 J[k], Rdir^T e adds e_k (p_t - p_h) at each tail t only, and v = 2 R u is
-twice the row-wise dot of D with u[I] - u[J].  The operator norm of the
-edge-to-node map is computed on demand by :func:`field_gain`.
+twice the row-wise dot of D with u[I] - u[J].  The model field comes from
+one least-squares solve x = R^+ (m* - m), whose singular values also decide
+regularity; u = x / 2 and v = R x = Pi (m* - m), so no SVD factor U or V is
+formed.  The operator norm of the edge-to-node map is computed on demand by
+:func:`field_gain`.
 
 The edge error dynamics of all three are v = eta (m* - m) with the matrix
 eta given by :func:`eta_matrix`; its restriction to the achievable edge
@@ -32,7 +35,10 @@ import numpy as np
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
     _edge_vectors,
+    _finite_rigidity_matrix,
+    _min_norm_solve,
     _regular_svd,
+    _require_regular,
     _rowdot,
     directed_rigidity_matrix,
     distance_map,
@@ -107,12 +113,12 @@ def model_field(
     graph's generic rank, where the projector stops tracking the feasible
     set and integration should abort.
     """
-    U, s, Vt, r = _regular_svd(graph, p, seed)
-    err = m_star.values - distance_map(graph, p).values
-    coeffs = U[:, :r].T @ err
-    u = 0.5 * (Vt[:r].T @ (coeffs / s[:r]))
-    v = U[:, :r] @ coeffs
-    return FieldEvaluation(u, v)
+    R = _finite_rigidity_matrix(graph, p)
+    D = _edge_vectors(graph, p)
+    x, r = _min_norm_solve(R, m_star.values - _rowdot(D, D))
+    _require_regular(graph, p.d, r, seed)
+    # v = 2 R u = R R^+ (m* - m), the projected error
+    return FieldEvaluation(0.5 * x, R @ x)
 
 
 def directed_field(

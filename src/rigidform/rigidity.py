@@ -16,7 +16,16 @@ Rank decisions use the relative singular-value cutoff
 ``sigma > sigma_max * max(shape) * SVD_RTOL``; generic ranks are estimated by
 maximizing the rank over a few seeded random configurations, which depend
 only on (n, d, seed).  A regular point is one where R attains the generic
-rank; :func:`_regular_svd` is the single test of it.
+rank; :func:`_require_regular` is the single test of it, applied to the rank
+of an SVD (:func:`_regular_svd`) or of a least-squares solve.
+
+Minimum-norm lifts R^+ b come from one LAPACK least-squares call
+(:func:`_min_norm_solve`) whose singular values also give the rank under the
+same cutoff, so no U or V factor is formed; the full SVD of :func:`_svd` is
+kept for what needs a basis.  A configuration with a NaN or infinite
+coordinate, or one so large that R would overflow, is not a regular point:
+it raises :class:`RankDeficiencyError` before R reaches LAPACK, which may
+not return on a non-finite matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ GENERIC_SAMPLES = 3
 
 LIFT_RESIDUAL_TOL = 1e-8
 
+# below it |p_i - p_j| <= 2 * COORD_LIMIT is finite, and so is every entry of R
+COORD_LIMIT = 2.0**1022
+
 
 class RankDeficiencyError(RuntimeError):
     """Raised when an operation requires a regular point but the rigidity
@@ -53,6 +65,13 @@ def _rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > s[0] * max(shape) * SVD_RTOL))
+
+
+def _require_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer, as NumPy's
+    seeding requires."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def matrix_rank(m: np.ndarray) -> int:
@@ -133,6 +152,7 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     ranking many subgraphs builds no graph and no R of their own and the
     graph keeps one set of draws at most; subgraph ranks are not memoized.
     """
+    _require_seed(seed)
     key = (int(d), int(seed))
     if edges is None:
         cached = graph._rank_memo.get(key)
@@ -189,11 +209,31 @@ class TangentBasis:
     rank: int
 
 
+def _finite_rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
+    """R(p); raises :class:`RankDeficiencyError` unless every coordinate is
+    finite and below ``COORD_LIMIT`` in magnitude."""
+    if not np.abs(p.points).max() < COORD_LIMIT:  # False for NaN too
+        if not np.isfinite(p.points).all():
+            raise RankDeficiencyError("configuration is not finite")
+        raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R would overflow")
+    return rigidity_matrix(graph, p)
+
+
+def _require_regular(graph: Graph, d: int, r: int, seed: int) -> None:
+    """Raise :class:`RankDeficiencyError`, with its ``rank`` set to r, unless
+    r, the rank of R at a configuration in R^d, is the generic rank."""
+    expected = generic_rank(graph, d, seed)
+    if r != expected:
+        exc = RankDeficiencyError(f"not a regular point: rank {r} != generic rank {expected}")
+        exc.rank = r
+        raise exc
+
+
 def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
     """SVD of R(p) plus its numerical rank: (U, s, Vt, r).  With
     ``compute_uv=False`` only the singular values are computed and U, Vt
     are None."""
-    R = rigidity_matrix(graph, p)
+    R = _finite_rigidity_matrix(graph, p)
     if compute_uv:
         U, s, Vt = np.linalg.svd(R, full_matrices=False)
     else:
@@ -202,15 +242,21 @@ def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
 
 
 def _regular_svd(graph: Graph, p: Configuration, seed: int = 0, compute_uv: bool = True):
-    """:func:`_svd` of R(p); raises :class:`RankDeficiencyError`, with its
-    ``rank`` set, unless the rank is the generic rank (p is regular)."""
+    """:func:`_svd` of R(p), checked by :func:`_require_regular`."""
     U, s, Vt, r = _svd(graph, p, compute_uv)
-    expected = generic_rank(graph, p.d, seed)
-    if r != expected:
-        exc = RankDeficiencyError(f"not a regular point: rank {r} != generic rank {expected}")
-        exc.rank = r
-        raise exc
+    _require_regular(graph, p.d, r, seed)
     return U, s, Vt, r
+
+
+def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(R^+ b, rank of R) from one least-squares solve with no U or V.
+
+    With rcond = max(shape) * SVD_RTOL the solver treats as zero exactly
+    the singular values that :func:`_rank_from_singular_values` does not
+    count, so its pseudoinverse is the one of that rank.  R must be finite.
+    """
+    x, _, _, s = np.linalg.lstsq(R, b, rcond=max(R.shape) * SVD_RTOL)
+    return x, _rank_from_singular_values(s, R.shape)
 
 
 def tangent_basis(graph: Graph, p: Configuration) -> TangentBasis:
@@ -245,17 +291,18 @@ def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.num_edges,):
         raise ValueError(f"edge velocity must have length {graph.num_edges}")
-    U, s, Vt, r = _svd(graph, p)
-    coeffs = U[:, :r].T @ v
-    residual = float(np.linalg.norm(v - U[:, :r] @ coeffs))
+    R = _finite_rigidity_matrix(graph, p)
+    x, _ = _min_norm_solve(R, v)
+    # R R^+ is the projector onto Im R, so v - R x is the part outside it
+    residual = float(np.linalg.norm(v - R @ x))
     if residual > LIFT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(v))):
         warnings.warn(
             f"edge velocity has residual {residual:.3e} outside Im R; projected",
             RuntimeWarning,
             stacklevel=2,
         )
-    # u = (2R)^+ v = 1/2 V_r diag(1/s) U_r^T v
-    return 0.5 * (Vt[:r].T @ (coeffs / s[:r]))
+    # u = (2R)^+ v = 1/2 R^+ v
+    return 0.5 * x
 
 
 def rigid_motion_basis(p: Configuration) -> np.ndarray:

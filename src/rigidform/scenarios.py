@@ -28,7 +28,7 @@ from rigidform.graphs import (
     build_graph,
     orient,
 )
-from rigidform.rigidity import distance_map
+from rigidform.rigidity import _require_seed, distance_map
 from rigidform.simulate import IntegratorConfig, TerminationCriteria
 
 _BUILTIN_DIR = Path(__file__).parent / "builtin"
@@ -103,6 +103,7 @@ class Scenario:
         use_seed = seed if seed is not None else self.initial_seed
         if use_seed is None:
             use_seed = 0
+        _require_seed(use_seed)
         rng = np.random.default_rng(use_seed)
         rho = self.relative_scale * self.target.diameter()
         noise = rng.standard_normal(self.target.points.shape)
@@ -225,6 +226,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         initial_seed = _require(init_doc, "seed", f"{where}.initial")
         if not isinstance(initial_seed, int):
             raise ScenarioError(f"{where}.initial.seed: must be an integer")
+        if initial_seed < 0:
+            raise ScenarioError(f"{where}.initial.seed: must be non-negative, got {initial_seed}")
         relative_scale = init_doc.get("relative_scale", DEFAULT_RELATIVE_SCALE)
         if (not isinstance(relative_scale, (int, float)) or relative_scale <= 0
                 or not np.isfinite(relative_scale)):

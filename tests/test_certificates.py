@@ -194,6 +194,28 @@ def test_eigensolves_per_certificate(monkeypatch, kind):
         assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["gradient", "model", "directed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certificate_indeterminate_at_non_finite_target(capfd, w5, w5_arrows, p_star, kind, bad):
+    pts = p_star.points.copy()
+    pts[4, 0] = bad
+    spec = ControllerSpec(w5, kind, distance_map(w5, p_star),
+                          w5_arrows if kind == "directed" else None)
+    rep = restricted_sym_form(spec, Configuration(2, pts))
+    assert rep.verdict == "indeterminate" and rep.rank_r is None
+    assert rep.detail == "target: configuration is not finite"
+    assert capfd.readouterr().err == ""
+
+
+def test_negative_seed_is_named(w5):
+    scn = builtin_scenario("w5-directed-good")
+    message = "seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=message):
+        restricted_sym_form(scn.controller_spec(), scn.target, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        admissibility(w5, "gradient", None, 2, seed=-1)
+
+
 def test_certificate_indeterminate_off_regular_points(w5, w5_arrows):
     collinear = Configuration(2, [[float(i), float(i)] for i in range(5)])
     spec = ControllerSpec(w5, "directed", distance_map(w5, collinear), w5_arrows)

@@ -141,6 +141,18 @@ def test_simulate_seed_flag_and_env(capsys, tmp_path, monkeypatch):
     assert json.loads(j3.read_text())["seed"] == 3
 
 
+def test_valid_env_seed_keeps_the_explicit_start(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("RIGIDFORM_SEED", raising=False)
+    j1 = tmp_path / "plain.json"
+    _, out1, _ = run(capsys, "simulate", "square-flex", "--json", str(j1))
+    monkeypatch.setenv("RIGIDFORM_SEED", "7")
+    j2 = tmp_path / "env.json"
+    code, out2, _ = run(capsys, "simulate", "square-flex", "--json", str(j2))
+    assert code == 0 and "seed: 0" in out2
+    assert out2.replace("env.json", "plain.json") == out1
+    assert j2.read_bytes() == j1.read_bytes()
+
+
 def test_simulate_square_flex_stalls_non_congruent(capsys, tmp_path):
     json_path = tmp_path / "sq.json"
     code, out, _ = run(capsys, "simulate", "square-flex", "--json", str(json_path))
@@ -212,13 +224,17 @@ def test_admissibility_command(capsys, tmp_path):
      "--seed must be a non-negative integer, got '-1'"),
     (["simulate", "w5-undirected"], "-4",
      "RIGIDFORM_SEED must be a non-negative integer, got '-4'"),
+    (["simulate", "square-flex"], "abc", "RIGIDFORM_SEED must be an integer, got 'abc'"),
+    (["simulate", "square-flex"], "-1",
+     "RIGIDFORM_SEED must be a non-negative integer, got '-1'"),
     (["analyze", "w5-undirected", "--samples", "abc"], None,
      "argument --samples: invalid int value: 'abc'"),
     (["simulate", "w5-undirected", "--controller", "pid"], None,
      "argument --controller: invalid choice: 'pid'"),
     (["bogus"], None, "argument command: invalid choice: 'bogus'"),
 ], ids=["analyze-samples-0", "analyze-samples-neg", "admissibility-samples-0",
-        "admissibility-samples-neg", "seed-neg", "env-seed-neg", "samples-not-int",
+        "admissibility-samples-neg", "seed-neg", "env-seed-neg",
+        "env-seed-not-int-explicit-start", "env-seed-neg-explicit-start", "samples-not-int",
         "unknown-controller", "unknown-command"])
 def test_rejected_input_exits_3_with_its_name(capsys, monkeypatch, argv, env_seed, message):
     # 2 is the indeterminate verdict, so no usage or input error may exit 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
     ControllerSpec,
@@ -90,6 +91,71 @@ def test_model_requires_regular_point():
     collinear = Configuration(2, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(RankDeficiencyError):
         model_field(tri, collinear, Measurement([1.0, 1.0, 1.0]))
+
+
+def test_model_rank_loss_carries_the_rank():
+    tri = build_graph(3, [(1, 2), (1, 3), (2, 3)])
+    collinear = Configuration(2, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(RankDeficiencyError, match="rank 2 != generic rank 3") as info:
+        model_field(tri, collinear, Measurement([1.0, 1.0, 1.0]))
+    assert info.value.rank == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "configuration is not finite"),
+    (np.inf, "configuration is not finite"),
+    (-1e308, "R would overflow"),  # finite, but beyond COORD_LIMIT
+], ids=["nan", "inf", "overflow"])
+def test_model_field_rejects_non_finite_configuration(capfd, w5, p_star, bad, message):
+    pts = p_star.points.copy()
+    pts[2, 1] = bad
+    with pytest.raises(RankDeficiencyError, match=message):
+        model_field(w5, Configuration(2, pts), distance_map(w5, p_star))
+    assert capfd.readouterr().err == ""
+
+
+def test_model_field_takes_no_svd(monkeypatch, w5, p_star):
+    # the field and its regularity verdict come from one least-squares solve
+    calls = []
+    real = rigidity_mod._svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rigidity_mod, "_svd", counting)
+    model_field(w5, p_star, Measurement(np.full(8, 3.0)))
+    assert calls == []
+
+
+def _rigid_formation(n: int, rng: np.random.Generator):
+    """(graph, target, start): a Henneberg 2-tree plus n // 2 chords on a
+    jittered grid, with a start perturbed by 5% of the spacing."""
+    side = int(np.ceil(np.sqrt(n)))
+    grid = np.array([(i % side, i // side) for i in range(n)], dtype=float)
+    target = grid + 0.2 * rng.standard_normal(grid.shape)
+    edges = {(1, 2)}
+    for k in range(3, n + 1):
+        i, j = rng.choice(k - 1, size=2, replace=False) + 1
+        edges.update({(int(i), k), (int(j), k)})
+    while len(edges) < 2 * n - 3 + n // 2:
+        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
+        edges.add((int(i), int(j)))
+    start = target + 0.05 * rng.standard_normal(target.shape)
+    return build_graph(n, sorted(edges)), Configuration(2, target), Configuration(2, start)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_model_field_is_the_pseudoinverse_lift(n):
+    # u = 1/2 R^+ (m* - m) and v = Pi (m* - m), against the SVD-based pinv
+    graph, target, p = _rigid_formation(n, np.random.default_rng(n))
+    m_star = distance_map(graph, target)
+    ev = model_field(graph, p, m_star)
+    err = m_star.values - distance_map(graph, p).values
+    u_ref = 0.5 * np.linalg.pinv(rigidity_matrix(graph, p)) @ err
+    v_ref = projector(graph, p) @ err
+    assert np.linalg.norm(ev.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(ev.v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
 
 
 def test_gradient_sums_both_orientations(w5, p_star, w5_arrows):

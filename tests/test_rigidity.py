@@ -215,6 +215,45 @@ def test_min_norm_lift_recovers_projected_velocity(w5, p_star):
     assert np.allclose(B.T @ u, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "configuration is not finite"),
+    (np.inf, "configuration is not finite"),
+    (1e308, "R would overflow"),  # finite, but p_i - p_j is not
+], ids=["nan", "inf", "overflow"])
+def test_non_finite_configuration_is_not_regular(capfd, w5, p_star, bad, message):
+    # rejected before R reaches LAPACK, which may not return on it
+    pts = p_star.points.copy()
+    pts[0, 0] = bad
+    pts[1, 0] = -bad
+    p = Configuration(2, pts)
+    assert not is_regular_point(w5, p)
+    with pytest.raises(rigidity_mod.RankDeficiencyError, match=message):
+        min_norm_lift(w5, p, np.ones(8))
+    assert capfd.readouterr().err == ""
+
+
+def test_negative_seed_is_named():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        generic_rank(build_graph(3, [(1, 2), (2, 3)]), 2, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_least_squares_rank_is_the_toolkit_rank(seed):
+    # the solver's own rank under rcond = max(shape) * SVD_RTOL counts the
+    # singular values the toolkit's rule counts, full rank or not
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(k) for k in rng.integers(1, 40, size=2))
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    for m in (rng.standard_normal((rows, cols)),
+              rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))):
+        b = rng.standard_normal(rows)
+        _, _, r, s = np.linalg.lstsq(m, b, rcond=max(m.shape) * rigidity_mod.SVD_RTOL)
+        assert r == rigidity_mod._rank_from_singular_values(s, m.shape) == matrix_rank(m)
+        assert rigidity_mod._min_norm_solve(m, b)[1] == r
+    assert r == k
+
+
 def test_min_norm_lift_warns_off_image():
     # a 1-D pair can only change its one edge at rate 2R u; asking for an
     # infeasible edge velocity on a *rank-deficient* configuration warns

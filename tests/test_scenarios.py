@@ -159,6 +159,14 @@ def test_explicit_initial_wins_without_seed():
     assert not np.array_equal(p1.points, scn.initial.points)
 
 
+def test_negative_seed_is_named():
+    scn = builtin_scenario("w5-undirected")
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        scn.initial_configuration(-1)
+    with pytest.raises(ScenarioError, match=r"initial\.seed: must be non-negative, got -3"):
+        scenario_from_dict(_wheel_doc(initial={"seed": -3}))
+
+
 def test_relative_scale_honored():
     doc = _wheel_doc(initial={"seed": 5, "relative_scale": 0.02})
     scn = scenario_from_dict(doc)

@@ -221,6 +221,29 @@ def test_mid_run_rank_loss_terminates_aborted(monkeypatch, method):
     assert traj.termination_time == traj.times[-1]
 
 
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_model_run_onto_non_finite_state_terminates_aborted(capfd, monkeypatch, method):
+    # the model field meets a NaN state mid-run: a named rank verdict ends the
+    # run, where LAPACK would fail on the matrix or print to stderr
+    scn = builtin_scenario("w5-undirected")
+    real = simulate_mod.evaluate_field
+
+    def poisoned(spec_, p, seed=0):
+        poisoned.calls += 1
+        if poisoned.calls > 40:
+            p = Configuration(p.d, np.where(np.arange(p.n)[:, None] == 2, np.nan, p.points))
+        return real(spec_, p, seed)
+
+    poisoned.calls = 0
+    monkeypatch.setattr(simulate_mod, "evaluate_field", poisoned)
+    cfg = replace(scn.integrator, method=method)
+    traj = integrate(scn.controller_spec("model"), scn.initial_configuration(8), cfg,
+                     scn.termination)
+    assert traj.termination == "aborted"
+    assert np.isfinite(traj.positions).all()
+    assert capfd.readouterr().err == ""
+
+
 def test_failed_adaptive_step_terminates_aborted(monkeypatch):
     # x' = x^2 blows up at t = 1 / x0, where RK45's step falls below the
     # spacing of floats and the solver reports "failed"
