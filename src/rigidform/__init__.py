@@ -35,7 +35,6 @@ from rigidform.rigidity import (
 )
 from rigidform.controllers import (
     ControllerSpec,
-    FieldEvaluation,
     gradient_field,
     model_field,
     directed_field,
@@ -96,7 +95,6 @@ __all__ = [
     "congruence_check",
     "RankDeficiencyError",
     "ControllerSpec",
-    "FieldEvaluation",
     "gradient_field",
     "model_field",
     "directed_field",

@@ -1,8 +1,8 @@
-"""Formation controllers as coupled node/edge vector fields.
+"""Formation controllers as node vector fields.
 
-Each controller evaluates, at a configuration p with measurement m = F(p), a
-node velocity u and the matching edge velocity v = 2 R(p) u, both linear in
-the edge error m* - m:
+Each controller is a lift of edge-space descent to a node velocity u at a
+configuration p with measurement m = F(p), linear in the edge error m* - m;
+the fields return the flat u and nothing else:
 
 * gradient: u = R^T (m* - m); the classical distributed law where every
   agent reacts to all its incident edges.
@@ -14,21 +14,19 @@ the edge error m* - m:
 
 The gradient and directed fields never build R: over the edge vectors
 D = P[I] - P[J], R^T e scatter-adds e_k D_k onto I[k] and subtracts it from
-J[k], Rdir^T e adds e_k (p_t - p_h) at each tail t only, and v = 2 R u is
-twice the row-wise dot of D with u[I] - u[J].  The model field comes from
-one least-squares solve x = R^+ (m* - m), whose singular values also decide
-regularity; u = x / 2 and v = R x = Pi (m* - m), so no SVD factor U or V is
-formed.  The operator norm of the edge-to-node map is computed on demand by
-:func:`field_gain`.
+J[k], and Rdir^T e adds e_k (p_t - p_h) at each tail t only.  The model
+field is u = x / 2 from one least-squares solve x = R^+ (m* - m), whose
+singular values also decide regularity, so no SVD factor U or V is formed;
+:func:`field_gain` gives the operator norm of the edge-to-node map.
 
-The edge error dynamics of all three are v = eta (m* - m) with the matrix
-eta given by :func:`eta_matrix`; its restriction to the achievable edge
-velocities is what the certificates module analyzes.
+The fields do not compute the edge velocity v = 2 R(p) u: that is
+eta (m* - m), from :func:`eta_matrix`, whose restriction to the achievable
+edge velocities is what the certificates module analyzes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +72,6 @@ class ControllerSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class FieldEvaluation:
-    """One controller evaluation: node velocity u and edge velocity v."""
-
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-
-
 def _scatter(n: int, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(n, d) node array with rows[k] summed onto node at[k]."""
     out = np.zeros((n, rows.shape[1]))
@@ -89,24 +79,17 @@ def _scatter(n: int, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _incidence_field(graph: Graph, D: np.ndarray, u: np.ndarray) -> FieldEvaluation:
-    """Pack node velocity u, shape (n, d), with its edge velocity 2 R u."""
-    I, J = graph.endpoints
-    return FieldEvaluation(u.reshape(-1), 2.0 * _rowdot(D, u[I] - u[J]))
-
-
-def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> FieldEvaluation:
+def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> np.ndarray:
     """Distributed gradient-descent field of the squared-length error."""
     I, J = graph.endpoints
     D = _edge_vectors(graph, p)
     pull = (m_star.values - _rowdot(D, D))[:, None] * D
-    u = _scatter(graph.n, I, pull) - _scatter(graph.n, J, pull)
-    return _incidence_field(graph, D, u)
+    return (_scatter(graph.n, I, pull) - _scatter(graph.n, J, pull)).reshape(-1)
 
 
 def model_field(
     graph: Graph, p: Configuration, m_star: Measurement, seed: int = 0
-) -> FieldEvaluation:
+) -> np.ndarray:
     """Minimum-norm node velocity realizing projected edge-error descent.
 
     Raises :class:`RankDeficiencyError` when R(p) has dropped below the
@@ -117,23 +100,22 @@ def model_field(
     D = _edge_vectors(graph, p)
     x, r = _min_norm_solve(R, m_star.values - _rowdot(D, D))
     _require_regular(graph, p.d, r, seed)
-    # v = 2 R u = R R^+ (m* - m), the projected error
-    return FieldEvaluation(0.5 * x, R @ x)
+    return 0.5 * x
 
 
 def directed_field(
     orientation: Orientation, p: Configuration, m_star: Measurement
-) -> FieldEvaluation:
+) -> np.ndarray:
     """One-way variant of the gradient field: per edge, only the tail moves."""
     graph = orientation.graph
     T, H = orientation.arrows
     D = _edge_vectors(graph, p)
     pull = (m_star.values - _rowdot(D, D))[:, None] * (p.points[T] - p.points[H])
-    return _incidence_field(graph, D, _scatter(graph.n, T, pull))
+    return _scatter(graph.n, T, pull).reshape(-1)
 
 
-def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> FieldEvaluation:
-    """Evaluate the controller named by ``spec`` at configuration p."""
+def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndarray:
+    """The node velocity u, flat, of the controller named by ``spec`` at p."""
     if spec.kind == "gradient":
         return gradient_field(spec.graph, p, spec.m_star)
     if spec.kind == "model":
@@ -144,13 +126,13 @@ def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> Fie
 def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     """Operator norm of the map from edge error m* - m to node velocity u at p:
     sigma_max(R) for gradient, sigma_max(Rdir) for directed, 1 / (2 sigma_r(R))
-    for model (which, like the field, needs a regular point)."""
+    for model (which, like the field, needs a regular point); coordinates
+    that are not finite or would overflow R raise RankDeficiencyError."""
     if spec.kind == "model":
         _, s, _, r = _regular_svd(spec.graph, p, seed)
         return 0.5 / float(s[r - 1])
-    if spec.kind == "gradient":
-        R = rigidity_matrix(spec.graph, p)
-    else:
+    R = _finite_rigidity_matrix(spec.graph, p)
+    if spec.kind == "directed":
         R = directed_rigidity_matrix(spec.orientation, p)
     return float(np.linalg.svd(R, compute_uv=False).max(initial=0.0))
 
@@ -159,8 +141,8 @@ def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndar
     """The |E| x |E| edge-error response matrix of the controller at p.
 
     gradient -> 2 R R^T, model -> the orthogonal projector onto Im R,
-    directed -> 2 R Rdir^T.  In every case the edge velocity of the matching
-    field evaluation is eta @ (m* - m).
+    directed -> 2 R Rdir^T.  In every case the edge velocity 2 R(p) u of the
+    matching field's node velocity u is eta @ (m* - m).
     """
     if spec.kind == "gradient":
         R = rigidity_matrix(spec.graph, p)

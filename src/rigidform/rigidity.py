@@ -48,6 +48,8 @@ LIFT_RESIDUAL_TOL = 1e-8
 # below it |p_i - p_j| <= 2 * COORD_LIMIT is finite, and so is every entry of R
 COORD_LIMIT = 2.0**1022
 
+ALIGN_LIMIT = 1e150  # congruence_check's sums of squares stay finite below it
+
 
 class RankDeficiencyError(RuntimeError):
     """Raised when an operation requires a regular point but the rigidity
@@ -74,8 +76,18 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _require_finite(name: str, a: np.ndarray, limit: float = np.inf) -> None:
+    """Raise ValueError naming ``name`` unless every entry of ``a`` is finite
+    and below ``limit`` in magnitude, so that LAPACK never sees NaN or inf."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} is not finite")
+    if np.abs(a).max(initial=0.0) >= limit:
+        raise ValueError(f"{name} has an entry of magnitude {limit:g} or more")
+
+
 def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank with the toolkit-wide relative SVD cutoff."""
+    """Numerical rank with the toolkit-wide relative SVD cutoff; m must be finite."""
+    _require_finite("m", m)
     return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
@@ -286,11 +298,12 @@ def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     reported via a RuntimeWarning and projected away, which the
     pseudoinverse does implicitly.  The returned u is orthogonal to
     Ker R(p), hence minimal among all node velocities realizing the same edge
-    velocity.
+    velocity.  A NaN or infinite entry of ``v`` raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.num_edges,):
         raise ValueError(f"edge velocity must have length {graph.num_edges}")
+    _require_finite("edge velocity v", v)
     R = _finite_rigidity_matrix(graph, p)
     x, _ = _min_norm_solve(R, v)
     # R R^+ is the projector onto Im R, so v - R x is the part outside it
@@ -338,12 +351,15 @@ def congruence_check(
 
     Aligns q onto p by centering both and solving the orthogonal Procrustes
     problem (reflections allowed, as congruence is distance-preserving).
-    Returns (verdict, max per-node displacement after alignment).
+    Returns (verdict, max per-node displacement after alignment); ValueError
+    names p or q if it is not finite or reaches ``ALIGN_LIMIT`` in magnitude.
     """
     if p.n != q.n:
         raise ValueError(f"configurations have {p.n} and {q.n} points")
     if p.d != q.d:
         raise ValueError(f"configurations have dimensions {p.d} and {q.d}")
+    _require_finite("p", p.points, ALIGN_LIMIT)
+    _require_finite("q", q.points, ALIGN_LIMIT)
     P = p.points - p.points.mean(axis=0)
     Q = q.points - q.points.mean(axis=0)
     U, _, Vt = np.linalg.svd(Q.T @ P)

@@ -158,6 +158,9 @@ def _settings(doc: dict, key: str, cls, where: str):
     if not isinstance(sub, dict):
         raise ScenarioError(f"{where}: must be an object")
     _reject_unknown(sub, {f.name for f in fields(cls)}, where)
+    for name, value in sub.items():
+        if isinstance(value, bool):  # a bool is an int, but JSON true is no number
+            raise ScenarioError(f"{where}.{name}: must not be a boolean")
     try:
         return cls(**sub)
     except (TypeError, ValueError) as exc:
@@ -182,7 +185,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.description: must be a string")
 
     d = _require(doc, "dimension", where)
-    if not isinstance(d, int) or not 1 <= d <= 3:
+    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= 3:
         raise ScenarioError(f"{where}.dimension: must be an integer in 1..3")
 
     graph_doc = _require(doc, "graph", where)
@@ -224,14 +227,14 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if isinstance(init_doc, dict):
         _reject_unknown(init_doc, {"seed", "relative_scale"}, f"{where}.initial")
         initial_seed = _require(init_doc, "seed", f"{where}.initial")
-        if not isinstance(initial_seed, int):
+        if isinstance(initial_seed, bool) or not isinstance(initial_seed, int):
             raise ScenarioError(f"{where}.initial.seed: must be an integer")
         if initial_seed < 0:
             raise ScenarioError(f"{where}.initial.seed: must be non-negative, got {initial_seed}")
         relative_scale = init_doc.get("relative_scale", DEFAULT_RELATIVE_SCALE)
-        if (not isinstance(relative_scale, (int, float)) or relative_scale <= 0
-                or not np.isfinite(relative_scale)):
-            raise ScenarioError(f"{where}.initial.relative_scale: must be positive and finite")
+        if (isinstance(relative_scale, bool) or not isinstance(relative_scale, (int, float))
+                or relative_scale <= 0 or not np.isfinite(relative_scale)):
+            raise ScenarioError(f"{where}.initial.relative_scale: must be a positive, finite number")
         relative_scale = float(relative_scale)
     else:
         initial = _coordinates(init_doc, graph.n, d, f"{where}.initial")

@@ -203,7 +203,7 @@ def integrate(
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         del t
-        return evaluate_field(spec, Configuration.from_vector(d, x), seed).u
+        return evaluate_field(spec, Configuration.from_vector(d, x), seed)
 
     x0 = p0.vector
     if not np.isfinite(x0).all():

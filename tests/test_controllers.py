@@ -39,23 +39,26 @@ PAIR_P = Configuration(1, [[0.0], [1.0]])
 PAIR_M = Measurement([4.0])
 
 
+PAIR_R = rigidity_matrix(PAIR, PAIR_P)
+
+
 def test_gradient_single_edge():
-    ev = gradient_field(PAIR, PAIR_P, PAIR_M)
-    assert np.allclose(ev.u, [-3.0, 3.0])
-    assert np.allclose(ev.v, [12.0])  # v = 2R u = 2*(3+3)
+    u = gradient_field(PAIR, PAIR_P, PAIR_M)
+    assert np.allclose(u, [-3.0, 3.0])
+    assert np.allclose(2.0 * PAIR_R @ u, [12.0])  # v = 2R u = 2*(3+3)
 
 
 def test_model_single_edge():
-    ev = model_field(PAIR, PAIR_P, PAIR_M)
-    assert np.allclose(ev.u, [-0.75, 0.75])
-    assert np.allclose(ev.v, [3.0])  # the full projected error: Im R = R^1
+    u = model_field(PAIR, PAIR_P, PAIR_M)
+    assert np.allclose(u, [-0.75, 0.75])
+    assert np.allclose(2.0 * PAIR_R @ u, [3.0])  # the full projected error: Im R = R^1
 
 
 def test_directed_single_edge():
     o = orient(PAIR, [(1, 2)])
-    ev = directed_field(o, PAIR_P, PAIR_M)
-    assert np.allclose(ev.u, [-3.0, 0.0])
-    assert np.allclose(ev.v, [6.0])
+    u = directed_field(o, PAIR_P, PAIR_M)
+    assert np.allclose(u, [-3.0, 0.0])
+    assert np.allclose(2.0 * PAIR_R @ u, [6.0])
 
 
 def test_eta_single_edge():
@@ -114,6 +117,25 @@ def test_model_field_rejects_non_finite_configuration(capfd, w5, p_star, bad, me
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "configuration is not finite"),
+    (np.inf, "configuration is not finite"),
+    (1e308, "R would overflow"),
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("kind", ["gradient", "directed"])
+def test_field_gain_rejects_non_finite_configuration(capfd, w5, p_star, w5_arrows,
+                                                     kind, bad, message):
+    # the rank verdict the model branch gives, where LAPACK would raise a bare
+    # LinAlgError on NaN and print to stderr on inf
+    pts = p_star.points.copy()
+    pts[2, 1] = bad
+    spec = ControllerSpec(w5, kind, distance_map(w5, p_star),
+                          w5_arrows if kind == "directed" else None)
+    with pytest.raises(RankDeficiencyError, match=message):
+        field_gain(spec, Configuration(2, pts))
+    assert capfd.readouterr().err == ""
+
+
 def test_model_field_takes_no_svd(monkeypatch, w5, p_star):
     # the field and its regularity verdict come from one least-squares solve
     calls = []
@@ -147,41 +169,43 @@ def _rigid_formation(n: int, rng: np.random.Generator):
 
 @pytest.mark.parametrize("n", [20, 60])
 def test_model_field_is_the_pseudoinverse_lift(n):
-    # u = 1/2 R^+ (m* - m) and v = Pi (m* - m), against the SVD-based pinv
+    # u = 1/2 R^+ (m* - m) and 2 R u = Pi (m* - m), against the SVD-based
+    # pinv and projector
     graph, target, p = _rigid_formation(n, np.random.default_rng(n))
     m_star = distance_map(graph, target)
-    ev = model_field(graph, p, m_star)
+    u = model_field(graph, p, m_star)
     err = m_star.values - distance_map(graph, p).values
-    u_ref = 0.5 * np.linalg.pinv(rigidity_matrix(graph, p)) @ err
+    R = rigidity_matrix(graph, p)
+    u_ref = 0.5 * np.linalg.pinv(R) @ err
     v_ref = projector(graph, p) @ err
-    assert np.linalg.norm(ev.u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
-    assert np.linalg.norm(ev.v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(2.0 * R @ u - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
 
 
 def test_gradient_sums_both_orientations(w5, p_star, w5_arrows):
     # the two-way field is the sum of the one-way field and its reverse
     m_star = Measurement(np.full(8, 3.0))
-    u_fwd = directed_field(w5_arrows, p_star, m_star).u
-    u_rev = directed_field(w5_arrows.reversed(), p_star, m_star).u
-    u_grad = gradient_field(w5, p_star, m_star).u
+    u_fwd = directed_field(w5_arrows, p_star, m_star)
+    u_rev = directed_field(w5_arrows.reversed(), p_star, m_star)
+    u_grad = gradient_field(w5, p_star, m_star)
     assert np.allclose(u_fwd + u_rev, u_grad, atol=1e-12)
 
 
 def test_model_field_matches_projected_error(w5, p_star):
     # C3 (first half): the model controller's edge velocity is the projected
-    # error, v = -Pi (m - m*)
+    # error, v = 2 R u = -Pi (m - m*)
     rng = np.random.default_rng(3)
     m_star = Measurement(distance_map(w5, p_star).values + 0.3 * rng.standard_normal(8))
-    ev = model_field(w5, p_star, m_star)
+    u = model_field(w5, p_star, m_star)
     Pi = projector(w5, p_star)
     e = m_star.values - distance_map(w5, p_star).values
-    assert np.allclose(ev.v, Pi @ e, atol=1e-10)
+    assert np.allclose(2.0 * rigidity_matrix(w5, p_star) @ u, Pi @ e, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tangency_random(seed):
-    # C1: v = 2 R u for every controller kind at every evaluation, in every
+    # C1: the edge velocity 2 R u of every controller kind is eta e, in every
     # dimension; the incidence kernels of the gradient and directed fields
     # also agree with the matrix forms u = R^T e and u = Rdir^T e
     rng = np.random.default_rng(seed)
@@ -196,14 +220,15 @@ def test_tangency_random(seed):
         for kind, orientation in (("gradient", None), ("model", None), ("directed", o)):
             spec = ControllerSpec(graph, kind, m_star, orientation)
             try:
-                ev = evaluate_field(spec, p)
+                u = evaluate_field(spec, p)
+                v = eta_matrix(spec, p) @ e
             except RankDeficiencyError:
                 continue  # random instance happened to be non-regular
-            vnorm = float(np.linalg.norm(ev.v))
-            assert np.linalg.norm(ev.v - 2.0 * R @ ev.u) <= 1e-10 * (1.0 + vnorm)
+            vnorm = float(np.linalg.norm(v))
+            assert np.linalg.norm(v - 2.0 * R @ u) <= 1e-10 * (1.0 + vnorm)
             if kind in reference:
                 ref = reference[kind]
-                assert np.linalg.norm(ev.u - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,10 +242,10 @@ def test_equilibria_random(seed):
     for kind, orientation in (("gradient", None), ("model", None), ("directed", o)):
         spec = ControllerSpec(graph, kind, m_star, orientation)
         try:
-            ev = evaluate_field(spec, p)
+            u = evaluate_field(spec, p)
         except RankDeficiencyError:
             continue
-        assert np.all(ev.u == 0.0)
+        assert np.all(u == 0.0)
 
 
 def test_directed_locality(w5, p_star, w5_arrows):
@@ -228,14 +253,14 @@ def test_directed_locality(w5, p_star, w5_arrows):
     # of its out-edges.  Node 2's single out-edge is 2->3, so moving nodes
     # 1, 4, 5 must not change u_2.
     m_star = Measurement(np.full(8, 3.0))
-    u_before = directed_field(w5_arrows, p_star, m_star).u.reshape(5, 2)
+    u_before = directed_field(w5_arrows, p_star, m_star).reshape(5, 2)
     moved = p_star.points.copy()
     rng = np.random.default_rng(11)
     for node in (0, 3, 4):
         moved[node] += rng.standard_normal(2)
     u_after = directed_field(
         w5_arrows, Configuration(2, moved), m_star
-    ).u.reshape(5, 2)
+    ).reshape(5, 2)
     assert np.allclose(u_after[1], u_before[1], atol=1e-15)
 
 
@@ -249,5 +274,5 @@ def test_nu_norm_is_operator_bound(w5, p_star, w5_arrows):
         e = m_star.values - distance_map(w5, p_star).values
         for kind in ("gradient", "model", "directed"):
             spec = ControllerSpec(w5, kind, m_star, w5_arrows if kind == "directed" else None)
-            ev = evaluate_field(spec, p_star)
-            assert np.linalg.norm(ev.u) <= field_gain(spec, p_star) * np.linalg.norm(e) + 1e-12
+            u = evaluate_field(spec, p_star)
+            assert np.linalg.norm(u) <= field_gain(spec, p_star) * np.linalg.norm(e) + 1e-12

@@ -232,6 +232,36 @@ def test_non_finite_configuration_is_not_regular(capfd, w5, p_star, bad, message
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_arguments_are_named(capfd, w5, p_star, bad):
+    # named before LAPACK sees them, which raises on NaN and prints to stderr
+    # and returns a wrong answer on inf
+    R = rigidity_matrix(w5, p_star)
+    R[0, 0] = bad
+    with pytest.raises(ValueError, match="^m is not finite"):
+        matrix_rank(R)
+    pts = p_star.points.copy()
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="^p is not finite"):
+        congruence_check(Configuration(2, pts), p_star)
+    with pytest.raises(ValueError, match="^q is not finite"):
+        congruence_check(p_star, Configuration(2, pts))
+    v = np.ones(8)
+    v[3] = bad
+    with pytest.raises(ValueError, match="^edge velocity v is not finite"):
+        min_norm_lift(w5, p_star, v)
+    assert capfd.readouterr().err == ""
+
+
+def test_congruence_check_names_overflowing_coordinates(capfd, p_star):
+    # finite, but its square overflows when the two are aligned
+    pts = p_star.points.copy()
+    pts[2, 1] = 1e308
+    with pytest.raises(ValueError, match="^q has an entry of magnitude 1e\\+150 or more"):
+        congruence_check(p_star, Configuration(2, pts))
+    assert capfd.readouterr().err == ""
+
+
 def test_negative_seed_is_named():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         generic_rank(build_graph(3, [(1, 2), (2, 3)]), 2, -1)

@@ -108,10 +108,17 @@ def test_bad_values_rejected():
 
 
 @pytest.mark.parametrize("where", ["target", "initial", "initial.relative_scale",
-                                   "integrator.t_max", "termination.tol_edge"])
+                                   "integrator.t_max", "termination.tol_edge",
+                                   "dimension", "initial.seed", "integrator.sample_every"])
 def test_non_finite_numbers_rejected_by_name(where):
-    # json.loads accepts NaN and Infinity, so a document can carry them
-    for value in (float("nan"), float("inf")):
+    # json.loads accepts NaN and Infinity, and a JSON true is a Python int, so
+    # a document can carry either where a number belongs: coordinates are
+    # tried with the non-finite values, integer fields with true, the rest
+    # with all three
+    nan, inf = float("nan"), float("inf")
+    values = {"target": (nan, inf), "initial": (nan, inf), "dimension": (True,),
+              "initial.seed": (True,), "integrator.sample_every": (True,)}
+    for value in values.get(where, (nan, inf, True)):
         doc = _wheel_doc()
         if where == "target":
             doc["target"][1][0] = value
@@ -120,10 +127,15 @@ def test_non_finite_numbers_rejected_by_name(where):
             doc["initial"][2][1] = value
         elif where == "initial.relative_scale":
             doc["initial"] = {"seed": 0, "relative_scale": value}
+        elif where == "initial.seed":
+            doc["initial"] = {"seed": value}
+        elif where == "dimension":
+            doc["dimension"] = value
         else:
             section, key = where.split(".")
             doc.setdefault(section, {})[key] = value
-        with pytest.raises(ScenarioError, match=where.replace(".", "[.: ]+") + ".*finite"):
+        reason = ":" if value is True else ".*finite"
+        with pytest.raises(ScenarioError, match=where.replace(".", "[.: ]+") + reason):
             scenario_from_dict(doc)
 
 

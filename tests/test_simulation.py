@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import rigidform.simulate as simulate_mod
-from rigidform.controllers import FieldEvaluation
 from rigidform import (
     Configuration,
     ControllerSpec,
@@ -250,7 +249,7 @@ def test_failed_adaptive_step_terminates_aborted(monkeypatch):
     scn = builtin_scenario("w5-undirected")
 
     def blowup(spec_, p, seed=0):
-        return FieldEvaluation(p.vector**2, np.zeros(spec_.graph.num_edges))
+        return p.vector**2
 
     monkeypatch.setattr(simulate_mod, "evaluate_field", blowup)
     p0 = Configuration(2, np.full((5, 2), 2.0))
