@@ -13,8 +13,20 @@ built:
 * gradient: eta = 2 R R^T, so A = diag(2 s_r^2), from the singular values
   alone and with no eigensolve;
 * model:    eta = P P^T, so A = I_r, again from the singular values alone;
-* directed: eta = 2 R Rdir^T, so A = 2 diag(s_r) V_r^T Rdir^T U_r, whose
-  spectrum takes one general eigensolve.
+* directed: eta = 2 R Rdir^T, so A = XY with X = 2 diag(s_r) V_r^T and
+  Y = Rdir^T U_r.  Its spectrum comes from the dn x dn matrix
+  M = YX = 2 Rdir^T R, since chi_M(x) = x^(dn - r) chi_A(x).  M is the
+  matrix-weighted out-Laplacian of the sensing digraph: block (i, i) is the
+  sum of 2 D_k D_k^T over the edges k with tail i, block (i, head k) is
+  -2 D_k D_k^T, with D_k = p_tail - p_head.  So M is block-triangular over
+  the strongly connected components of the digraph, and the spectrum of A
+  is that of M's diagonal blocks, less the dn - r eigenvalues of least
+  magnitude (the zeros that ker R contributes).  A vertex that is a component of its own
+  has a symmetric d x d block, and all of them take one batched symmetric
+  eigensolve; each larger component takes one general eigensolve.  The
+  regularity decision and r need only the singular values; A itself, and
+  the U and V it is built from, are formed only for the certificate's
+  symmetric part and for :func:`linearized_edge_matrix`.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -125,28 +137,56 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
 
 
+def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:
+    """Eigenvalues of the directed controller's A at p, where R has rank r:
+    those of the diagonal blocks of M = 2 Rdir^T R over the strongly
+    connected components of the sensing digraph, less the d*n - r of least
+    magnitude (module docstring)."""
+    T, H = orientation.arrows
+    n, d = p.n, p.d
+    D = p.points[T] - p.points[H]
+    outer = 2.0 * D[:, :, None] * D[:, None, :]  # 2 D_k D_k^T, edge by edge
+    blocks = np.zeros((n, d, d))  # M's diagonal blocks
+    np.add.at(blocks, T, outer)
+    singles, larger = orientation.strong_components
+    eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
+    if larger:
+        M = np.zeros((n, d, n, d))
+        M[np.arange(n), :, np.arange(n), :] = blocks
+        M[T, :, H, :] = -outer
+        for c in larger:
+            eigs.append(np.linalg.eigvals(M[c][:, :, c].reshape(c.size * d, c.size * d)))
+    eigs = np.concatenate(eigs)
+    return eigs[np.argsort(np.abs(eigs), kind="stable")[d * n - r:]]
+
+
 def _restricted_operator(
     graph: Graph, kind: str, orientation: Orientation | None, p: Configuration,
-    seed: int, sym: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """(A, eigenvalues of A, ascending eigenvalues of its symmetric part or
-    None, r) for A = P^T eta P over the basis P = U_r of Im R(p), in the
-    closed forms of the module docstring; the symmetric part's eigenvalues
-    are computed only with ``sym``; ``orientation`` is read only by the
-    directed controller.  Raises off regular points."""
+    seed: int, matrix: bool = False, sym: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, int]:
+    """(A, eigenvalues of A, ascending eigenvalues of its symmetric part, r)
+    for A = P^T eta P over the basis P = U_r of Im R(p), in the closed forms
+    of the module docstring.  A is returned only with ``matrix`` and the
+    symmetric part's eigenvalues only with ``sym``, None otherwise; the
+    directed A, and the U and V it is built from, are formed only then.
+    ``orientation`` is read only by the directed controller.  Raises off
+    regular points."""
     if kind == "directed":
-        U, s, Vt, r = _regular_svd(graph, p, seed)
+        U, s, Vt, r = _regular_svd(graph, p, seed, compute_uv=matrix or sym)
+        eigs = _directed_spectrum(orientation, p, r)
+        if not (matrix or sym):
+            return None, eigs, None, r
         RdirV = directed_rigidity_matrix(orientation, p) @ Vt[:r].T
         A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
         sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T)) if sym else None
-        return A, np.linalg.eigvals(A), sym_eigs, r
+        return (A if matrix else None), eigs, sym_eigs, r
     _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
     if kind == "model":
         eigs = np.ones(r)  # eta is the projector P P^T
     else:
         eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
     # A is diagonal, so it is its own symmetric part
-    return np.diag(eigs), eigs, np.sort(eigs) if sym else None, r
+    return (np.diag(eigs) if matrix else None), eigs, (np.sort(eigs) if sym else None), r
 
 
 def restricted_sym_form(
@@ -199,7 +239,8 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, eigs, _, r = _restricted_operator(spec.graph, spec.kind, spec.orientation, p_star, seed)
+    A, eigs, _, r = _restricted_operator(
+        spec.graph, spec.kind, spec.orientation, p_star, seed, matrix=True)
     return EdgeLinearization(A, _sorted_spectrum(eigs), r)
 
 

@@ -31,6 +31,27 @@ def _index_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     return tuple(cols)
 
 
+def _strong_components(n: int, tails: np.ndarray, heads: np.ndarray):
+    """:attr:`Orientation.strong_components` of the digraph on n vertices
+    with arcs tails[k] -> heads[k], from the closure of its reachability
+    relation: each squaring doubles the path length it covers."""
+    reach = np.eye(n, dtype=bool)
+    reach[tails, heads] = True
+    while True:
+        closed = (reach.astype(float) @ reach) > 0  # exact counts of 0/1 products
+        if (closed == reach).all():
+            break
+        reach = closed
+    mutual = reach & reach.T
+    sizes = mutual.sum(axis=1)
+    first = mutual.argmax(axis=1)  # least vertex of each vertex's component
+    parts = [np.flatnonzero(sizes == 1)]
+    parts += [np.flatnonzero(first == v) for v in np.unique(first[sizes > 1])]
+    for part in parts:
+        part.setflags(write=False)
+    return parts[0], tuple(parts[1:])
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with a canonical edge order.
@@ -111,6 +132,14 @@ class Orientation:
     def arrows(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only index arrays (tails, heads), in canonical edge order."""
         return _memo(self, "_arrows", lambda: _index_arrays(zip(self.tails, self.heads)))
+
+    @property
+    def strong_components(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Strongly connected components of the sensing digraph, with an arc
+        from each tail to its head: (the vertices that are a component on
+        their own, the larger components), as read-only 0-based index
+        arrays in ascending order."""
+        return _memo(self, "_components", lambda: _strong_components(self.graph.n, *self.arrows))
 
     @property
     def directed_labels(self) -> tuple[tuple[int, int], ...]:

@@ -48,7 +48,9 @@ LIFT_RESIDUAL_TOL = 1e-8
 # below it |p_i - p_j| <= 2 * COORD_LIMIT is finite, and so is every entry of R
 COORD_LIMIT = 2.0**1022
 
-ALIGN_LIMIT = 1e150  # congruence_check's sums of squares stay finite below it
+# below it a sum of squares of entries stays finite: congruence_check's
+# alignment and min_norm_lift's norms
+SQUARE_LIMIT = 1e150
 
 
 class RankDeficiencyError(RuntimeError):
@@ -66,7 +68,8 @@ def _check_dims(graph: Graph, p: Configuration) -> None:
 def _rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > s[0] * max(shape) * SVD_RTOL))
+    # the small factor first, so that a finite s[0] cannot overflow the cutoff
+    return int(np.count_nonzero(s > s[0] * (max(shape) * SVD_RTOL)))
 
 
 def _require_seed(seed: int) -> None:
@@ -298,12 +301,13 @@ def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     reported via a RuntimeWarning and projected away, which the
     pseudoinverse does implicitly.  The returned u is orthogonal to
     Ker R(p), hence minimal among all node velocities realizing the same edge
-    velocity.  A NaN or infinite entry of ``v`` raises ValueError.
+    velocity.  A NaN or infinite entry of ``v``, or one of magnitude
+    ``SQUARE_LIMIT`` or more, raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.num_edges,):
         raise ValueError(f"edge velocity must have length {graph.num_edges}")
-    _require_finite("edge velocity v", v)
+    _require_finite("edge velocity v", v, SQUARE_LIMIT)
     R = _finite_rigidity_matrix(graph, p)
     x, _ = _min_norm_solve(R, v)
     # R R^+ is the projector onto Im R, so v - R x is the part outside it
@@ -352,14 +356,14 @@ def congruence_check(
     Aligns q onto p by centering both and solving the orthogonal Procrustes
     problem (reflections allowed, as congruence is distance-preserving).
     Returns (verdict, max per-node displacement after alignment); ValueError
-    names p or q if it is not finite or reaches ``ALIGN_LIMIT`` in magnitude.
+    names p or q if it is not finite or reaches ``SQUARE_LIMIT`` in magnitude.
     """
     if p.n != q.n:
         raise ValueError(f"configurations have {p.n} and {q.n} points")
     if p.d != q.d:
         raise ValueError(f"configurations have dimensions {p.d} and {q.d}")
-    _require_finite("p", p.points, ALIGN_LIMIT)
-    _require_finite("q", q.points, ALIGN_LIMIT)
+    _require_finite("p", p.points, SQUARE_LIMIT)
+    _require_finite("q", q.points, SQUARE_LIMIT)
     P = p.points - p.points.mean(axis=0)
     Q = q.points - q.points.mean(axis=0)
     U, _, Vt = np.linalg.svd(Q.T @ P)

@@ -52,7 +52,20 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _reject_booleans(raw, where: str):
+    """Raise unless no entry of the nested lists ``raw`` is a boolean: a
+    bool is an int, but JSON true is no number."""
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, bool):
+            raise ScenarioError(f"{where}: must not hold a boolean")
+        if isinstance(item, list):
+            pending.extend(item)
+
+
 def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
+    _reject_booleans(raw, where)
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -194,6 +207,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     _reject_unknown(graph_doc, {"vertices", "edges"}, f"{where}.graph")
     n = _require(graph_doc, "vertices", f"{where}.graph")
     edges = _require(graph_doc, "edges", f"{where}.graph")
+    _reject_booleans(edges, f"{where}.graph.edges")
     try:
         graph = build_graph(n, [tuple(e) for e in edges])
     except (TypeError, ValueError) as exc:
@@ -207,6 +221,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
 
     orientation = None
     if "orientation" in doc and doc["orientation"] is not None:
+        _reject_booleans(doc["orientation"], f"{where}.orientation")
         try:
             orientation = orient(graph, [tuple(e) for e in doc["orientation"]])
         except (TypeError, ValueError) as exc:

@@ -194,6 +194,61 @@ def test_eigensolves_per_certificate(monkeypatch, kind):
         assert calls == []
 
 
+def _acyclic_henneberg(n, seed):
+    # each new vertex joins two earlier ones and senses both (the tail is
+    # the later vertex), so every strongly connected component is a vertex
+    rng = np.random.default_rng(seed)
+    arrows = [(2, 1)]
+    for v in range(3, n + 1):
+        arrows += [(v, int(h) + 1) for h in rng.choice(v - 1, size=2, replace=False)]
+    graph = build_graph(n, arrows)
+    return graph, orient(graph, arrows), Configuration(2, rng.uniform(-1.0, 1.0, size=(n, 2)))
+
+
+def test_acyclic_spectrum_is_the_vertex_blocks():
+    # chi_M = x^(dn - r) chi_A for M = 2 Rdir^T R, whose blocks over an
+    # acyclic orientation are triangular: A's eigenvalues are those of the
+    # vertex blocks sum 2 D_k D_k^T over the out-edges, less the dn - r = 3
+    # smallest (the leader's two and the one of vertex 2, of one out-edge)
+    graph, orientation, p = _acyclic_henneberg(60, seed=3)
+    spec = ControllerSpec(graph, "directed", distance_map(graph, p), orientation)
+    lin = linearized_edge_matrix(spec, p)
+    ref = []
+    for v in range(graph.n):
+        block = np.zeros((2, 2))
+        for k in orientation.out_edges(v):
+            D = p.points[v] - p.points[orientation.heads[k]]
+            block += 2.0 * np.outer(D, D)
+        ref.extend(np.linalg.eigvalsh(block))
+    ref = np.sort(ref)[3:]
+    got = np.asarray(lin.spectrum)
+    assert lin.rank_r == got.size == ref.size == 2 * graph.n - 3
+    assert np.abs(got - ref).max() <= 1e-12 * ref[-1]
+
+
+def test_acyclic_admissibility_takes_no_eigvals_and_no_basis(monkeypatch):
+    # the spectrum comes from symmetric vertex blocks and r from singular
+    # values alone, so no general eigensolve and no U or V is needed
+    graph, orientation, _ = _acyclic_henneberg(60, seed=3)
+    eigvals_calls, svd_uv = [], []
+    real_eigvals, real_svd = np.linalg.eigvals, np.linalg.svd
+
+    def eigvals(*args, **kwargs):
+        eigvals_calls.append(args)
+        return real_eigvals(*args, **kwargs)
+
+    def svd(a, *args, compute_uv=True, **kwargs):
+        svd_uv.append(compute_uv)
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    dyn, _ = admissibility(graph, "directed", orientation, 2)
+    assert len(dyn.per_sample) == 5
+    assert eigvals_calls == []
+    assert svd_uv and not any(svd_uv)
+
+
 @pytest.mark.parametrize("kind", ["gradient", "model", "directed"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_certificate_indeterminate_at_non_finite_target(capfd, w5, w5_arrows, p_star, kind, bad):

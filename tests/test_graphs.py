@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rigidform import Configuration, build_graph, edge_index, orient
 
-from conftest import W5_ARROWS, W5_EDGES
+from conftest import W5_ARROWS, W5_EDGES, random_instance, random_orientation
 
 
 def test_w5_canonical_order(w5):
@@ -61,6 +63,37 @@ def test_out_edges(w5):
     # 0-based vertex 0 (= node 1) is the tail of edges (1,2) and (1,3).
     assert o.out_edges(0) == (0, 1)
     assert o.out_edges(1) == (4,)
+
+
+def test_strong_components(w5, w5_arrows):
+    # the wheel's arrows close the cycle 1 -> 2 -> 3 -> 4 -> 5 -> 1
+    singles, larger = w5_arrows.strong_components
+    assert singles.size == 0 and [c.tolist() for c in larger] == [[0, 1, 2, 3, 4]]
+    assert w5_arrows.strong_components is w5_arrows.strong_components
+    # a path sensed one way has singletons only; the cycle 1 -> 2 -> 3 -> 1
+    # is one component, and 4, which senses it, is its own
+    path = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    singles, larger = orient(path, [(2, 1), (3, 2), (4, 3)]).strong_components
+    assert singles.tolist() == [0, 1, 2, 3] and larger == ()
+    g = build_graph(4, [(1, 2), (2, 3), (1, 3), (1, 4)])
+    singles, larger = orient(g, [(1, 2), (2, 3), (3, 1), (4, 1)]).strong_components
+    assert singles.tolist() == [3] and [c.tolist() for c in larger] == [[0, 1, 2]]
+    assert not singles.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_strong_components_match_scipy(seed):
+    rng = np.random.default_rng(seed)
+    graph, _ = random_instance(rng, n_max=12)
+    o = random_orientation(rng, graph)
+    T, H = o.arrows
+    adjacency = coo_matrix((np.ones(T.size), (T, H)), shape=(graph.n, graph.n))
+    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    singles, larger = o.strong_components
+    ours = [[int(v)] for v in singles] + [c.tolist() for c in larger]
+    theirs = [np.flatnonzero(labels == lab).tolist() for lab in np.unique(labels)]
+    assert sorted(ours) == sorted(theirs)
 
 
 def test_configuration_round_trip():

@@ -29,6 +29,7 @@ from rigidform import (
     rigidity_matrix,
     tangent_basis,
 )
+from rigidform.scenarios import builtin_scenario
 
 from conftest import random_instance, random_orientation
 
@@ -259,6 +260,26 @@ def test_congruence_check_names_overflowing_coordinates(capfd, p_star):
     pts[2, 1] = 1e308
     with pytest.raises(ValueError, match="^q has an entry of magnitude 1e\\+150 or more"):
         congruence_check(p_star, Configuration(2, pts))
+    assert capfd.readouterr().err == ""
+
+
+def test_rank_cutoff_does_not_overflow(capfd):
+    # s[0] * max(shape) * SVD_RTOL overflowed at s[0] = 1e308 before the
+    # small factor applied; every other singular value is below the cutoff
+    scn = builtin_scenario("w5-directed-good")
+    R = rigidity_matrix(scn.graph, scn.target)
+    R[0, 0] = 1e308
+    assert matrix_rank(R) == 1
+    assert capfd.readouterr().err == ""
+
+
+def test_min_norm_lift_names_an_overflowing_edge_velocity(capfd, w5, p_star):
+    # finite, but the norms of the residual check would overflow
+    v = np.ones(8)
+    v[3] = 1e308
+    with pytest.raises(ValueError,
+                       match="^edge velocity v has an entry of magnitude 1e\\+150 or more"):
+        min_norm_lift(w5, p_star, v)
     assert capfd.readouterr().err == ""
 
 

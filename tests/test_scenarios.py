@@ -109,15 +109,17 @@ def test_bad_values_rejected():
 
 @pytest.mark.parametrize("where", ["target", "initial", "initial.relative_scale",
                                    "integrator.t_max", "termination.tol_edge",
-                                   "dimension", "initial.seed", "integrator.sample_every"])
+                                   "dimension", "initial.seed", "integrator.sample_every",
+                                   "graph.edges", "orientation"])
 def test_non_finite_numbers_rejected_by_name(where):
     # json.loads accepts NaN and Infinity, and a JSON true is a Python int, so
-    # a document can carry either where a number belongs: coordinates are
-    # tried with the non-finite values, integer fields with true, the rest
+    # a document can carry either where a number belongs: integer fields and
+    # the vertex pairs of edges and orientation are tried with true, the rest
     # with all three
     nan, inf = float("nan"), float("inf")
-    values = {"target": (nan, inf), "initial": (nan, inf), "dimension": (True,),
-              "initial.seed": (True,), "integrator.sample_every": (True,)}
+    values = {"dimension": (True,), "initial.seed": (True,),
+              "integrator.sample_every": (True,), "graph.edges": (True,),
+              "orientation": (True,)}
     for value in values.get(where, (nan, inf, True)):
         doc = _wheel_doc()
         if where == "target":
@@ -131,6 +133,12 @@ def test_non_finite_numbers_rejected_by_name(where):
             doc["initial"] = {"seed": value}
         elif where == "dimension":
             doc["dimension"] = value
+        elif where == "graph.edges":
+            doc["graph"]["edges"][0][0] = value  # [true, 2] would read as (1, 2)
+        elif where == "orientation":
+            doc["controller"] = "directed"
+            doc["orientation"] = [list(e) for e in W5_ARROWS]
+            doc["orientation"][0][0] = value
         else:
             section, key = where.split(".")
             doc.setdefault(section, {})[key] = value
