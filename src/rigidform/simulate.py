@@ -3,10 +3,14 @@
 The state is the stacked node configuration x = vec(p); the vector field is
 the controller's node velocity u(p).  A stepper only steps: it yields each
 accepted state as (t, x, u, last), with u = rhs(t, x) and ``last`` marking
-the step that reaches t_max.  The adaptive stepper wraps scipy's RK45; the
-fixed-step one is classical RK4, whose last stage at a state is the next
-step's first.  One loop in :func:`integrate` samples, judges and ends every
-run, whichever stepper drives it.  A run ends in one of four ways:
+the step that reaches t_max.  The adaptive stepper is the Dormand--Prince
+5(4) pair (1980) with the step control of Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4; it takes SciPy's RK45 steps double for double.  The
+fixed-step one is classical RK4.  Neither evaluates the field twice at a
+state: both start from the field value at x0 and reuse each step's last
+stage as the next step's first.  One loop in :func:`integrate` samples,
+judges and ends every run, whichever stepper drives it.  A run ends in one
+of four ways:
 
 * ``converged``           edge error dropped below ``tol_edge``;
 * ``limit-cycle-suspect`` the edge error has leveled off over the trailing
@@ -33,11 +37,13 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
-from scipy.integrate import RK45, cumulative_trapezoid
 
 from rigidform.controllers import ControllerSpec, evaluate_field
 from rigidform.graphs import Configuration
 from rigidform.rigidity import RankDeficiencyError, congruence_check, distance_map
+
+# least relative tolerance: a tighter error test would ask for rounding noise
+RTOL_MIN = 100 * np.finfo(float).eps
 
 
 def _require_finite(config) -> None:
@@ -75,8 +81,10 @@ class IntegratorConfig:
             raise ValueError("t_max, dt must be positive and sample_every >= 1")
         if self.rtol <= 0 or self.atol <= 0 or self.dt_max <= 0:
             raise ValueError("rtol, atol, dt_max must be positive")
-        if self.dt_init is not None and self.dt_init <= 0:
-            raise ValueError("dt_init must be positive when given")
+        if self.rtol < RTOL_MIN:
+            raise ValueError(f"rtol must be at least {RTOL_MIN:.3g} (100 machine epsilons)")
+        if self.dt_init is not None and not 0 < self.dt_init <= self.t_max:
+            raise ValueError("dt_init must be positive and at most t_max when given")
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,9 @@ class _Recorder:
 def _finish(spec: ControllerSpec, rec: _Recorder, termination: str) -> Trajectory:
     times = np.asarray(rec.times)
     speed = np.asarray(rec.speed)
-    energy = cumulative_trapezoid(speed**2, times, initial=0.0)
+    power = speed**2
+    # the trapezoid rule, summed in order from 0
+    energy = np.concatenate(([0.0], np.cumsum(np.diff(times) * (power[1:] + power[:-1]) / 2.0)))
     return Trajectory(
         spec=spec,
         times=times,
@@ -218,7 +228,7 @@ def integrate(
         if not np.isfinite(u0).all():
             raise ValueError("field value at the initial configuration is not finite")
         if integrator.method == "rk45":
-            steps = _rk45_steps(rhs, x0, integrator)
+            steps = _rk45_steps(rhs, x0, u0, integrator)
         else:
             steps = _rk4_steps(rhs, x0, u0, integrator)
 
@@ -245,26 +255,87 @@ def integrate(
 
 
 class _StepFailed(Exception):
-    """The adaptive stepper could not continue (SciPy's status "failed")."""
+    """The adaptive step fell below ten float spacings of t: the stepper
+    cannot continue."""
 
 
-def _rk45_steps(rhs, x0, cfg: IntegratorConfig):
-    """Accepted states (t, x, rhs(t, x), last) of SciPy's adaptive RK45."""
-    solver = RK45(
-        rhs,
-        0.0,
-        x0,
-        t_bound=cfg.t_max,
-        max_step=cfg.dt_max,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        **({"first_step": cfg.dt_init} if cfg.dt_init else {}),
-    )
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise _StepFailed(message)
-        yield solver.t, solver.y, solver.f, solver.status == "finished"
+# Dormand & Prince (1980) 5(4) tableau: stage times C, stage weights A, the
+# fifth-order weights B, and E = B - (fourth-order weights), padded with the
+# weight of the stage at the new state
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # the error estimate is of fourth order
+
+
+def _rms(v: np.ndarray):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(rhs, x0, u0, cfg: IntegratorConfig):
+    """Starting step of Hairer, Norsett & Wanner, sec. II.4: one trial
+    Euler step, at the cost of one field evaluation."""
+    scale = cfg.atol + np.abs(x0) * cfg.rtol
+    d0, d1 = _rms(x0 / scale), _rms(u0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, cfg.t_max)
+    d2 = _rms((rhs(h0, x0 + h0 * u0) - u0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, cfg.t_max, cfg.dt_max)
+
+
+def _rk45_steps(rhs, x0, u0, cfg: IntegratorConfig):
+    """Accepted states (t, x, rhs(t, x), last) of adaptive Dormand--Prince
+    5(4) from (0, x0) with u0 = rhs(0, x0).
+
+    A step is accepted when the RMS of its error estimate, each component
+    scaled by atol + rtol * max(|x|, |x_new|), is below one; the next step
+    is scaled by 0.9 * err^(-1/5), clamped to [0.2, 10] and, right after a
+    rejection, to at most 1.  Raises _StepFailed when the step must fall
+    below ten float spacings of t.
+    """
+    t, x, u = 0.0, x0, u0
+    h_abs = cfg.dt_init if cfg.dt_init is not None else _initial_step(rhs, x0, u0, cfg)
+    K = np.empty((len(_DP_C) + 1, x0.size))  # the stages, and the field at the new state
+    while t < cfg.t_max:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = cfg.dt_max if h_abs > cfg.dt_max else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _StepFailed("step size fell below the spacing of floats at t")
+            t_new = min(t + h_abs, cfg.t_max)
+            h = h_abs = t_new - t
+            K[0] = u
+            for s in range(1, len(_DP_C)):
+                K[s] = rhs(t + _DP_C[s] * h, x + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            x_new = x + h * np.dot(K[:-1].T, _DP_B)
+            u_new = rhs(t_new, x_new)
+            K[-1] = u_new
+            scale = cfg.atol + np.maximum(np.abs(x), np.abs(x_new)) * cfg.rtol
+            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = _MAX_FACTOR
+                if error > 0:
+                    factor = min(_MAX_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
+            rejected = True
+        t, x, u = t_new, x_new, u_new
+        yield t, x, u, t >= cfg.t_max
 
 
 def _rk4_steps(rhs, x0, u0, cfg: IntegratorConfig):

@@ -319,3 +319,25 @@ def test_non_finite_target_is_a_named_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(path))
     assert code == 3
     assert "target: coordinates must be finite" in err
+
+
+@pytest.mark.parametrize("integrator, extra, message", [
+    ({"t_max": 1.0, "dt_init": 2.0}, [],
+     "pair.json.integrator: dt_init must be positive and at most t_max"),
+    ({"t_max": 5.0, "dt_init": 2.0}, ["--t-max", "1"],
+     "dt_init must be positive and at most t_max"),
+    ({"rtol": 1e-20}, [], "pair.json.integrator: rtol must be at least 2.22e-14"),
+], ids=["dt-init-past-horizon", "t-max-override-below-dt-init", "rtol-below-100-eps"])
+def test_integrator_settings_rejected_by_name(capsys, tmp_path, integrator, extra, message):
+    # named by the config field at fault, with no warning on stderr
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "name": "pair", "dimension": 1, "controller": "gradient",
+        "graph": {"vertices": 2, "edges": [[1, 2]]},
+        "target": [[0.0], [2.0]], "initial": [[0.0], [1.0]],
+        "integrator": integrator,
+    }))
+    code, out, err = run(capsys, "simulate", str(path), *extra)
+    assert code == 3
+    assert message in err
+    assert "Warning" not in err and out == ""
