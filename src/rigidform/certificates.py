@@ -18,7 +18,10 @@ built:
   M = YX = 2 Rdir^T R, since chi_M(x) = x^(dn - r) chi_A(x).  M is the
   matrix-weighted out-Laplacian of the sensing digraph: block (i, i) is the
   sum of 2 D_k D_k^T over the edges k with tail i, block (i, head k) is
-  -2 D_k D_k^T, with D_k = p_tail - p_head.  So M is block-triangular over
+  -2 D_k D_k^T, with D_k = p_tail - p_head.  The D_k are the gather of the
+  orientation's edge index (:mod:`rigidform.rigidity`), and all n diagonal
+  blocks are one ``np.bincount`` of the 2 D_k D_k^T over the tails' block
+  positions, d^2 entries per edge.  So M is block-triangular over
   the strongly connected components of the digraph, and the spectrum of A
   is that of M's diagonal blocks, less the dn - r eigenvalues of least
   magnitude (the zeros that ker R contributes).  A vertex that is a component of its own
@@ -61,6 +64,7 @@ from rigidform.controllers import ControllerSpec
 from rigidform.graphs import Configuration, Graph, Orientation
 from rigidform.rigidity import (
     RankDeficiencyError,
+    _edge_vectors,
     _regular_svd,
     _require_seed,
     directed_rigidity_matrix,
@@ -137,6 +141,18 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
 
 
+def _diagonal_blocks(orientation: Orientation, p: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """(the (|E|, d, d) stack of 2 D_k D_k^T, with D_k = p_tail - p_head;
+    the (n, d, d) diagonal blocks of M = 2 Rdir^T R, their sums over the
+    edges with tail i)."""
+    index, D = _edge_vectors(orientation.graph, p, orientation)
+    outer = 2.0 * D[:, :, None] * D[:, None, :]
+    d = p.d
+    # outer[k, a, b] belongs at flat position (d T_k + a) d + b of the blocks
+    at = (d * index.first[:, :, None] + np.arange(d)).reshape(-1)
+    return outer, np.bincount(at, outer.reshape(-1), minlength=d * index.size).reshape(-1, d, d)
+
+
 def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:
     """Eigenvalues of the directed controller's A at p, where R has rank r:
     those of the diagonal blocks of M = 2 Rdir^T R over the strongly
@@ -144,10 +160,7 @@ def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np
     magnitude (module docstring)."""
     T, H = orientation.arrows
     n, d = p.n, p.d
-    D = p.points[T] - p.points[H]
-    outer = 2.0 * D[:, :, None] * D[:, None, :]  # 2 D_k D_k^T, edge by edge
-    blocks = np.zeros((n, d, d))  # M's diagonal blocks
-    np.add.at(blocks, T, outer)
+    outer, blocks = _diagonal_blocks(orientation, p)
     singles, larger = orientation.strong_components
     eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
     if larger:
@@ -365,11 +378,7 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
             detail=f"{total} reductions exceed the cap of {REDUCTION_CAP}",
         )
     heavy = [v for v in range(graph.n) if len(orientation.out_edges(v)) > d]
-    fixed = [
-        k
-        for k in range(graph.num_edges)
-        if orientation.tails[k] not in heavy
-    ]
+    fixed = [k for k, t in enumerate(orientation.tails) if len(orientation.out_edges(t)) <= d]
     choice_sets = [
         tuple(combinations(orientation.out_edges(v), d)) for v in heavy
     ]

@@ -12,12 +12,15 @@ the fields return the flat u and nothing else:
 * directed: u = Rdir^T (m* - m); only the tail agent of each edge reacts,
   so information flow is one-way and the flow is no longer a gradient.
 
-The gradient and directed fields never build R: over the edge vectors
-D = P[I] - P[J], R^T e scatter-adds e_k D_k onto I[k] and subtracts it from
-J[k], and Rdir^T e adds e_k (p_t - p_h) at each tail t only.  The model
-field is u = x / 2 from one least-squares solve x = R^+ (m* - m), whose
-singular values also decide regularity, so no SVD factor U or V is formed;
-:func:`field_gain` gives the operator norm of the edge-to-node map.
+The gradient and directed fields never build R.  Both run on the edge
+index of :mod:`rigidform.rigidity`, the flat positions in vec(p) of each
+edge's endpoint blocks: R^T e is the ``np.bincount`` of e_k D_k over the
+first endpoints' positions less that over the second's, and Rdir^T e the
+one ``np.bincount`` of e_k (p_t - p_h) over the tails' positions.  The
+model field gathers D once, builds R from it and takes u = x / 2 from one
+least-squares solve x = R^+ (m* - m), whose singular values also decide
+regularity, so no SVD factor U or V is formed; :func:`field_gain` gives
+the operator norm of the edge-to-node map.
 
 The fields do not compute the edge velocity v = 2 R(p) u: that is
 eta (m* - m), from :func:`eta_matrix`, whose restriction to the achievable
@@ -33,10 +36,11 @@ import numpy as np
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
     _edge_vectors,
-    _finite_rigidity_matrix,
     _min_norm_solve,
     _regular_svd,
+    _require_coordinates,
     _require_regular,
+    _put_blocks,
     _rowdot,
     directed_rigidity_matrix,
     distance_map,
@@ -72,19 +76,12 @@ class ControllerSpec:
             )
 
 
-def _scatter(n: int, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, d) node array with rows[k] summed onto node at[k]."""
-    out = np.zeros((n, rows.shape[1]))
-    np.add.at(out, at, rows)
-    return out
-
-
 def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> np.ndarray:
     """Distributed gradient-descent field of the squared-length error."""
-    I, J = graph.endpoints
-    D = _edge_vectors(graph, p)
-    pull = (m_star.values - _rowdot(D, D))[:, None] * D
-    return (_scatter(graph.n, I, pull) - _scatter(graph.n, J, pull)).reshape(-1)
+    index, D = _edge_vectors(graph, p)
+    pull = ((m_star.values - _rowdot(D, D))[:, None] * D).reshape(-1)
+    return (np.bincount(index.first.reshape(-1), pull, minlength=index.size)
+            - np.bincount(index.second.reshape(-1), pull, minlength=index.size))
 
 
 def model_field(
@@ -96,9 +93,9 @@ def model_field(
     graph's generic rank, where the projector stops tracking the feasible
     set and integration should abort.
     """
-    R = _finite_rigidity_matrix(graph, p)
-    D = _edge_vectors(graph, p)
-    x, r = _min_norm_solve(R, m_star.values - _rowdot(D, D))
+    _require_coordinates(p)
+    index, D = _edge_vectors(graph, p)
+    x, r = _min_norm_solve(_put_blocks(index, D, -D), m_star.values - _rowdot(D, D))
     _require_regular(graph, p.d, r, seed)
     return 0.5 * x
 
@@ -107,11 +104,10 @@ def directed_field(
     orientation: Orientation, p: Configuration, m_star: Measurement
 ) -> np.ndarray:
     """One-way variant of the gradient field: per edge, only the tail moves."""
-    graph = orientation.graph
-    T, H = orientation.arrows
-    D = _edge_vectors(graph, p)
-    pull = (m_star.values - _rowdot(D, D))[:, None] * (p.points[T] - p.points[H])
-    return _scatter(graph.n, T, pull).reshape(-1)
+    # D_k = p_tail - p_head is +-(p_i - p_j), so its squared norm is exact
+    index, D = _edge_vectors(orientation.graph, p, orientation)
+    pull = (m_star.values - _rowdot(D, D))[:, None] * D
+    return np.bincount(index.first.reshape(-1), pull.reshape(-1), minlength=index.size)
 
 
 def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndarray:
@@ -131,9 +127,11 @@ def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     if spec.kind == "model":
         _, s, _, r = _regular_svd(spec.graph, p, seed)
         return 0.5 / float(s[r - 1])
-    R = _finite_rigidity_matrix(spec.graph, p)
+    _require_coordinates(p)
     if spec.kind == "directed":
         R = directed_rigidity_matrix(spec.orientation, p)
+    else:
+        R = rigidity_matrix(spec.graph, p)
     return float(np.linalg.svd(R, compute_uv=False).max(initial=0.0))
 
 

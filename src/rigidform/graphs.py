@@ -52,6 +52,14 @@ def _strong_components(n: int, tails: np.ndarray, heads: np.ndarray):
     return parts[0], tuple(parts[1:])
 
 
+def _out_edge_table(n: int, tails) -> tuple[tuple[int, ...], ...]:
+    """Per vertex of 0..n-1, the ascending indices k with tails[k] equal to it."""
+    table = [[] for _ in range(n)]
+    for k, t in enumerate(tails):
+        table[t].append(k)
+    return tuple(map(tuple, table))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with a canonical edge order.
@@ -103,6 +111,11 @@ class Graph:
         only and is freed with the graph."""
         return _memo(self, "_draw_memo_cache", dict)
 
+    @property
+    def _index_memo(self) -> dict:
+        """Edge-index records of this graph keyed by d; freed with the graph."""
+        return _memo(self, "_index_memo_cache", dict)
+
 
 @dataclass(frozen=True)
 class Orientation:
@@ -134,6 +147,11 @@ class Orientation:
         return _memo(self, "_arrows", lambda: _index_arrays(zip(self.tails, self.heads)))
 
     @property
+    def _index_memo(self) -> dict:
+        """Edge-index records of this orientation keyed by d; freed with it."""
+        return _memo(self, "_index_memo_cache", dict)
+
+    @property
     def strong_components(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Strongly connected components of the sensing digraph, with an arc
         from each tail to its head: (the vertices that are a component on
@@ -152,7 +170,8 @@ class Orientation:
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Canonical indices of the edges whose tail is 0-based vertex v."""
-        return tuple(k for k, t in enumerate(self.tails) if t == v)
+        table = _memo(self, "_out_edges", lambda: _out_edge_table(self.graph.n, self.tails))
+        return table[v] if 0 <= v < len(table) else ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +207,8 @@ class Configuration:
 
     @classmethod
     def from_vector(cls, d: int, vec: np.ndarray) -> "Configuration":
+        if d < 1:
+            raise ValueError("dimension must be a positive integer")
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1 or vec.size % d != 0:
             raise ValueError("flat vector length must be a multiple of d")

@@ -8,9 +8,13 @@ the agents, and its kernel at regular points of rigid graphs is exactly the
 rigid motions.  Everything else here (tangent bases, projectors, minimum-norm
 lifts, rank tests) is derived from R via SVD.
 
-Per-edge quantities are array expressions over the endpoint arrays (I, J)
-of :attr:`Graph.endpoints`: the edge vectors D = P[I] - P[J], their squared
-norms, and R with D and -D in the blocks of I and J.
+Every per-edge quantity goes through one edge-index record
+(:func:`_edge_index`), kept per d on the graph, or on an orientation for
+its (tail, head) arrows: the flat positions in vec(p) of each edge's two
+endpoint blocks, and the flat positions of R's nonzeros.  The edge vectors
+are one gather D = x[first] - x[second] over x = vec(p); R and Rdir are
+zeros with D (and -D) put at their nonzeros; and R^T e, Rdir^T e are
+``np.bincount`` sums over the same positions, which add in edge order.
 
 Rank decisions use the relative singular-value cutoff
 ``sigma > sigma_max * max(shape) * SVD_RTOL``; generic ranks are estimated by
@@ -94,11 +98,60 @@ def matrix_rank(m: np.ndarray) -> int:
     return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
-def _edge_vectors(graph: Graph, p: Configuration) -> np.ndarray:
-    """D = P[I] - P[J]: row k is p_i - p_j for edge k = {i, j}, i < j."""
+@dataclass(frozen=True, eq=False)
+class _EdgeIndex:
+    """Flat positions of the blocks each edge touches, for one graph or
+    orientation in R^d.
+
+    Row k of the (|E|, d) arrays ``first`` and ``second`` holds the
+    positions in vec(p), of length ``size`` = d*n, of the blocks of edge
+    k's endpoints (I[k], J[k]), or (tail, head) for an orientation.
+    ``nonzeros`` (2, |E|, d) holds the positions of the same two blocks in
+    row k of the flattened |E| x dn matrix R.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    nonzeros: np.ndarray
+    size: int
+
+
+def _edge_index(graph: Graph, d: int, orientation: Orientation | None = None) -> _EdgeIndex:
+    """The :class:`_EdgeIndex` of ``graph`` over its endpoints or, given
+    ``orientation``, over its arrows; memoized per d on the graph or the
+    orientation, so it is freed with it."""
+    owner = graph if orientation is None else orientation
+    index = owner._index_memo.get(d)
+    if index is None:
+        ends = graph.endpoints if orientation is None else orientation.arrows
+        first, second = (d * v[:, None] + np.arange(d) for v in ends)
+        rows = (d * graph.n) * np.arange(graph.num_edges)[:, None]
+        nonzeros = np.stack((rows + first, rows + second))
+        for a in (first, second, nonzeros):
+            a.setflags(write=False)
+        index = owner._index_memo[d] = _EdgeIndex(first, second, nonzeros, d * graph.n)
+    return index
+
+
+def _edge_vectors(
+    graph: Graph, p: Configuration, orientation: Orientation | None = None
+) -> tuple[_EdgeIndex, np.ndarray]:
+    """(the edge index, D): row k of D is p_i - p_j for edge k = {i, j},
+    i < j, or p_tail - p_head given ``orientation``."""
     _check_dims(graph, p)
-    I, J = graph.endpoints
-    return p.points[I] - p.points[J]
+    index = _edge_index(graph, p.d, orientation)
+    x = p.points.reshape(-1)
+    return index, x[index.first] - x[index.second]
+
+
+def _put_blocks(index: _EdgeIndex, *blocks: np.ndarray) -> np.ndarray:
+    """The |E| x dn matrix that holds blocks[c] at the flat positions
+    ``index.nonzeros[c]`` and zeros elsewhere: R from (D, -D) and the
+    graph's index, Rdir from D alone and the orientation's."""
+    out = np.zeros(blocks[0].shape[0] * index.size)
+    for at, block in zip(index.nonzeros, blocks):
+        out[at] = block
+    return out.reshape(-1, index.size)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,7 +161,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def distance_map(graph: Graph, p: Configuration) -> Measurement:
     """Squared lengths of all edges, in canonical edge order."""
-    D = _edge_vectors(graph, p)
+    _, D = _edge_vectors(graph, p)
     return Measurement(_rowdot(D, D))
 
 
@@ -118,12 +171,8 @@ def rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
     Satisfies R(p) @ p.vector == distance_map(graph, p) and equals half the
     differential of the squared-length map.
     """
-    I, J = graph.endpoints
-    D = _edge_vectors(graph, p)
-    out = np.zeros((graph.num_edges, graph.n, p.d))
-    rows = np.arange(graph.num_edges)
-    out[rows, I], out[rows, J] = D, -D
-    return out.reshape(graph.num_edges, graph.n * p.d)
+    index, D = _edge_vectors(graph, p)
+    return _put_blocks(index, D, -D)
 
 
 def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.ndarray:
@@ -132,12 +181,7 @@ def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.n
     Only the tail (sensing) agent's block survives, so transposing this
     matrix routes each edge error to its responsible agent alone.
     """
-    graph = orientation.graph
-    _check_dims(graph, p)
-    T, H = orientation.arrows
-    out = np.zeros((graph.num_edges, graph.n, p.d))
-    out[np.arange(graph.num_edges), T] = p.points[T] - p.points[H]
-    return out.reshape(graph.num_edges, graph.n * p.d)
+    return _put_blocks(*_edge_vectors(orientation.graph, p, orientation))
 
 
 def _draw_matrices(graph: Graph, d: int, seed: int):
@@ -224,14 +268,13 @@ class TangentBasis:
     rank: int
 
 
-def _finite_rigidity_matrix(graph: Graph, p: Configuration) -> np.ndarray:
-    """R(p); raises :class:`RankDeficiencyError` unless every coordinate is
-    finite and below ``COORD_LIMIT`` in magnitude."""
+def _require_coordinates(p: Configuration) -> None:
+    """Raise :class:`RankDeficiencyError` unless every coordinate of p is
+    finite and below ``COORD_LIMIT`` in magnitude, so that R is finite."""
     if not np.abs(p.points).max() < COORD_LIMIT:  # False for NaN too
         if not np.isfinite(p.points).all():
             raise RankDeficiencyError("configuration is not finite")
         raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R would overflow")
-    return rigidity_matrix(graph, p)
 
 
 def _require_regular(graph: Graph, d: int, r: int, seed: int) -> None:
@@ -248,7 +291,8 @@ def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
     """SVD of R(p) plus its numerical rank: (U, s, Vt, r).  With
     ``compute_uv=False`` only the singular values are computed and U, Vt
     are None."""
-    R = _finite_rigidity_matrix(graph, p)
+    _require_coordinates(p)
+    R = rigidity_matrix(graph, p)
     if compute_uv:
         U, s, Vt = np.linalg.svd(R, full_matrices=False)
     else:
@@ -308,7 +352,8 @@ def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     if v.shape != (graph.num_edges,):
         raise ValueError(f"edge velocity must have length {graph.num_edges}")
     _require_finite("edge velocity v", v, SQUARE_LIMIT)
-    R = _finite_rigidity_matrix(graph, p)
+    _require_coordinates(p)
+    R = rigidity_matrix(graph, p)
     x, _ = _min_norm_solve(R, v)
     # R R^+ is the projector onto Im R, so v - R x is the part outside it
     residual = float(np.linalg.norm(v - R @ x))

@@ -27,6 +27,8 @@ from rigidform import (
     rigidity_matrix,
 )
 
+from rigidform.certificates import _diagonal_blocks
+
 from conftest import random_graph, random_instance, random_orientation
 
 # The one-edge example in d=1: p = (0, 1), current squared length 1,
@@ -276,3 +278,55 @@ def test_nu_norm_is_operator_bound(w5, p_star, w5_arrows):
             spec = ControllerSpec(w5, kind, m_star, w5_arrows if kind == "directed" else None)
             u = evaluate_field(spec, p_star)
             assert np.linalg.norm(u) <= field_gain(spec, p_star) * np.linalg.norm(e) + 1e-12
+
+
+# exact small values as well as drawn ones, so that edge vectors, errors and
+# pulls hit zeros of either sign
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                    st.floats(min_value=-4.0, max_value=4.0))
+
+
+@st.composite
+def oriented_frameworks(draw):
+    """(orientation, configuration, target) in d in {1, 2, 3}; the graph may
+    have no edge and vertices with none."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graph = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    flips = draw(st.lists(st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges))
+    o = orient(graph, [(j, i) if f else (i, j) for (i, j), f in zip(graph.edge_labels, flips)])
+    coords = draw(st.lists(_VALUES, min_size=n * d, max_size=n * d))
+    m_star = draw(st.lists(_VALUES, min_size=graph.num_edges, max_size=graph.num_edges))
+    return o, Configuration(d, np.reshape(coords, (n, d))), Measurement(m_star)
+
+
+def _add_at_oracle(o, p, m_star):
+    """The gradient field, the directed field and the diagonal blocks of
+    M = 2 Rdir^T R, each scattered edge by edge with np.add.at."""
+    graph, P, n, d = o.graph, p.points, p.n, p.d
+    I, J = graph.endpoints
+    T, H = o.arrows
+    D, Dt = P[I] - P[J], P[T] - P[H]
+    err = (m_star.values - (D * D).sum(axis=1))[:, None]
+    plus, minus, tail = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+    blocks = np.zeros((n, d, d))
+    np.add.at(plus, I, err * D)
+    np.add.at(minus, J, err * D)
+    np.add.at(tail, T, err * Dt)
+    np.add.at(blocks, T, 2.0 * Dt[:, :, None] * Dt[:, None, :])
+    return (plus - minus).reshape(-1), tail.reshape(-1), blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(oriented_frameworks())
+def test_edge_index_sums_equal_add_at(case):
+    # np.bincount adds in edge order, as np.add.at does, so every entry and
+    # its sign bit are the same
+    o, p, m_star = case
+    ours = (gradient_field(o.graph, p, m_star), directed_field(o, p, m_star),
+            _diagonal_blocks(o, p)[1])
+    for got, want in zip(ours, _add_at_oracle(o, p, m_star)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -105,6 +105,22 @@ def test_configuration_round_trip():
     assert np.array_equal(q.points, p.points)
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_from_vector_names_a_bad_dimension(d):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        Configuration.from_vector(d, np.zeros(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_out_edges_match_a_scan_of_the_tails(seed):
+    rng = np.random.default_rng(seed)
+    graph, _ = random_instance(rng, n_max=12)
+    o = random_orientation(rng, graph)
+    for v in range(-1, graph.n + 1):
+        assert o.out_edges(v) == tuple(k for k, t in enumerate(o.tails) if t == v)
+
+
 def test_configuration_is_read_only(p_star):
     with pytest.raises(ValueError):
         p_star.points[0, 0] = 99.0

@@ -5,6 +5,9 @@ definitions before the implementation existed; see the derivation notes in
 each test.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +17,12 @@ import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
     build_graph,
+    directed_field,
     congruence_check,
     directed_rigidity_matrix,
     distance_map,
     generic_rank,
+    gradient_field,
     is_generically_rigid,
     is_regular_point,
     matrix_rank,
@@ -372,7 +377,7 @@ def test_rank_cache_determinism(w5):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_incidence_kernels_match_edge_loops(seed):
-    # the array expressions over the endpoint arrays reproduce the per-edge
+    # the gathers and puts of the flat edge index reproduce the per-edge
     # definitions exactly: same arithmetic, so bit-for-bit equal
     rng = np.random.default_rng(seed)
     graph, p = random_instance(rng)
@@ -388,3 +393,21 @@ def test_incidence_kernels_match_edge_loops(seed):
     assert np.array_equal(distance_map(graph, p).values, lengths)
     assert np.array_equal(rigidity_matrix(graph, p), R)
     assert np.array_equal(directed_rigidity_matrix(o, p), Rdir)
+
+
+def test_edge_index_does_not_outlive_its_graph():
+    # the index records are memoized on the graph and on the orientation, so
+    # they are freed with them
+    graph = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    orientation = orient(graph, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    p = Configuration(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    m_star = distance_map(graph, p)
+    gradient_field(graph, p, m_star)
+    directed_field(orientation, p, m_star)
+    refs = [weakref.ref(rigidity_mod._edge_index(graph, 2)),
+            weakref.ref(rigidity_mod._edge_index(graph, 2, orientation))]
+    assert refs[0]() is graph._index_memo[2]
+    assert refs[1]() is orientation._index_memo[2]
+    del graph, orientation
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
