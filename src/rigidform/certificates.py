@@ -26,7 +26,9 @@ built:
   is that of M's diagonal blocks, less the dn - r eigenvalues of least
   magnitude (the zeros that ker R contributes).  A vertex that is a component of its own
   has a symmetric d x d block, and all of them take one batched symmetric
-  eigensolve; each larger component takes one general eigensolve.  The
+  eigensolve; each larger component c takes one general eigensolve of its
+  own d|c| x d|c| block, built from its vertex blocks and the edges with
+  both ends in c, so the whole dn x dn M is never formed.  The
   regularity decision and r need only the singular values; A itself, and
   the U and V it is built from, are formed only for the certificate's
   symmetric part and for :func:`linearized_edge_matrix`.
@@ -163,12 +165,17 @@ def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np
     outer, blocks = _diagonal_blocks(orientation, p)
     singles, larger = orientation.strong_components
     eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
-    if larger:
-        M = np.zeros((n, d, n, d))
-        M[np.arange(n), :, np.arange(n), :] = blocks
-        M[T, :, H, :] = -outer
-        for c in larger:
-            eigs.append(np.linalg.eigvals(M[c][:, :, c].reshape(c.size * d, c.size * d)))
+    local = np.full(n, -1)
+    for c in larger:
+        # the d|c| x d|c| diagonal block of M: blocks[c] on its diagonal, and
+        # -2 D_k D_k^T for each edge k with tail and head in c
+        local[c] = np.arange(c.size)
+        inside = np.flatnonzero((local[T] >= 0) & (local[H] >= 0))
+        Mc = np.zeros((c.size, d, c.size, d))
+        Mc[np.arange(c.size), :, np.arange(c.size), :] = blocks[c]
+        Mc[local[T[inside]], :, local[H[inside]], :] = -outer[inside]
+        eigs.append(np.linalg.eigvals(Mc.reshape(c.size * d, c.size * d)))
+        local[c] = -1
     eigs = np.concatenate(eigs)
     return eigs[np.argsort(np.abs(eigs), kind="stable")[d * n - r:]]
 

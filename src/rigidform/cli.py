@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from rigidform import __version__
 from rigidform.certificates import (
     DEFAULT_SAMPLES,
@@ -188,13 +190,11 @@ def _csv_header(scn: Scenario) -> str:
 def write_trajectory_csv(path: str | Path, scn: Scenario, traj: Trajectory):
     """Trajectory samples as CSV: time, stacked positions, measurements,
     then edge error / speed / running energy.  %.17g keeps it lossless."""
-    lines = [_csv_header(scn)]
     k = len(traj.times)
-    flat_p = traj.positions.reshape(k, -1)
-    for row in range(k):
-        vals = [traj.times[row], *flat_p[row], *traj.measurements[row],
-                traj.edge_error[row], traj.speed[row], traj.energy[row]]
-        lines.append(",".join(f"{v:.17g}" for v in vals))
+    rows = np.column_stack((traj.times, traj.positions.reshape(k, -1), traj.measurements,
+                            traj.edge_error, traj.speed, traj.energy)).tolist()
+    lines = [_csv_header(scn)]
+    lines += [",".join([f"{v:.17g}" for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

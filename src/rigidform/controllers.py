@@ -17,10 +17,17 @@ index of :mod:`rigidform.rigidity`, the flat positions in vec(p) of each
 edge's endpoint blocks: R^T e is the ``np.bincount`` of e_k D_k over the
 first endpoints' positions less that over the second's, and Rdir^T e the
 one ``np.bincount`` of e_k (p_t - p_h) over the tails' positions.  The
-model field gathers D once, builds R from it and takes u = x / 2 from one
-least-squares solve x = R^+ (m* - m), whose singular values also decide
-regularity, so no SVD factor U or V is formed; :func:`field_gain` gives
-the operator norm of the edge-to-node map.
+model field gathers D once and takes u = x / 2 with x = R^+ (m* - m).
+From d*n = ``_CERTIFIED_MIN_SIZE`` on, x comes first from the stiffness
+matrix K = R^T R + s Q Q^T, Q the rigid motions at p, built from D on the
+same edge index: a floating-point Cholesky of K - delta I that succeeds
+proves that R has the largest rank any graph can have, so p is regular
+with no generic-rank draw, and x is the normal-equation solution with one
+corrected semi-normal step (:mod:`rigidform.rigidity` gives delta and the
+interlacing argument).  Below that size, and wherever the Cholesky fails,
+R is built from D and x comes from one least-squares solve whose singular
+values also decide regularity, so no SVD factor U or V is formed.
+:func:`field_gain` gives the operator norm of the edge-to-node map.
 
 The fields do not compute the edge velocity v = 2 R(p) u: that is
 eta (m* - m), from :func:`eta_matrix`, whose restriction to the achievable
@@ -35,6 +42,7 @@ import numpy as np
 
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
+    _certified_solve,
     _edge_vectors,
     _min_norm_solve,
     _regular_svd,
@@ -42,12 +50,22 @@ from rigidform.rigidity import (
     _require_regular,
     _put_blocks,
     _rowdot,
+    _transpose_apply,
     directed_rigidity_matrix,
     distance_map,
     rigidity_matrix,
 )
 
 CONTROLLER_KINDS = ("gradient", "model", "directed")
+
+# d*n from which the model field tries the certified stiffness solve before
+# the least-squares one: about where the two cost the same.  Per
+# model_field call on d = 2 Henneberg formations with n/2 chords (one BLAS
+# thread, median over five formations of the best of fifteen 100-call
+# trials), least squares vs certified: d*n = 24, 115 vs 182 us; 28, 137 vs
+# 185; 32, 165 vs 180; 36, 197 vs 184; 40, 238 vs 189; 48, 350 vs 212.
+# The built-ins have d*n <= 12.
+_CERTIFIED_MIN_SIZE = 36
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +97,7 @@ class ControllerSpec:
 def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> np.ndarray:
     """Distributed gradient-descent field of the squared-length error."""
     index, D = _edge_vectors(graph, p)
-    pull = ((m_star.values - _rowdot(D, D))[:, None] * D).reshape(-1)
-    return (np.bincount(index.first.reshape(-1), pull, minlength=index.size)
-            - np.bincount(index.second.reshape(-1), pull, minlength=index.size))
+    return _transpose_apply(index, D, m_star.values - _rowdot(D, D))
 
 
 def model_field(
@@ -95,8 +111,11 @@ def model_field(
     """
     _require_coordinates(p)
     index, D = _edge_vectors(graph, p)
-    x, r = _min_norm_solve(_put_blocks(index, D, -D), m_star.values - _rowdot(D, D))
-    _require_regular(graph, p.d, r, seed)
+    e = m_star.values - _rowdot(D, D)
+    x = _certified_solve(index, D, p, e) if index.size >= _CERTIFIED_MIN_SIZE else None
+    if x is None:
+        x, r = _min_norm_solve(_put_blocks(index, D, -D), e)
+        _require_regular(graph, p.d, r, seed)
     return 0.5 * x
 
 
@@ -125,7 +144,7 @@ def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     for model (which, like the field, needs a regular point); coordinates
     that are not finite or would overflow R raise RankDeficiencyError."""
     if spec.kind == "model":
-        _, s, _, r = _regular_svd(spec.graph, p, seed)
+        _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
         return 0.5 / float(s[r - 1])
     _require_coordinates(p)
     if spec.kind == "directed":

@@ -174,6 +174,13 @@ class Orientation:
         return table[v] if 0 <= v < len(table) else ()
 
 
+def _require_dimension(d) -> None:
+    """Raise ValueError unless d is a positive integer: a Python or NumPy
+    integer, not a bool."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError("dimension must be a positive integer")
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """n points in R^d: one position per agent, in vertex order.
@@ -186,11 +193,10 @@ class Configuration:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_dimension(self.d)
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"points must be an (n, {self.d}) array")
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
         if pts.shape[0] < 2:
             raise ValueError("a configuration needs at least two points")
         pts.setflags(write=False)
@@ -207,8 +213,7 @@ class Configuration:
 
     @classmethod
     def from_vector(cls, d: int, vec: np.ndarray) -> "Configuration":
-        if d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _require_dimension(d)
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1 or vec.size % d != 0:
             raise ValueError("flat vector length must be a multiple of d")

@@ -30,6 +30,32 @@ kept for what needs a basis.  A configuration with a NaN or infinite
 coordinate, or one so large that R would overflow, is not a regular point:
 it raises :class:`RankDeficiencyError` before R reaches LAPACK, which may
 not return on a non-finite matrix.
+
+From a measured size on (:mod:`rigidform.controllers`) the model field
+takes R^+ b from the stiffness matrix instead, when a Cholesky test proves
+regularity (:func:`_certified_solve`).  With Q an orthonormal basis of the
+k = d(d+1)/2 rigid motions at p (of the centred points) and
+s = tr(R^T R) / dn, let K = R^T R + s Q Q^T.  Forming K, shifting its
+diagonal and factoring it perturb it in the 2-norm by at most
+(|E| + k + dn + 3) u tr(K), u = eps / 2 (Demmel 1989; Rump, *BIT* 46,
+2006), so when the floating-point Cholesky of K - delta I succeeds with
+delta = max(2 (|E| + k + dn + 3) eps, sqrt(eps)) tr(K), the exact
+R^T R + s Q Q^T has every eigenvalue above delta / 2.  Its s Q Q^T term
+has rank k, so by interlacing sigma_g(R)^2 >= delta / 2 with
+g = dn - k = max_generic_rank(n, d) (n >= d): R has the largest rank any
+graph can have, p is regular, and no generic-rank draw is needed.  The SVD
+rule gives the same verdict: sigma_g / sigma_1 >= (sqrt(eps) / 2)^(1/2),
+about 9e-5, is above its cutoff max(|E|, dn) * SVD_RTOL for any R with
+fewer than 8e7 rows and columns, while the other k singular values are of
+the size of R's rounding.  The sqrt(eps) floor also bounds cond(R)^2 by
+2 / sqrt(eps), so the normal-equation solution with one corrected
+semi-normal step (Bjorck, *Numerical Methods for Least Squares Problems*,
+1996, 2.2) is as accurate as the least-squares solve.  A Cholesky that
+fails decides nothing, and the least-squares path runs as before: near
+rank loss, on flexible graphs, on collinear frames, or for d outside
+{1, 2, 3}.  It also needs every edge-vector entry below
+SQUARE_LIMIT^(1/2) in magnitude and tr(R^T R) above 1 / SQUARE_LIMIT, so
+that no product overflows and underflow stays far below delta.
 """
 
 from __future__ import annotations
@@ -157,6 +183,15 @@ def _put_blocks(index: _EdgeIndex, *blocks: np.ndarray) -> np.ndarray:
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (|E|, d) arrays."""
     return (a * b).sum(axis=1)
+
+
+def _transpose_apply(index: _EdgeIndex, D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R^T w for the R that ``index`` and D give: the ``np.bincount`` of
+    w_k D_k over the first endpoints' positions less that over the
+    second's."""
+    pull = (w[:, None] * D).reshape(-1)
+    return (np.bincount(index.first.reshape(-1), pull, minlength=index.size)
+            - np.bincount(index.second.reshape(-1), pull, minlength=index.size))
 
 
 def distance_map(graph: Graph, p: Configuration) -> Measurement:
@@ -316,6 +351,51 @@ def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """
     x, _, _, s = np.linalg.lstsq(R, b, rcond=max(R.shape) * SVD_RTOL)
     return x, _rank_from_singular_values(s, R.shape)
+
+
+def _certified_solve(
+    index: _EdgeIndex, D: np.ndarray, p: Configuration, b: np.ndarray
+) -> np.ndarray | None:
+    """R^+ b for the rigidity matrix R at p, given by its edge index and
+    edge vectors D, from the stiffness matrix K = R^T R + s Q Q^T when a
+    Cholesky test proves that R has rank max_generic_rank(n, d); otherwise
+    None, and nothing is decided.
+
+    The test, its shift delta and why it proves the rank are in the module
+    docstring.  The lift is the normal-equation solution with one corrected
+    semi-normal step.  R itself is not formed: R^T R puts each edge's
+    D_k D_k^T at its two endpoint blocks and subtracts it at the two mixed
+    ones, R x is a gather and R^T w is :func:`_transpose_apply`.  D must
+    be finite.
+    """
+    d, n, size = p.d, p.n, index.size
+    # dn - k is max_generic_rank only for n >= d, fewer rows rule it out, and
+    # entries below SQUARE_LIMIT^(1/2) keep every product of two finite
+    if (d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d)
+            or not np.abs(D).max() < np.sqrt(SQUARE_LIMIT)):
+        return None
+    ends = np.stack((index.first, index.second))
+    at = ends[:, None, :, :, None] * size + ends[None, :, :, None, :]
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
+    outer = signs * (D[:, :, None] * D[:, None, :])
+    K = np.bincount(at.reshape(-1), outer.reshape(-1), minlength=size * size).reshape(size, size)
+    trace = float(np.trace(K))
+    if not trace > 1.0 / SQUARE_LIMIT:
+        return None
+    Q = np.linalg.qr(rigid_motion_basis(Configuration(d, p.points - p.points.mean(axis=0))))[0]
+    W = np.sqrt(trace / size) * Q
+    K += W @ W.T
+    eps = np.finfo(float).eps
+    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * eps, np.sqrt(eps)) * float(np.trace(K))
+    shifted = K.copy()
+    shifted.flat[:: size + 1] -= delta
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    x = np.linalg.solve(K, _transpose_apply(index, D, b))
+    residual = b - _rowdot(D, x[index.first] - x[index.second])
+    return x + np.linalg.solve(K, _transpose_apply(index, D, residual))
 
 
 def tangent_basis(graph: Graph, p: Configuration) -> TangentBasis:

@@ -25,12 +25,14 @@ from rigidform import (
     eta_matrix,
     is_generically_rigid,
     linearized_edge_matrix,
+    matrix_rank,
     orient,
     persistence_check,
     restricted_sym_form,
+    rigidity_matrix,
     tangent_basis,
 )
-from rigidform.certificates import reduction_count
+from rigidform.certificates import _diagonal_blocks, _directed_spectrum, reduction_count
 from rigidform.scenarios import builtin_names, builtin_scenario
 
 from conftest import random_instance, random_orientation
@@ -224,6 +226,50 @@ def test_acyclic_spectrum_is_the_vertex_blocks():
     got = np.asarray(lin.spectrum)
     assert lin.rank_r == got.size == ref.size == 2 * graph.n - 3
     assert np.abs(got - ref).max() <= 1e-12 * ref[-1]
+
+
+def _dense_directed_spectrum(orientation, p, r):
+    """The directed spectrum with every larger component's block cut from
+    the whole dense (n, d, n, d) M = 2 Rdir^T R."""
+    T, H = orientation.arrows
+    n, d = p.n, p.d
+    outer, blocks = _diagonal_blocks(orientation, p)
+    singles, larger = orientation.strong_components
+    eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
+    M = np.zeros((n, d, n, d))
+    M[np.arange(n), :, np.arange(n), :] = blocks
+    M[T, :, H, :] = -outer
+    for c in larger:
+        eigs.append(np.linalg.eigvals(M[c][:, :, c].reshape(c.size * d, c.size * d)))
+    eigs = np.concatenate(eigs)
+    return eigs[np.argsort(np.abs(eigs), kind="stable")[d * n - r:]]
+
+
+def _henneberg_with_one_cycle(n, seed):
+    # each new vertex v senses both ends a -> b of an earlier arrow, as in the
+    # benchmark's formations; flipping the last vertex's arrow to b closes
+    # the one cycle b -> v -> a -> b
+    rng = np.random.default_rng(seed)
+    arrows = [(2, 1)]
+    for v in range(3, n + 1):
+        a, b = arrows[int(rng.integers(len(arrows)))]
+        arrows += [(v, a), (v, b)]
+    v, b = arrows[-1]
+    arrows[-1] = (b, v)
+    graph = build_graph(n, arrows)
+    return orient(graph, arrows), Configuration(2, rng.uniform(-1.0, 1.0, size=(n, 2)))
+
+
+def test_component_blocks_equal_the_dense_construction():
+    cases = [(scn.orientation, scn.target) for scn in map(builtin_scenario, builtin_names())
+             if scn.orientation is not None and scn.orientation.strong_components[1]]
+    cases.append(_henneberg_with_one_cycle(150, seed=1))
+    assert len(cases) >= 3
+    for orientation, p in cases:
+        r = matrix_rank(rigidity_matrix(orientation.graph, p))
+        assert np.array_equal(_directed_spectrum(orientation, p, r),
+                              _dense_directed_spectrum(orientation, p, r))
+    assert [c.size for c in cases[-1][0].strong_components[1]] == [3]
 
 
 def test_acyclic_admissibility_takes_no_eigvals_and_no_basis(monkeypatch):

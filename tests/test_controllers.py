@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidform.controllers as controllers_mod
 import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
@@ -19,7 +20,10 @@ from rigidform import (
     evaluate_field,
     eta_matrix,
     field_gain,
+    generic_rank,
     gradient_field,
+    matrix_rank,
+    max_generic_rank,
     model_field,
     node_potential,
     orient,
@@ -28,6 +32,7 @@ from rigidform import (
 )
 
 from rigidform.certificates import _diagonal_blocks
+from rigidform.rigidity import _certified_solve, _edge_vectors, _min_norm_solve
 
 from conftest import random_graph, random_instance, random_orientation
 
@@ -330,3 +335,79 @@ def test_edge_index_sums_equal_add_at(case):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def near_degenerate_frameworks(draw):
+    """(graph, p, target) in d in {1, 2, 3} with n <= 8: a complete
+    (rigid) or sparse (often flexible) graph, and points that are generic
+    or a distance 10^-j, j in 3..12, from collinear or from two coinciding."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=2, max_value=8))
+    shape = draw(st.sampled_from(["generic", "collinear", "coincident"]))
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if draw(st.booleans()):
+        graph = build_graph(n, pairs)
+    else:
+        graph = random_graph(rng, n_max=n)
+    pts = rng.uniform(-1.0, 1.0, size=(graph.n, d))
+    if shape != "generic":
+        offset = 10.0 ** -draw(st.integers(min_value=3, max_value=12))
+        if shape == "collinear":
+            pts = pts[:1] + rng.uniform(-1.0, 1.0, size=(graph.n, 1)) * rng.standard_normal(d)
+        else:
+            pts[1] = pts[0]
+        pts = pts + offset * rng.standard_normal(pts.shape)
+    target = pts + 0.1 * rng.standard_normal(pts.shape)
+    return graph, Configuration(d, pts), Configuration(d, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_degenerate_frameworks())
+def test_certified_lift_agrees_with_the_least_squares_rule(case):
+    # where the Cholesky certificate is issued the SVD rule finds the largest
+    # rank and the lift is the least-squares one; where it is not, the model
+    # field raises or returns exactly what the least-squares path does
+    graph, p, target = case
+    R = rigidity_matrix(graph, p)
+    m_star = distance_map(graph, target)
+    e = m_star.values - distance_map(graph, p).values
+    x = _certified_solve(*_edge_vectors(graph, p), p, e)
+    ref, r = _min_norm_solve(R, e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controllers_mod, "_CERTIFIED_MIN_SIZE", 0)
+        if x is not None:
+            top = max_generic_rank(graph.n, p.d)
+            s = np.linalg.svd(R, compute_uv=False)
+            assert matrix_rank(R) == r == top
+            # any backward-stable solver may differ from the exact lift by
+            # eps (kappa + kappa^2 tan theta), Wedin's least-squares condition
+            kappa = s[0] / s[top - 1]
+            fit = R @ ref
+            tan = np.linalg.norm(e - fit) / np.linalg.norm(fit)
+            tol = max(1e-12, 16.0 * np.finfo(float).eps * (kappa + kappa**2 * tan))
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+            assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
+        elif r == generic_rank(graph, p.d):
+            assert np.array_equal(model_field(graph, p, m_star), 0.5 * ref)
+        else:
+            with pytest.raises(RankDeficiencyError) as info:
+                model_field(graph, p, m_star)
+            assert info.value.rank == r
+
+
+def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
+    graph, target, p = _rigid_formation(60, np.random.default_rng(60))
+    m_star = distance_map(graph, target)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse("lstsq"))
+    monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+    monkeypatch.setattr(rigidity_mod, "generic_rank", refuse("generic_rank"))
+    assert model_field(graph, p, m_star).shape == (120,)

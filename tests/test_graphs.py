@@ -105,10 +105,22 @@ def test_configuration_round_trip():
     assert np.array_equal(q.points, p.points)
 
 
-@pytest.mark.parametrize("d", [0, -2])
+@pytest.mark.parametrize("d", [0, -2, 2.0, True])
 def test_from_vector_names_a_bad_dimension(d):
     with pytest.raises(ValueError, match="dimension must be a positive integer"):
         Configuration.from_vector(d, np.zeros(4))
+
+
+@pytest.mark.parametrize("d", [0, -2, 2.0, True, np.float64(2.0), "2"])
+def test_constructor_names_a_bad_dimension(d):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        Configuration(d, np.zeros((3, 2)))
+
+
+def test_numpy_integer_dimensions_are_accepted():
+    p = Configuration(np.int64(2), np.zeros((3, 2)))
+    q = Configuration.from_vector(np.int32(2), np.zeros(6))
+    assert p.d == q.d == 2
 
 
 @settings(max_examples=40, deadline=None)
