@@ -117,8 +117,16 @@ def cmd_examples(args) -> int:
     return EXIT_PASS
 
 
+def _orientation(scn: Scenario):
+    """The scenario's orientation, which the persistence test needs."""
+    if scn.orientation is None:
+        raise ScenarioError("persistence requires an oriented scenario")
+    return scn.orientation
+
+
 def cmd_analyze(args) -> int:
     scn = _resolve_scenario(args.scenario)
+    orientation = _orientation(scn) if args.persistence else None
     seed = _master_seed(args.seed)
     graph, d = scn.graph, scn.d
     rank = generic_rank(graph, d, seed)
@@ -129,11 +137,7 @@ def cmd_analyze(args) -> int:
     cert = restricted_sym_form(scn.controller_spec(), scn.target, seed)
     target_rank, regular = cert.rank_r, cert.verdict != "indeterminate"
     dyn, alg = admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
-    persist = None
-    if args.persistence:
-        if scn.orientation is None:
-            raise ScenarioError("persistence requires an oriented scenario")
-        persist = persistence_check(scn.orientation, d, seed)
+    persist = persistence_check(orientation, d, seed) if orientation is not None else None
 
     print(f"scenario: {scn.name} ({scn.controller} controller, d={d}, n={graph.n}, edges={graph.num_edges})")
     print(f"generic rank: {rank} / {max_rank}"
@@ -178,22 +182,21 @@ def cmd_analyze(args) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
-def _csv_header(scn: Scenario) -> str:
-    axes = "xyz"[: scn.d]
-    cols = ["t"]
-    cols += [f"p{i + 1}_{a}" for i in range(scn.graph.n) for a in axes]
-    cols += [f"m_{i}_{j}" for i, j in scn.graph.edge_labels]
-    cols += ["edge_err", "speed", "energy"]
-    return ",".join(cols)
-
-
 def write_trajectory_csv(path: str | Path, scn: Scenario, traj: Trajectory):
     """Trajectory samples as CSV: time, stacked positions, measurements,
     then edge error / speed / running energy.  %.17g keeps it lossless."""
-    k = len(traj.times)
-    rows = np.column_stack((traj.times, traj.positions.reshape(k, -1), traj.measurements,
-                            traj.edge_error, traj.speed, traj.energy)).tolist()
-    lines = [_csv_header(scn)]
+    axes = "xyz"[: scn.d]
+    columns = [
+        (["t"], traj.times),
+        ([f"p{i + 1}_{a}" for i in range(scn.graph.n) for a in axes],
+         traj.positions.reshape(len(traj.times), -1)),
+        ([f"m_{i}_{j}" for i, j in scn.graph.edge_labels], traj.measurements),
+        (["edge_err"], traj.edge_error),
+        (["speed"], traj.speed),
+        (["energy"], traj.energy),
+    ]
+    lines = [",".join(name for names, _ in columns for name in names)]
+    rows = np.column_stack([block for _, block in columns]).tolist()
     lines += [",".join([f"{v:.17g}" for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -214,12 +217,7 @@ def cmd_simulate(args) -> int:
         seed = _master_seed(args.seed, scn.initial_seed)
         p0 = scn.initial_configuration(seed)
 
-    try:
-        traj = integrate(spec, p0, scn.integrator, scn.termination)
-    except RankDeficiencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    traj = integrate(spec, p0, scn.integrator, scn.termination)
     outcome = detect_convergence(traj, scn.target, scn.termination)
     try:
         rate = decay_rate(traj)
@@ -309,10 +307,9 @@ def cmd_admissibility(args) -> int:
 
 def cmd_persistence(args) -> int:
     scn = _graph_source(args)
-    if scn.orientation is None:
-        raise ScenarioError("persistence requires an oriented scenario")
+    orientation = _orientation(scn)
     seed = _master_seed(args.seed)
-    rep = persistence_check(scn.orientation, scn.d, seed)
+    rep = persistence_check(orientation, scn.d, seed)
     print(f"graph: {scn.name} (d={scn.d}, n={scn.graph.n}, edges={scn.graph.num_edges})")
     print(f"persistence: {rep.verdict}  [{rep.reductions_checked} reductions checked]")
     if rep.witness is not None:

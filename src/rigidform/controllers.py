@@ -142,7 +142,7 @@ def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     """Operator norm of the map from edge error m* - m to node velocity u at p:
     sigma_max(R) for gradient, sigma_max(Rdir) for directed, 1 / (2 sigma_r(R))
     for model (which, like the field, needs a regular point); coordinates
-    that are not finite or would overflow R raise RankDeficiencyError."""
+    that are not finite or reach ``COORD_LIMIT`` raise RankDeficiencyError."""
     if spec.kind == "model":
         _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
         return 0.5 / float(s[r - 1])

@@ -11,17 +11,9 @@ entry in the toolkit follows that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-
-def _memo(obj, name: str, build):
-    """Value cached lazily on a frozen dataclass instance under ``name``."""
-    value = obj.__dict__.get(name)
-    if value is None:
-        value = build()
-        object.__setattr__(obj, name, value)
-    return value
 
 
 def _index_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -50,14 +42,6 @@ def _strong_components(n: int, tails: np.ndarray, heads: np.ndarray):
     for part in parts:
         part.setflags(write=False)
     return parts[0], tuple(parts[1:])
-
-
-def _out_edge_table(n: int, tails) -> tuple[tuple[int, ...], ...]:
-    """Per vertex of 0..n-1, the ascending indices k with tails[k] equal to it."""
-    table = [[] for _ in range(n)]
-    for k, t in enumerate(tails):
-        table[t].append(k)
-    return tuple(map(tuple, table))
 
 
 @dataclass(frozen=True)
@@ -89,32 +73,32 @@ class Graph:
         except KeyError:
             raise ValueError(f"({i + 1}, {j + 1}) is not an edge") from None
 
-    @property
+    @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint index arrays (I, J): edge k joins 0-based
         vertices I[k] < J[k]."""
-        return _memo(self, "_endpoints", lambda: _index_arrays(self.edges))
+        return _index_arrays(self.edges)
 
-    @property
+    @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
-        return _memo(self, "_index_cache", lambda: {e: k for k, e in enumerate(self.edges)})
+        return {e: k for k, e in enumerate(self.edges)}
 
-    @property
+    @cached_property
     def _rank_memo(self) -> dict[tuple[int, int], int]:
         """Generic ranks of this graph keyed by (d, seed); freed with the graph."""
-        return _memo(self, "_rank_memo_cache", dict)
+        return {}
 
-    @property
+    @cached_property
     def _draw_memo(self) -> dict[tuple[int, int], list[np.ndarray]]:
         """Rigidity matrices at the generic-rank draws keyed by (d, seed), for
         ranking spanning subgraphs as row subsets; holds the newest (d, seed)
         only and is freed with the graph."""
-        return _memo(self, "_draw_memo_cache", dict)
+        return {}
 
-    @property
+    @cached_property
     def _index_memo(self) -> dict:
         """Edge-index records of this graph keyed by d; freed with the graph."""
-        return _memo(self, "_index_memo_cache", dict)
+        return {}
 
 
 @dataclass(frozen=True)
@@ -141,23 +125,23 @@ class Orientation:
         heads = tuple(j if t == i else i for (i, j), t in zip(self.graph.edges, self.tails))
         object.__setattr__(self, "heads", heads)
 
-    @property
+    @cached_property
     def arrows(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only index arrays (tails, heads), in canonical edge order."""
-        return _memo(self, "_arrows", lambda: _index_arrays(zip(self.tails, self.heads)))
+        return _index_arrays(zip(self.tails, self.heads))
 
-    @property
+    @cached_property
     def _index_memo(self) -> dict:
         """Edge-index records of this orientation keyed by d; freed with it."""
-        return _memo(self, "_index_memo_cache", dict)
+        return {}
 
-    @property
+    @cached_property
     def strong_components(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Strongly connected components of the sensing digraph, with an arc
         from each tail to its head: (the vertices that are a component on
         their own, the larger components), as read-only 0-based index
         arrays in ascending order."""
-        return _memo(self, "_components", lambda: _strong_components(self.graph.n, *self.arrows))
+        return _strong_components(self.graph.n, *self.arrows)
 
     @property
     def directed_labels(self) -> tuple[tuple[int, int], ...]:
@@ -168,10 +152,17 @@ class Orientation:
         """The orientation with every edge flipped."""
         return Orientation(self.graph, self.heads)
 
+    @cached_property
+    def _out_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ascending indices of the edges whose tail it is."""
+        table = [[] for _ in range(self.graph.n)]
+        for k, t in enumerate(self.tails):
+            table[t].append(k)
+        return tuple(map(tuple, table))
+
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Canonical indices of the edges whose tail is 0-based vertex v."""
-        table = _memo(self, "_out_edges", lambda: _out_edge_table(self.graph.n, self.tails))
-        return table[v] if 0 <= v < len(table) else ()
+        return self._out_edges[v] if 0 <= v < self.graph.n else ()
 
 
 def _require_dimension(d) -> None:

@@ -26,10 +26,17 @@ of an SVD (:func:`_regular_svd`) or of a least-squares solve.
 Minimum-norm lifts R^+ b come from one LAPACK least-squares call
 (:func:`_min_norm_solve`) whose singular values also give the rank under the
 same cutoff, so no U or V factor is formed; the full SVD of :func:`_svd` is
-kept for what needs a basis.  A configuration with a NaN or infinite
-coordinate, or one so large that R would overflow, is not a regular point:
-it raises :class:`RankDeficiencyError` before R reaches LAPACK, which may
-not return on a non-finite matrix.
+kept for what needs a basis.
+
+``COORD_LIMIT`` = SQUARE_LIMIT^(1/2) = 1e75 is the one coordinate bound for
+everything built from R: below it R, the squared edge lengths and R^T R
+are finite.  A configuration with a NaN or infinite coordinate, or one of
+magnitude ``COORD_LIMIT`` or more, is not a regular point:
+:func:`_require_coordinates` raises :class:`RankDeficiencyError` before R
+reaches LAPACK, which may not return on a non-finite matrix.  The gradient
+and directed fields skip the check, which would cost one more reduction
+per evaluation; where their squared lengths overflow they return
+non-finite values, which :func:`rigidform.simulate.integrate` rejects.
 
 From a measured size on (:mod:`rigidform.controllers`) the model field
 takes R^+ b from the stiffness matrix instead, when a Cholesky test proves
@@ -53,9 +60,9 @@ semi-normal step (Bjorck, *Numerical Methods for Least Squares Problems*,
 1996, 2.2) is as accurate as the least-squares solve.  A Cholesky that
 fails decides nothing, and the least-squares path runs as before: near
 rank loss, on flexible graphs, on collinear frames, or for d outside
-{1, 2, 3}.  It also needs every edge-vector entry below
-SQUARE_LIMIT^(1/2) in magnitude and tr(R^T R) above 1 / SQUARE_LIMIT, so
-that no product overflows and underflow stays far below delta.
+{1, 2, 3}.  It assumes coordinates below ``COORD_LIMIT``, checked by its
+caller, so that no product overflows, and it needs tr(R^T R) above
+1 / SQUARE_LIMIT, so that underflow stays far below delta.
 """
 
 from __future__ import annotations
@@ -75,12 +82,12 @@ GENERIC_SAMPLES = 3
 
 LIFT_RESIDUAL_TOL = 1e-8
 
-# below it |p_i - p_j| <= 2 * COORD_LIMIT is finite, and so is every entry of R
-COORD_LIMIT = 2.0**1022
-
 # below it a sum of squares of entries stays finite: congruence_check's
 # alignment and min_norm_lift's norms
 SQUARE_LIMIT = 1e150
+
+# the one coordinate bound for everything built from R (module docstring)
+COORD_LIMIT = SQUARE_LIMIT**0.5
 
 
 class RankDeficiencyError(RuntimeError):
@@ -305,11 +312,12 @@ class TangentBasis:
 
 def _require_coordinates(p: Configuration) -> None:
     """Raise :class:`RankDeficiencyError` unless every coordinate of p is
-    finite and below ``COORD_LIMIT`` in magnitude, so that R is finite."""
+    finite and below ``COORD_LIMIT`` in magnitude, so that R, the squared
+    lengths and R^T R are finite."""
     if not np.abs(p.points).max() < COORD_LIMIT:  # False for NaN too
         if not np.isfinite(p.points).all():
             raise RankDeficiencyError("configuration is not finite")
-        raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R would overflow")
+        raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R^T R would overflow")
 
 
 def _require_regular(graph: Graph, d: int, r: int, seed: int) -> None:
@@ -365,14 +373,12 @@ def _certified_solve(
     docstring.  The lift is the normal-equation solution with one corrected
     semi-normal step.  R itself is not formed: R^T R puts each edge's
     D_k D_k^T at its two endpoint blocks and subtracts it at the two mixed
-    ones, R x is a gather and R^T w is :func:`_transpose_apply`.  D must
-    be finite.
+    ones, R x is a gather and R^T w is :func:`_transpose_apply`.  The
+    caller guarantees coordinates below ``COORD_LIMIT``.
     """
     d, n, size = p.d, p.n, index.size
-    # dn - k is max_generic_rank only for n >= d, fewer rows rule it out, and
-    # entries below SQUARE_LIMIT^(1/2) keep every product of two finite
-    if (d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d)
-            or not np.abs(D).max() < np.sqrt(SQUARE_LIMIT)):
+    # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
+    if d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d):
         return None
     ends = np.stack((index.first, index.second))
     at = ends[:, None, :, :, None] * size + ends[None, :, :, None, :]

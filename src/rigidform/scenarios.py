@@ -52,20 +52,22 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _reject_booleans(raw, where: str):
-    """Raise unless no entry of the nested lists ``raw`` is a boolean: a
-    bool is an int, but JSON true is no number."""
-    pending = [raw]
+def _reject_booleans(doc, where: str):
+    """Raise, naming the key that holds it, if any value, list entry or
+    nested entry of ``doc`` is a boolean: a bool is an int, but JSON true is
+    no number, and no field takes a boolean."""
+    pending = [(doc, where)]
     while pending:
-        item = pending.pop()
+        item, at = pending.pop()
         if isinstance(item, bool):
-            raise ScenarioError(f"{where}: must not hold a boolean")
+            raise ScenarioError(f"{at}: no field takes a boolean")
         if isinstance(item, list):
-            pending.extend(item)
+            pending.extend((entry, at) for entry in item)
+        elif isinstance(item, dict):
+            pending.extend((value, f"{at}.{key}") for key, value in item.items())
 
 
 def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
-    _reject_booleans(raw, where)
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -171,9 +173,6 @@ def _settings(doc: dict, key: str, cls, where: str):
     if not isinstance(sub, dict):
         raise ScenarioError(f"{where}: must be an object")
     _reject_unknown(sub, {f.name for f in fields(cls)}, where)
-    for name, value in sub.items():
-        if isinstance(value, bool):  # a bool is an int, but JSON true is no number
-            raise ScenarioError(f"{where}.{name}: must not be a boolean")
     try:
         return cls(**sub)
     except (TypeError, ValueError) as exc:
@@ -188,6 +187,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     """
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: document must be a JSON object")
+    _reject_booleans(doc, where)
     _reject_unknown(doc, _TOP_FIELDS, where)
 
     name = _require(doc, "name", where)
@@ -198,7 +198,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.description: must be a string")
 
     d = _require(doc, "dimension", where)
-    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= 3:
+    if not isinstance(d, int) or not 1 <= d <= 3:
         raise ScenarioError(f"{where}.dimension: must be an integer in 1..3")
 
     graph_doc = _require(doc, "graph", where)
@@ -207,7 +207,6 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     _reject_unknown(graph_doc, {"vertices", "edges"}, f"{where}.graph")
     n = _require(graph_doc, "vertices", f"{where}.graph")
     edges = _require(graph_doc, "edges", f"{where}.graph")
-    _reject_booleans(edges, f"{where}.graph.edges")
     try:
         graph = build_graph(n, [tuple(e) for e in edges])
     except (TypeError, ValueError) as exc:
@@ -221,7 +220,6 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
 
     orientation = None
     if "orientation" in doc and doc["orientation"] is not None:
-        _reject_booleans(doc["orientation"], f"{where}.orientation")
         try:
             orientation = orient(graph, [tuple(e) for e in doc["orientation"]])
         except (TypeError, ValueError) as exc:
@@ -242,12 +240,12 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if isinstance(init_doc, dict):
         _reject_unknown(init_doc, {"seed", "relative_scale"}, f"{where}.initial")
         initial_seed = _require(init_doc, "seed", f"{where}.initial")
-        if isinstance(initial_seed, bool) or not isinstance(initial_seed, int):
+        if not isinstance(initial_seed, int):
             raise ScenarioError(f"{where}.initial.seed: must be an integer")
         if initial_seed < 0:
             raise ScenarioError(f"{where}.initial.seed: must be non-negative, got {initial_seed}")
         relative_scale = init_doc.get("relative_scale", DEFAULT_RELATIVE_SCALE)
-        if (isinstance(relative_scale, bool) or not isinstance(relative_scale, (int, float))
+        if (not isinstance(relative_scale, (int, float))
                 or relative_scale <= 0 or not np.isfinite(relative_scale)):
             raise ScenarioError(f"{where}.initial.relative_scale: must be a positive, finite number")
         relative_scale = float(relative_scale)

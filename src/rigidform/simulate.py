@@ -125,7 +125,10 @@ class Trajectory:
     speed: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)
     termination: str
-    termination_time: float
+
+    @property
+    def termination_time(self) -> float:
+        return float(self.times[-1])
 
     @property
     def final_configuration(self) -> Configuration:
@@ -192,7 +195,6 @@ def _finish(spec: ControllerSpec, rec: _Recorder, termination: str) -> Trajector
         speed=speed,
         energy=energy,
         termination=termination,
-        termination_time=float(times[-1]),
     )
 
 

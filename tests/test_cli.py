@@ -6,6 +6,7 @@ import xml.dom.minidom
 import pytest
 
 import rigidform.certificates as certificates_mod
+import rigidform.cli as cli_mod
 from rigidform.cli import main
 
 from conftest import P_STAR
@@ -271,6 +272,22 @@ def test_persistence_command(capsys):
     code, _, err = run(capsys, "persistence", "--builtin", "w5-undirected")
     assert code == 3
     assert "orient" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "w5-undirected", "--persistence"],
+    ["persistence", "--builtin", "w5-undirected"],
+], ids=["analyze", "persistence"])
+def test_persistence_needs_an_orientation_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ranked a graph before checking the orientation")
+
+    monkeypatch.setattr(cli_mod, "generic_rank", no_work)
+    monkeypatch.setattr(cli_mod, "admissibility", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: persistence requires an oriented scenario\n"
 
 
 def test_custom_scenario_file(capsys, tmp_path):

@@ -22,12 +22,14 @@ from rigidform import (
     field_gain,
     generic_rank,
     gradient_field,
+    is_regular_point,
     matrix_rank,
     max_generic_rank,
     model_field,
     node_potential,
     orient,
     projector,
+    restricted_sym_form,
     rigidity_matrix,
 )
 
@@ -121,6 +123,31 @@ def test_model_field_rejects_non_finite_configuration(capfd, w5, p_star, bad, me
     pts[2, 1] = bad
     with pytest.raises(RankDeficiencyError, match=message):
         model_field(w5, Configuration(2, pts), distance_map(w5, p_star))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_squares_that_overflow_get_rank_verdicts(capfd, scale):
+    # R is finite here but |D_k|^2 and R^T R are not; every function built on
+    # R names the bound instead of returning NaN with an overflow warning,
+    # which the suite's filterwarnings setting turns into a failure
+    k4 = build_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    p = Configuration(2, scale * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    m_star = Measurement(np.ones(6))
+    message = "coordinates exceed 1e+75: R^T R would overflow"
+    spec = ControllerSpec(k4, "model", m_star)
+    with pytest.raises(RankDeficiencyError) as info:
+        model_field(k4, p, m_star)
+    assert str(info.value) == message
+    with pytest.raises(RankDeficiencyError) as info:
+        field_gain(spec, p)
+    assert str(info.value) == message
+    assert not is_regular_point(k4, p)
+    arrows = orient(k4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    for kind in ("gradient", "model", "directed"):
+        spec = ControllerSpec(k4, kind, m_star, arrows if kind == "directed" else None)
+        rep = restricted_sym_form(spec, p)
+        assert rep.verdict == "indeterminate" and rep.detail == f"target: {message}"
     assert capfd.readouterr().err == ""
 
 

@@ -396,18 +396,24 @@ def test_incidence_kernels_match_edge_loops(seed):
 
 
 def test_edge_index_does_not_outlive_its_graph():
-    # the index records are memoized on the graph and on the orientation, so
-    # they are freed with them
+    # the index records, like every value cached on the graph and on the
+    # orientation, are kept on them, so they are freed with them
     graph = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     orientation = orient(graph, [(1, 2), (2, 3), (3, 4), (4, 1)])
     p = Configuration(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     m_star = distance_map(graph, p)
     gradient_field(graph, p, m_star)
     directed_field(orientation, p, m_star)
+    generic_rank(graph, 2, edges=[0, 1, 2])
     refs = [weakref.ref(rigidity_mod._edge_index(graph, 2)),
-            weakref.ref(rigidity_mod._edge_index(graph, 2, orientation))]
+            weakref.ref(rigidity_mod._edge_index(graph, 2, orientation)),
+            weakref.ref(orientation.arrows[0]),
+            weakref.ref(orientation.strong_components[1][0]),
+            weakref.ref(graph._draw_memo[(2, 0)][0])]
     assert refs[0]() is graph._index_memo[2]
     assert refs[1]() is orientation._index_memo[2]
+    assert refs[2]() is orientation.arrows[0]
+    assert refs[3]() is orientation.strong_components[1][0]
     del graph, orientation
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,9 +1,12 @@
 """Scenario files: validation, built-ins, round-trips, initial conditions."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidform import builtin_names, builtin_scenario, load_scenario
 from rigidform.scenarios import ScenarioError, builtin_path, scenario_from_dict
@@ -145,6 +148,37 @@ def test_non_finite_numbers_rejected_by_name(where):
         reason = ":" if value is True else ".*finite"
         with pytest.raises(ScenarioError, match=where.replace(".", "[.: ]+") + reason):
             scenario_from_dict(doc)
+
+
+def _slots(node, where):
+    """(container, key or index, the key a boolean there is named by) for
+    every value and list entry under ``node``, and one unknown key per object."""
+    if isinstance(node, dict):
+        yield node, "extra", f"{where}.extra"
+        for key, value in node.items():
+            yield node, key, f"{where}.{key}"
+            yield from _slots(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield node, i, where
+            yield from _slots(value, where)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BUILTINS), st.data())
+def test_a_boolean_anywhere_is_named_by_its_key(name, data):
+    # a bool is an int, so true must not pass for 1 in a count, a seed or an
+    # edge, nor reach a string or an unknown-field check
+    doc = json.loads(builtin_path(name).read_text())
+    slots = {}
+    for container, key, where in _slots(doc, "scenario"):
+        slots.setdefault(where, []).append((container, key))
+    # draw the key first, so that a short field is drawn as often as a long array
+    where = data.draw(st.sampled_from(sorted(slots)))
+    container, key = data.draw(st.sampled_from(slots[where]))
+    container[key] = True
+    with pytest.raises(ScenarioError, match=f"^{re.escape(where)}: no field takes a boolean$"):
+        scenario_from_dict(doc)
 
 
 def test_parse_error_reports_position(tmp_path):
