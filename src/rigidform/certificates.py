@@ -62,13 +62,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rigidform.controllers import ControllerSpec
-from rigidform.graphs import Configuration, Graph, Orientation
+from rigidform.controllers import ControllerSpec, _require_controller
+from rigidform.graphs import Configuration, Graph, Orientation, _require_count
 from rigidform.rigidity import (
     RankDeficiencyError,
     _edge_vectors,
     _regular_svd,
-    _require_seed,
     directed_rigidity_matrix,
     is_generically_rigid,
 )
@@ -278,12 +277,14 @@ def admissibility(
     ``seed`` and redrawn until regular, has the spectrum of its restricted
     operator taken once; the dynamic test judges min |Re z| against
     ``TOL_HYP`` and the algebraic test min |z| against ``TOL_INV``, both
-    relative to the spectral norm.  Raises ValueError unless ``samples`` is
-    a positive integer and ``seed`` a non-negative one.
+    relative to the spectral norm.  Raises ValueError unless ``kind`` names
+    a controller that ``orientation`` pairs with (only "directed" reads it)
+    and ``d``, ``samples`` are positive integers, ``seed`` a non-negative one.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
-    _require_seed(seed)
+    _require_controller(graph, kind, orientation if kind == "directed" else None)
+    d = _require_count("dimension", d, 1)
+    samples = _require_count("samples", samples, 1)
+    seed = _require_count("seed", seed, 0)
     tests = (("dynamic", TOL_HYP), ("algebraic", TOL_INV))
     per_sample = ([], [])
     for stream in np.random.SeedSequence(seed).spawn(samples):
@@ -374,7 +375,7 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
     whole enumeration either way.  An enumeration above ``REDUCTION_CAP``
     is not ranked and yields "indeterminate".
     """
-    if d not in (2, 3):
+    if _require_count("dimension", d, 1) not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
     graph = orientation.graph
     total = reduction_count(orientation, d)

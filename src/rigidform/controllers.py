@@ -68,6 +68,21 @@ CONTROLLER_KINDS = ("gradient", "model", "directed")
 _CERTIFIED_MIN_SIZE = 36
 
 
+def _require_controller(graph: Graph, kind: str, orientation: Orientation | None) -> None:
+    """Raise ValueError unless ``kind`` is one of ``CONTROLLER_KINDS`` and
+    ``orientation`` pairs with it: an orientation of ``graph`` for the
+    directed controller, None for the others."""
+    if kind not in CONTROLLER_KINDS:
+        raise ValueError(f"unknown controller kind {kind!r}")
+    if kind == "directed":
+        if orientation is None:
+            raise ValueError("directed controller requires an orientation")
+        if orientation.graph != graph:
+            raise ValueError("orientation is over a different graph")
+    elif orientation is not None:
+        raise ValueError(f"{kind} controller takes no orientation")
+
+
 @dataclass(frozen=True, eq=False)
 class ControllerSpec:
     """A controller choice bound to a graph and a target measurement."""
@@ -78,15 +93,7 @@ class ControllerSpec:
     orientation: Orientation | None = None
 
     def __post_init__(self):
-        if self.kind not in CONTROLLER_KINDS:
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.kind == "directed":
-            if self.orientation is None:
-                raise ValueError("directed controller requires an orientation")
-            if self.orientation.graph != self.graph:
-                raise ValueError("orientation is over a different graph")
-        elif self.orientation is not None:
-            raise ValueError(f"{self.kind} controller takes no orientation")
+        _require_controller(self.graph, self.kind, self.orientation)
         if len(self.m_star) != self.graph.num_edges:
             raise ValueError(
                 f"target has {len(self.m_star)} entries, graph has "
@@ -159,16 +166,18 @@ def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndar
 
     gradient -> 2 R R^T, model -> the orthogonal projector onto Im R,
     directed -> 2 R Rdir^T.  In every case the edge velocity 2 R(p) u of the
-    matching field's node velocity u is eta @ (m* - m).
+    matching field's node velocity u is eta @ (m* - m).  Like
+    :func:`field_gain`, it raises RankDeficiencyError at coordinates that
+    are not finite or reach ``COORD_LIMIT``.
     """
-    if spec.kind == "gradient":
-        R = rigidity_matrix(spec.graph, p)
-        return 2.0 * (R @ R.T)
     if spec.kind == "model":
         U, _, _, r = _regular_svd(spec.graph, p, seed)
         P = U[:, :r]
         return P @ P.T
+    _require_coordinates(p)
     R = rigidity_matrix(spec.graph, p)
+    if spec.kind == "gradient":
+        return 2.0 * (R @ R.T)
     Rdir = directed_rigidity_matrix(spec.orientation, p)
     return 2.0 * (R @ Rdir.T)
 

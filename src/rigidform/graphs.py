@@ -165,11 +165,17 @@ class Orientation:
         return self._out_edges[v] if 0 <= v < self.graph.n else ()
 
 
-def _require_dimension(d) -> None:
-    """Raise ValueError unless d is a positive integer: a Python or NumPy
-    integer, not a bool."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+def _require_count(name: str, value, least: int) -> int:
+    """``value`` as an int, when it is a Python or NumPy integer of at least
+    ``least``; otherwise ValueError naming ``name``.  The one rule for every
+    count, dimension, seed and vertex label: a bool (whose type is not int),
+    a float, even an integral one, or a string is rejected, never truncated."""
+    if type(value) is int and value >= least:  # the common case, first
+        return value
+    if isinstance(value, np.integer) and value >= least:
+        return int(value)
+    bound = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +190,7 @@ class Configuration:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _require_dimension(self.d)
+        _require_count("dimension", self.d, 1)
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"points must be an (n, {self.d}) array")
@@ -204,7 +210,7 @@ class Configuration:
 
     @classmethod
     def from_vector(cls, d: int, vec: np.ndarray) -> "Configuration":
-        _require_dimension(d)
+        _require_count("dimension", d, 1)
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1 or vec.size % d != 0:
             raise ValueError("flat vector length must be a multiple of d")
@@ -239,19 +245,17 @@ def build_graph(n: int, edges) -> Graph:
     Pairs may appear in either endpoint order and may repeat; the result is
     sorted, deduplicated, and stored 0-based.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("vertex count must be an integer >= 2")
+    n = _require_count("vertex count", n, 2)
     canonical = set()
     for pair in edges:
-        a, b = pair
-        a, b = int(a), int(b)
+        a, b = (_require_count("vertex label", v, 1) for v in pair)
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"edge ({a}, {b}) references a vertex outside 1..{n}")
         if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         i, j = (a - 1, b - 1) if a < b else (b - 1, a - 1)
         canonical.add((i, j))
-    return Graph(int(n), tuple(sorted(canonical)))
+    return Graph(n, tuple(sorted(canonical)))
 
 
 def orient(graph: Graph, directed_pairs) -> Orientation:
@@ -261,8 +265,7 @@ def orient(graph: Graph, directed_pairs) -> Orientation:
     """
     tails: dict[int, int] = {}
     for pair in directed_pairs:
-        a, b = pair
-        a, b = int(a), int(b)
+        a, b = (_require_count("vertex label", v, 1) for v in pair)
         if not (1 <= a <= graph.n and 1 <= b <= graph.n) or a == b:
             raise ValueError(f"({a}, {b}) is not a valid directed pair")
         k = graph.index_of(a - 1, b - 1)  # raises on non-edges

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rigidform.graphs import Configuration, Graph, Measurement, Orientation
+from rigidform.graphs import Configuration, Graph, Measurement, Orientation, _require_count
 
 SVD_RTOL = 1e-12
 
@@ -107,13 +107,6 @@ def _rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
         return 0
     # the small factor first, so that a finite s[0] cannot overflow the cutoff
     return int(np.count_nonzero(s > s[0] * (max(shape) * SVD_RTOL)))
-
-
-def _require_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a non-negative integer, as NumPy's
-    seeding requires."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _require_finite(name: str, a: np.ndarray, limit: float = np.inf) -> None:
@@ -252,9 +245,10 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     kept on the graph until a subgraph is ranked at another (d, seed), so
     ranking many subgraphs builds no graph and no R of their own and the
     graph keeps one set of draws at most; subgraph ranks are not memoized.
+    Raises ValueError unless d is a positive integer and seed a non-negative one.
     """
-    _require_seed(seed)
-    key = (int(d), int(seed))
+    d = _require_count("dimension", d, 1)
+    key = (d, _require_count("seed", seed, 0))
     if edges is None:
         cached = graph._rank_memo.get(key)
         if cached is not None:

@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from rigidform.controllers import CONTROLLER_KINDS, ControllerSpec
+from rigidform.controllers import ControllerSpec, _require_controller
 from rigidform.graphs import (
     Configuration,
     Graph,
     Measurement,
     Orientation,
+    _require_count,
     build_graph,
     orient,
 )
-from rigidform.rigidity import _require_seed, distance_map
+from rigidform.rigidity import COORD_LIMIT, distance_map
 from rigidform.simulate import IntegratorConfig, TerminationCriteria
 
 _BUILTIN_DIR = Path(__file__).parent / "builtin"
@@ -67,15 +68,24 @@ def _reject_booleans(doc, where: str):
             pending.extend((value, f"{at}.{key}") for key, value in item.items())
 
 
-def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
+def _at(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a TypeError, ValueError or
+    OverflowError it raises re-raised as a :class:`ScenarioError` located
+    at ``where``, the key of the document it was built from."""
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: not a numeric coordinate array ({exc})") from None
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
+    """An (n, d) configuration whose coordinates are finite and below
+    ``COORD_LIMIT`` in magnitude, the bound of everything built from R."""
+    arr = _at(where, np.asarray, raw, dtype=float)
     if arr.shape != (n, d):
         raise ScenarioError(f"{where}: expected {n} rows of {d} coordinates, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ScenarioError(f"{where}: coordinates must be finite")
+    if not np.abs(arr).max() < COORD_LIMIT:  # False for NaN too
+        raise ScenarioError(f"{where}: coordinates must be finite and below {COORD_LIMIT:g} in magnitude")
     return Configuration(d, arr)
 
 
@@ -118,7 +128,7 @@ class Scenario:
         use_seed = seed if seed is not None else self.initial_seed
         if use_seed is None:
             use_seed = 0
-        _require_seed(use_seed)
+        _require_count("seed", use_seed, 0)
         rng = np.random.default_rng(use_seed)
         rho = self.relative_scale * self.target.diameter()
         noise = rng.standard_normal(self.target.points.shape)
@@ -173,10 +183,7 @@ def _settings(doc: dict, key: str, cls, where: str):
     if not isinstance(sub, dict):
         raise ScenarioError(f"{where}: must be an object")
     _reject_unknown(sub, {f.name for f in fields(cls)}, where)
-    try:
-        return cls(**sub)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    return _at(where, cls, **sub)
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
@@ -207,29 +214,13 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     _reject_unknown(graph_doc, {"vertices", "edges"}, f"{where}.graph")
     n = _require(graph_doc, "vertices", f"{where}.graph")
     edges = _require(graph_doc, "edges", f"{where}.graph")
-    try:
-        graph = build_graph(n, [tuple(e) for e in edges])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.graph: {exc}") from None
+    graph = _at(f"{where}.graph", build_graph, n, edges)
 
     controller = _require(doc, "controller", where)
-    if controller not in CONTROLLER_KINDS:
-        raise ScenarioError(
-            f"{where}.controller: {controller!r} is not one of {CONTROLLER_KINDS}"
-        )
-
     orientation = None
-    if "orientation" in doc and doc["orientation"] is not None:
-        try:
-            orientation = orient(graph, [tuple(e) for e in doc["orientation"]])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}.orientation: {exc}") from None
-    if controller == "directed" and orientation is None:
-        raise ScenarioError(f"{where}.orientation: required for the directed controller")
-    if controller != "directed" and orientation is not None:
-        raise ScenarioError(
-            f"{where}.orientation: only allowed with the directed controller"
-        )
+    if doc.get("orientation") is not None:
+        orientation = _at(f"{where}.orientation", orient, graph, doc["orientation"])
+    _at(f"{where}.controller", _require_controller, graph, controller, orientation)
 
     target = _coordinates(_require(doc, "target", where), graph.n, d, f"{where}.target")
 

@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from rigidform.controllers import ControllerSpec, evaluate_field
-from rigidform.graphs import Configuration
+from rigidform.graphs import Configuration, _require_count
 from rigidform.rigidity import RankDeficiencyError, congruence_check, distance_map
 
 # least relative tolerance: a tighter error test would ask for rounding noise
@@ -77,8 +77,9 @@ class IntegratorConfig:
         _require_finite(self)
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
-            raise ValueError("t_max, dt must be positive and sample_every >= 1")
+        _require_count("sample_every", self.sample_every, 1)
+        if self.t_max <= 0 or self.dt <= 0:
+            raise ValueError("t_max, dt must be positive")
         if self.rtol <= 0 or self.atol <= 0 or self.dt_max <= 0:
             raise ValueError("rtol, atol, dt_max must be positive")
         if self.rtol < RTOL_MIN:
@@ -104,8 +105,9 @@ class TerminationCriteria:
 
     def __post_init__(self):
         _require_finite(self)
-        if min(self.tol_edge, self.tol_node, self.min_speed) <= 0 or self.window < 2:
-            raise ValueError("termination thresholds must be positive (window >= 2)")
+        _require_count("window", self.window, 2)
+        if min(self.tol_edge, self.tol_node, self.min_speed) <= 0:
+            raise ValueError("termination thresholds must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +211,7 @@ def integrate(
 
     Raises ValueError when p0 or the field value there is not finite.
     """
-    graph, d, n = spec.graph, p0.d, p0.n
-    if len(spec.m_star) != graph.num_edges:
-        raise ValueError("target measurement does not match the graph")
+    graph, d = spec.graph, p0.d
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         del t

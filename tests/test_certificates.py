@@ -404,7 +404,7 @@ def test_admissibility_deterministic(w5, w5_arrows):
         assert sa.spectrum == sb.spectrum
 
 
-@pytest.mark.parametrize("samples", [0, -2])
+@pytest.mark.parametrize("samples", [0, -2, 2.5])
 def test_admissibility_needs_a_positive_sample_count(w5, samples):
     # zero samples would be a vacuous pass, and SeedSequence rejects negatives
     with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
@@ -540,6 +540,24 @@ def test_persistence_matches_reference_random(seed):
 def test_persistence_rejects_bad_dimension(w5_arrows):
     with pytest.raises(ValueError):
         persistence_check(w5_arrows, 1)
+
+
+@pytest.mark.parametrize("d", [2.0, 2.5])
+def test_persistence_names_a_dimension_that_is_no_integer(w5_arrows, d):
+    with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d}"):
+        persistence_check(w5_arrows, d)
+
+
+@pytest.mark.parametrize("kind, oriented, d, message", [
+    ("foo", False, 2, "unknown controller kind 'foo'"),
+    ("directed", False, 2, "directed controller requires an orientation"),
+    ("gradient", False, 2.0, "dimension must be a positive integer, got 2.0"),
+    ("directed", True, 2.5, "dimension must be a positive integer, got 2.5"),
+], ids=["unknown-kind", "directed-without-orientation", "float-dimension", "fractional-dimension"])
+def test_admissibility_names_its_controller_and_dimension(w5, w5_arrows, kind, oriented, d, message):
+    # the rule ControllerSpec keeps, not a gradient verdict for an unknown kind
+    with pytest.raises(ValueError, match=message):
+        admissibility(w5, kind, w5_arrows if oriented else None, d)
 
 
 @settings(max_examples=25, deadline=None)

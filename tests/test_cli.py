@@ -338,13 +338,34 @@ def test_non_finite_target_is_a_named_input_error(capsys, tmp_path):
     assert "target: coordinates must be finite" in err
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "termination", {"window": 2.5}, "x.json.termination: window must be an integer >= 2"),
+    ("simulate", "target", [[0.0, 0.0], [1e308, 0.0]], "x.json.target: coordinates must be finite"),
+    ("analyze", "target", [[0.0, 0.0], [1e308, 0.0]], "x.json.target: coordinates must be finite"),
+], ids=["fractional-window", "simulate-huge-target", "analyze-huge-target"])
+def test_bad_scenario_values_exit_3_with_no_traceback(capsys, tmp_path, command, key, value, message):
+    # a fractional window once ended in a slice TypeError mid-run, and a
+    # 1e308 target leaked overflow warnings (analyze then exited 2)
+    doc = {"name": "x", "dimension": 2, "controller": "gradient",
+           "graph": {"vertices": 2, "edges": [[1, 2]]}, "target": [[0.0, 0.0], [1.0, 0.0]]}
+    doc[key] = value
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert message in err
+    assert "Warning" not in err and out == ""
+
+
 @pytest.mark.parametrize("integrator, extra, message", [
     ({"t_max": 1.0, "dt_init": 2.0}, [],
      "pair.json.integrator: dt_init must be positive and at most t_max"),
     ({"t_max": 5.0, "dt_init": 2.0}, ["--t-max", "1"],
      "dt_init must be positive and at most t_max"),
     ({"rtol": 1e-20}, [], "pair.json.integrator: rtol must be at least 2.22e-14"),
-], ids=["dt-init-past-horizon", "t-max-override-below-dt-init", "rtol-below-100-eps"])
+    ({"sample_every": 2.5}, [], "pair.json.integrator: sample_every must be a positive integer"),
+], ids=["dt-init-past-horizon", "t-max-override-below-dt-init", "rtol-below-100-eps",
+        "fractional-sample-every"])
 def test_integrator_settings_rejected_by_name(capsys, tmp_path, integrator, extra, message):
     # named by the config field at fault, with no warning on stderr
     path = tmp_path / "pair.json"

@@ -151,6 +151,19 @@ def test_squares_that_overflow_get_rank_verdicts(capfd, scale):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("kind", ["gradient", "directed"])
+def test_eta_matrix_names_coordinates_whose_squares_overflow(capfd, kind, scale):
+    k4 = build_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    arrows = orient(k4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    p = Configuration(2, scale * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    spec = ControllerSpec(k4, kind, Measurement(np.ones(6)), arrows if kind == "directed" else None)
+    with pytest.raises(RankDeficiencyError) as info:
+        eta_matrix(spec, p)
+    assert str(info.value) == "coordinates exceed 1e+75: R^T R would overflow"
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.nan, "configuration is not finite"),
     (np.inf, "configuration is not finite"),

@@ -1,5 +1,7 @@
 """Graph, orientation, and configuration plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,16 @@ def test_orient_errors(w5):
         orient(w5, W5_ARROWS + [(2, 1)])  # edge oriented twice
     with pytest.raises(ValueError):
         orient(w5, W5_ARROWS[:-1] + [(2, 4)])  # not an edge
+
+
+@pytest.mark.parametrize("label", [1.7, "1", True, np.float64(1.0)])
+def test_vertex_labels_are_integers_never_truncated(w5, label):
+    # int() would read each of these as vertex 1, and the edge as (1, 2)
+    message = re.escape(f"vertex label must be a positive integer, got {label!r}")
+    with pytest.raises(ValueError, match=message):
+        build_graph(5, [(label, 2)] + W5_EDGES[1:])
+    with pytest.raises(ValueError, match=message):
+        orient(w5, [(label, 2)] + W5_ARROWS[1:])
 
 
 def test_out_edges(w5):

@@ -6,6 +6,7 @@ each test.
 """
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -291,6 +292,22 @@ def test_min_norm_lift_names_an_overflowing_edge_velocity(capfd, w5, p_star):
 def test_negative_seed_is_named():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         generic_rank(build_graph(3, [(1, 2), (2, 3)]), 2, -1)
+
+
+@pytest.mark.parametrize("d, seed, message", [
+    (2, 2.5, "seed must be a non-negative integer, got 2.5"),
+    (2, np.float64(2.0), "seed must be a non-negative integer, got np.float64(2.0)"),
+    (2.0, 2, "dimension must be a positive integer, got 2.0"),
+    (2.5, 2, "dimension must be a positive integer, got 2.5"),
+], ids=["fractional-seed", "float-seed", "float-dimension", "fractional-dimension"])
+def test_generic_rank_names_a_count_that_is_no_integer(d, seed, message):
+    # on a cold memo, and once the memo holds (2, 2), which int() would return
+    graph = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generic_rank(graph, d, seed)
+    assert generic_rank(graph, 2, 2) == 5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generic_rank(graph, d, seed)
 
 
 @settings(max_examples=40, deadline=None)

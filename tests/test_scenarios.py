@@ -1,14 +1,19 @@
 """Scenario files: validation, built-ins, round-trips, initial conditions."""
 
+import contextlib
+import copy
+import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rigidform import builtin_names, builtin_scenario, load_scenario
+from rigidform.cli import main
 from rigidform.scenarios import ScenarioError, builtin_path, scenario_from_dict
 
 from conftest import P_STAR, Q_STAR, W5_ARROWS, W5_EDGES
@@ -122,7 +127,9 @@ def test_non_finite_numbers_rejected_by_name(where):
     nan, inf = float("nan"), float("inf")
     values = {"dimension": (True,), "initial.seed": (True,),
               "integrator.sample_every": (True,), "graph.edges": (True,),
-              "orientation": (True,)}
+              "orientation": (True,),
+              # finite, but not below COORD_LIMIT, the bound of everything built from R
+              "target": (nan, inf, True, 1e308), "initial": (nan, inf, True, 1e75)}
     for value in values.get(where, (nan, inf, True)):
         doc = _wheel_doc()
         if where == "target":
@@ -179,6 +186,72 @@ def test_a_boolean_anywhere_is_named_by_its_key(name, data):
     container[key] = True
     with pytest.raises(ScenarioError, match=f"^{re.escape(where)}: no field takes a boolean$"):
         scenario_from_dict(doc)
+
+
+def _set(doc, where, value):
+    if where == "graph.edges":
+        doc["graph"]["edges"][0] = value
+    elif where == "orientation":
+        doc["controller"] = "directed"
+        doc["orientation"] = [list(e) for e in W5_ARROWS]
+        doc["orientation"][0] = value
+    else:
+        section, key = where.split(".")
+        doc[section][key] = value
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("graph.edges", [1.7, 2], "graph: vertex label must be a positive integer, got 1.7"),
+    ("graph.edges", ["1", 2], "graph: vertex label must be a positive integer, got '1'"),
+    ("orientation", [1.9, 2], "orientation: vertex label must be a positive integer, got 1.9"),
+    ("termination.window", 50.0, "termination: window must be an integer >= 2, got 50.0"),
+    ("termination.window", 2.5, "termination: window must be an integer >= 2, got 2.5"),
+    ("integrator.sample_every", 2.5,
+     "integrator: sample_every must be a positive integer, got 2.5"),
+    ("integrator.sample_every", 1.0,
+     "integrator: sample_every must be a positive integer, got 1.0"),
+], ids=["fractional-label", "string-label", "fractional-arrow-label", "float-window",
+        "fractional-window", "fractional-sample-every", "float-sample-every"])
+def test_counts_and_labels_are_integers_by_name(where, value, message):
+    # each once loaded: the labels truncated to the edge (1, 2) and the
+    # arrow 1 -> 2, the counts left fractional
+    doc = _wheel_doc()
+    _set(doc, where, value)
+    with pytest.raises(ScenarioError, match=f"^scenario[.]{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+_FUZZ_VALUES = (2.5, 50.0, -1, 0, "1", None, 1e308, float("nan"), [], {}, 10**6)
+_FUZZ_KEYS = sorted({where for name in BUILTINS
+                     for _, _, where in _slots(json.loads(builtin_path(name).read_text()), "scenario")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUILTINS), st.sampled_from(_FUZZ_KEYS), st.integers(0, 99),
+       st.sampled_from(_FUZZ_VALUES))
+@example("w5-undirected", "scenario.termination.window", 0, 2.5)  # once a slice TypeError
+@example("w5-undirected", "scenario.target", 1, 1e308)  # once overflow warnings
+def test_any_one_bad_leaf_is_named_or_runs(tmp_path_factory, name, where, slot, value):
+    # one leaf, a key or a list slot anywhere, takes a value that is wrong for
+    # most fields: the loader names a key, or the run ends in an exit code
+    # with no traceback and no warning
+    doc = json.loads(builtin_path(name).read_text())
+    slots = [(container, key) for container, key, at in _slots(doc, "scenario") if at == where]
+    assume(slots)
+    container, key = slots[slot % len(slots)]
+    container[key] = copy.deepcopy(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError as exc:
+            assert re.match(r"scenario(\.\w+)+: |scenario: unknown field\(s\) 'extra'$", str(exc))
+            return
+        path = tmp_path_factory.mktemp("fuzz") / "leaf.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["simulate", str(path), "--t-max", "0.3"])
+    assert code in (0, 1, 3)
 
 
 def test_parse_error_reports_position(tmp_path):

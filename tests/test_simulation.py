@@ -328,6 +328,17 @@ def test_config_validation():
         TerminationCriteria(tol_edge=0.0)
     with pytest.raises(ValueError):
         TerminationCriteria(window=1)
+    # counts are integers, never truncated: a fractional window once failed as
+    # a slice bound mid-run, and sample_every=2.5 kept every 5th step
+    for cls, field, value, rule in [
+        (IntegratorConfig, "sample_every", 2.5, "a positive integer, got 2.5"),
+        (IntegratorConfig, "sample_every", 1.0, "a positive integer, got 1.0"),
+        (TerminationCriteria, "window", 2.5, "an integer >= 2, got 2.5"),
+        (TerminationCriteria, "window", 50.0, "an integer >= 2, got 50.0"),
+        (TerminationCriteria, "window", "50", "an integer >= 2, got '50'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}$"):
+            cls(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["t_max", "dt", "rtol", "atol", "dt_max", "dt_init", "sample_every"])
