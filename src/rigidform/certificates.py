@@ -12,7 +12,7 @@ built:
 
 * gradient: eta = 2 R R^T, so A = diag(2 s_r^2), from the singular values
   alone and with no eigensolve;
-* model:    eta = P P^T, so A = I_r, again from the singular values alone;
+* model:    eta = P P^T, so A = I_r, from the rank r alone;
 * directed: eta = 2 R Rdir^T, so A = XY with X = 2 diag(s_r) V_r^T and
   Y = Rdir^T U_r.  Its spectrum comes from the dn x dn matrix
   M = YX = 2 Rdir^T R, since chi_M(x) = x^(dn - r) chi_A(x).  M is the
@@ -28,10 +28,17 @@ built:
   has a symmetric d x d block, and all of them take one batched symmetric
   eigensolve; each larger component c takes one general eigensolve of its
   own d|c| x d|c| block, built from its vertex blocks and the edges with
-  both ends in c, so the whole dn x dn M is never formed.  The
-  regularity decision and r need only the singular values; A itself, and
+  both ends in c, so the whole dn x dn M is never formed.  A itself, and
   the U and V it is built from, are formed only for the certificate's
   symmetric part and for :func:`linearized_edge_matrix`.
+
+Where A needs r alone (model, and directed without A or its symmetric part,
+as in every admissibility sample), the regularity decision and r come from
+:func:`rigidform.rigidity._regular_rank`.  From d*n = its
+``_CERTIFIED_MIN_SIZE`` on, the Cholesky certificate of the stiffness
+matrix proves r = max_generic_rank(n, d) with no SVD and no generic-rank
+draw; the singular values decide where it does not.  The gradient A reads
+the singular values themselves.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -67,6 +74,7 @@ from rigidform.graphs import Configuration, Graph, Orientation, _require_count
 from rigidform.rigidity import (
     RankDeficiencyError,
     _edge_vectors,
+    _regular_rank,
     _regular_svd,
     directed_rigidity_matrix,
     is_generically_rigid,
@@ -190,20 +198,21 @@ def _restricted_operator(
     directed A, and the U and V it is built from, are formed only then.
     ``orientation`` is read only by the directed controller.  Raises off
     regular points."""
-    if kind == "directed":
-        U, s, Vt, r = _regular_svd(graph, p, seed, compute_uv=matrix or sym)
+    if kind == "gradient":
+        _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
+        eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
+    elif kind == "model" or not (matrix or sym):
+        r = _regular_rank(graph, p, seed)
+        if kind == "directed":
+            return None, _directed_spectrum(orientation, p, r), None, r
+        eigs = np.ones(r)  # eta is the projector P P^T
+    else:
+        U, s, Vt, r = _regular_svd(graph, p, seed)
         eigs = _directed_spectrum(orientation, p, r)
-        if not (matrix or sym):
-            return None, eigs, None, r
         RdirV = directed_rigidity_matrix(orientation, p) @ Vt[:r].T
         A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
         sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T)) if sym else None
         return (A if matrix else None), eigs, sym_eigs, r
-    _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
-    if kind == "model":
-        eigs = np.ones(r)  # eta is the projector P P^T
-    else:
-        eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
     # A is diagonal, so it is its own symmetric part
     return (np.diag(eigs) if matrix else None), eigs, (np.sort(eigs) if sym else None), r
 

@@ -18,7 +18,8 @@ edge's endpoint blocks: R^T e is the ``np.bincount`` of e_k D_k over the
 first endpoints' positions less that over the second's, and Rdir^T e the
 one ``np.bincount`` of e_k (p_t - p_h) over the tails' positions.  The
 model field gathers D once and takes u = x / 2 with x = R^+ (m* - m).
-From d*n = ``_CERTIFIED_MIN_SIZE`` on, x comes first from the stiffness
+From d*n = ``_CERTIFIED_MIN_SIZE`` on (:mod:`rigidform.rigidity`, whose
+rank decisions share it), x comes first from the stiffness
 matrix K = R^T R + s Q Q^T, Q the rigid motions at p, built from D on the
 same edge index: a floating-point Cholesky of K - delta I that succeeds
 proves that R has the largest rank any graph can have, so p is regular
@@ -42,6 +43,7 @@ import numpy as np
 
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
+    _CERTIFIED_MIN_SIZE,
     _certified_solve,
     _edge_vectors,
     _min_norm_solve,
@@ -57,15 +59,6 @@ from rigidform.rigidity import (
 )
 
 CONTROLLER_KINDS = ("gradient", "model", "directed")
-
-# d*n from which the model field tries the certified stiffness solve before
-# the least-squares one: about where the two cost the same.  Per
-# model_field call on d = 2 Henneberg formations with n/2 chords (one BLAS
-# thread, median over five formations of the best of fifteen 100-call
-# trials), least squares vs certified: d*n = 24, 115 vs 182 us; 28, 137 vs
-# 185; 32, 165 vs 180; 36, 197 vs 184; 40, 238 vs 189; 48, 350 vs 212.
-# The built-ins have d*n <= 12.
-_CERTIFIED_MIN_SIZE = 36
 
 
 def _require_controller(graph: Graph, kind: str, orientation: Orientation | None) -> None:

@@ -6,7 +6,8 @@ block per vertex, with the block for vertex i of edge {i, j} holding
 its image is the space of squared-edge-length velocities reachable by moving
 the agents, and its kernel at regular points of rigid graphs is exactly the
 rigid motions.  Everything else here (tangent bases, projectors, minimum-norm
-lifts, rank tests) is derived from R via SVD.
+lifts, rank tests) is derived from R via SVD, or via the Cholesky
+certificate of the stiffness matrix R^T R + s Q Q^T below.
 
 Every per-edge quantity goes through one edge-index record
 (:func:`_edge_index`), kept per d on the graph, or on an orientation for
@@ -21,7 +22,11 @@ Rank decisions use the relative singular-value cutoff
 maximizing the rank over a few seeded random configurations, which depend
 only on (n, d, seed).  A regular point is one where R attains the generic
 rank; :func:`_require_regular` is the single test of it, applied to the rank
-of an SVD (:func:`_regular_svd`) or of a least-squares solve.
+of an SVD (:func:`_regular_svd`) or of a least-squares solve.  From
+d*n = ``_CERTIFIED_MIN_SIZE`` on, a decision that needs the rank alone (a
+generic-rank draw, :func:`is_regular_point`, :func:`_regular_rank`) is first
+put to the Cholesky certificate below, and an SVD decides only where that
+fails.
 
 Minimum-norm lifts R^+ b come from one LAPACK least-squares call
 (:func:`_min_norm_solve`) whose singular values also give the rank under the
@@ -38,37 +43,47 @@ and directed fields skip the check, which would cost one more reduction
 per evaluation; where their squared lengths overflow they return
 non-finite values, which :func:`rigidform.simulate.integrate` rejects.
 
-From a measured size on (:mod:`rigidform.controllers`) the model field
-takes R^+ b from the stiffness matrix instead, when a Cholesky test proves
-regularity (:func:`_certified_solve`).  With Q an orthonormal basis of the
-k = d(d+1)/2 rigid motions at p (of the centred points) and
-s = tr(R^T R) / dn, let K = R^T R + s Q Q^T.  Forming K, shifting its
-diagonal and factoring it perturb it in the 2-norm by at most
-(|E| + k + dn + 3) u tr(K), u = eps / 2 (Demmel 1989; Rump, *BIT* 46,
-2006), so when the floating-point Cholesky of K - delta I succeeds with
-delta = max(2 (|E| + k + dn + 3) eps, sqrt(eps)) tr(K), the exact
-R^T R + s Q Q^T has every eigenvalue above delta / 2.  Its s Q Q^T term
-has rank k, so by interlacing sigma_g(R)^2 >= delta / 2 with
-g = dn - k = max_generic_rank(n, d) (n >= d): R has the largest rank any
-graph can have, p is regular, and no generic-rank draw is needed.  The SVD
-rule gives the same verdict: sigma_g / sigma_1 >= (sqrt(eps) / 2)^(1/2),
-about 9e-5, is above its cutoff max(|E|, dn) * SVD_RTOL for any R with
-fewer than 8e7 rows and columns, while the other k singular values are of
-the size of R's rounding.  The sqrt(eps) floor also bounds cond(R)^2 by
-2 / sqrt(eps), so the normal-equation solution with one corrected
-semi-normal step (Bjorck, *Numerical Methods for Least Squares Problems*,
-1996, 2.2) is as accurate as the least-squares solve.  A Cholesky that
-fails decides nothing, and the least-squares path runs as before: near
-rank loss, on flexible graphs, on collinear frames, or for d outside
-{1, 2, 3}.  It assumes coordinates below ``COORD_LIMIT``, checked by its
-caller, so that no product overflows, and it needs tr(R^T R) above
-1 / SQUARE_LIMIT, so that underflow stays far below delta.
+The certificate (:func:`_certify_full_rank`).  With Q an orthonormal
+basis of the k = d(d+1)/2 rigid motions at p (of the centred points,
+:func:`_motion_frame`) and s = tr(R^T R) / dn, let K = R^T R + s Q Q^T.
+Forming K, shifting its diagonal and factoring it perturb it in the 2-norm
+by at most (|E| + k + dn + 3) u tr(K), u = eps / 2 (Demmel 1989; Rump,
+*BIT* 46, 2006), that is by delta_0 / 4 with
+delta_0 = 2 (|E| + k + dn + 3) eps tr(K).  So when the floating-point
+Cholesky of K - delta I succeeds for a shift delta >= delta_0, the exact
+R^T R + s Q Q^T has every eigenvalue above delta - delta_0 / 4 >= delta / 2.
+Its s Q Q^T term is positive semidefinite of rank k, so by interlacing
+sigma_g(R)^2 >= delta / 2 with g = dn - k = max_generic_rank(n, d)
+(n >= d): R has the largest rank any graph can have, p is regular, and no
+generic-rank draw is needed.  This holds for either shift in use: a rank
+decision takes delta = delta_0, the least the argument allows, and the
+model lift delta = max(delta_0, sqrt(eps) tr(K)); each takes one Cholesky.
+The SVD rule gives the same verdict.  As sigma_1^2 <= tr(R^T R) <= tr(K),
+sigma_g / sigma_1 >= ((|E| + k + dn + 3) eps)^(1/2), about 4e-7 at
+n = 150 in the plane, which is above the cutoff max(|E|, dn) * SVD_RTOL
+for any R with fewer than 2e8 rows and columns, while the other k
+singular values are of the size of R's rounding.  So wherever the
+certificate decides, ranks, verdicts and outputs are those of the SVD.  A
+Cholesky that fails decides nothing, and the SVD or least-squares path
+runs as before: near rank loss, on flexible graphs, on collinear frames,
+or for d outside {1, 2, 3}.  The certificate assumes coordinates below
+``COORD_LIMIT``, checked by its caller, so that no product overflows, and
+it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
+below delta.
+
+From the same size on (:mod:`rigidform.controllers`) the model field takes
+R^+ b from the certificate's K instead (:func:`_certified_solve`).  The
+sqrt(eps) floor of its shift bounds cond(R)^2 by 2 / sqrt(eps), so the
+normal-equation solution with one corrected semi-normal step (Bjorck,
+*Numerical Methods for Least Squares Problems*, 1996, 2.2) is as accurate
+as the least-squares solve.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +103,20 @@ SQUARE_LIMIT = 1e150
 
 # the one coordinate bound for everything built from R (module docstring)
 COORD_LIMIT = SQUARE_LIMIT**0.5
+
+# d*n from which rank decisions and the model field's lift try the
+# Cholesky certificate (_certify_full_rank) before an SVD or least-squares
+# solve: about where the two cost the same for the lift.  Per model_field
+# call on d = 2 Henneberg formations with n/2 chords (one BLAS thread,
+# median over five formations of the best of fifteen 100-call trials),
+# least squares vs certified: d*n = 24, 115 vs 182 us; 28, 137 vs 185;
+# 32, 165 vs 180; 36, 197 vs 184; 40, 238 vs 189; 48, 350 vs 212.  A rank
+# alone breaks even sooner.  Per decision on one formation of
+# bench.inputs.rigid_formation(n, n // 2) (best of five 30-call trials),
+# singular values of R vs certificate, both from p: d*n = 24, 48 vs 52 us;
+# 28, 58 vs 52; 36, 83 vs 56; 40, 93 vs 57; 120, 1053 vs 158; 300, 11204
+# vs 1843.  The built-ins have d*n <= 12, persistence reductions d*n <= 22.
+_CERTIFIED_MIN_SIZE = 36
 
 
 class RankDeficiencyError(RuntimeError):
@@ -140,6 +169,16 @@ class _EdgeIndex:
     second: np.ndarray
     nonzeros: np.ndarray
     size: int
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """The (2, 2, |E|, d, d) flat positions in the dn x dn matrix R^T R
+        of edge k's blocks (first, first), (first, second), (second, first)
+        and (second, second), where it adds _STIFFNESS_SIGNS * D_k D_k^T."""
+        ends = np.stack((self.first, self.second))
+        at = ends[:, None, :, :, None] * self.size + ends[None, :, :, None, :]
+        at.setflags(write=False)
+        return at
 
 
 def _edge_index(graph: Graph, d: int, orientation: Orientation | None = None) -> _EdgeIndex:
@@ -219,32 +258,41 @@ def directed_rigidity_matrix(orientation: Orientation, p: Configuration) -> np.n
     return _put_blocks(*_edge_vectors(orientation.graph, p, orientation))
 
 
-def _draw_matrices(graph: Graph, d: int, seed: int):
-    """R(p) at each of the GENERIC_SAMPLES configurations a generic rank is
-    estimated at: coordinates uniform on [-1, 1], drawn from ``seed``.  The
-    draws depend on (n, d, seed) only, so a spanning subgraph's R at a draw
-    is the rows of the graph's R for the edges it keeps."""
+def _draws(graph: Graph, d: int, seed: int):
+    """The GENERIC_SAMPLES configurations a generic rank is estimated at:
+    coordinates uniform on [-1, 1], drawn from ``seed``.  They depend on
+    (n, d, seed) only, so a spanning subgraph's R at a draw is the rows of
+    the graph's R for the edges it keeps."""
     rng = np.random.default_rng(seed)
     for _ in range(GENERIC_SAMPLES):
-        yield rigidity_matrix(graph, Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d))))
+        yield Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
+
+
+def _draw_rank(graph: Graph, p: Configuration) -> int:
+    """Rank of R at a draw: max_generic_rank(n, d) when
+    :func:`_certifies_full_rank` proves it, else the SVD rank."""
+    if _certifies_full_rank(graph, p):
+        return max_generic_rank(p.n, p.d)
+    return matrix_rank(rigidity_matrix(graph, p))
 
 
 def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     """Rank of R at a generic configuration in R^d.
 
-    Estimated as the max rank over the seeded draws of
-    :func:`_draw_matrices`.  No draw can exceed the ceiling
-    min(|E|, max_generic_rank(n, d)), so the draws stop once one reaches it:
-    a generically rigid graph takes one SVD.  Deterministic per seed;
-    memoized on the graph object per (d, seed), so the memo is freed with
-    the graph.
+    Estimated as the max rank over the seeded draws of :func:`_draws`.  No
+    draw can exceed the ceiling min(|E|, max_generic_rank(n, d)), so the
+    draws stop once one reaches it: a generically rigid graph takes one
+    draw, which from d*n = ``_CERTIFIED_MIN_SIZE`` on is decided by the
+    Cholesky certificate and no SVD.  Deterministic per seed; memoized on
+    the graph object per (d, seed), so the memo is freed with the graph.
 
     With ``edges``, a sequence of edge indices, the rank is that of the
-    spanning subgraph on those edges, taken as the rows ``edges`` of the
-    graph's R at the same draws.  Those R are built once per (d, seed) and
-    kept on the graph until a subgraph is ranked at another (d, seed), so
-    ranking many subgraphs builds no graph and no R of their own and the
-    graph keeps one set of draws at most; subgraph ranks are not memoized.
+    spanning subgraph on those edges, taken as the SVD rank of the rows
+    ``edges`` of the graph's R at the same draws.  Those R are built once
+    per (d, seed) and kept on the graph until a subgraph is ranked at
+    another (d, seed), so ranking many subgraphs builds no graph and no R
+    of their own and the graph keeps one set of draws at most; subgraph
+    ranks are not memoized.
     Raises ValueError unless d is a positive integer and seed a non-negative one.
     """
     d = _require_count("dimension", d, 1)
@@ -254,18 +302,18 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
         if cached is not None:
             return cached
         ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
-        matrices = _draw_matrices(graph, d, seed)
+        ranks = (_draw_rank(graph, p) for p in _draws(graph, d, seed))
     else:
         draws = graph._draw_memo.get(key)
         if draws is None:
             graph._draw_memo.clear()
-            draws = graph._draw_memo[key] = list(_draw_matrices(graph, d, seed))
+            draws = graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
         rows = np.asarray(edges, dtype=np.intp)
         ceiling = min(rows.size, max_generic_rank(graph.n, d))
-        matrices = (R[rows] for R in draws)
+        ranks = (matrix_rank(R[rows]) for R in draws)
     best = 0
-    for R in matrices:
-        best = max(best, matrix_rank(R))
+    for r in ranks:
+        best = max(best, r)
         if best == ceiling:
             break
     if edges is None:
@@ -290,7 +338,7 @@ def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> boo
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:
     """Whether R(p) attains the graph's generic rank at this configuration."""
     try:
-        _regular_svd(graph, p, seed, compute_uv=False)
+        _regular_rank(graph, p, seed)
     except RankDeficiencyError:
         return False
     return True
@@ -344,6 +392,17 @@ def _regular_svd(graph: Graph, p: Configuration, seed: int = 0, compute_uv: bool
     return U, s, Vt, r
 
 
+def _regular_rank(graph: Graph, p: Configuration, seed: int = 0) -> int:
+    """The rank r of R(p), checked by :func:`_require_regular`:
+    max_generic_rank(n, d) with no SVD and no generic-rank draw when
+    :func:`_certifies_full_rank` proves it, otherwise that of
+    :func:`_regular_svd` without U and V."""
+    _require_coordinates(p)
+    if _certifies_full_rank(graph, p):
+        return max_generic_rank(p.n, p.d)
+    return _regular_svd(graph, p, seed, compute_uv=False)[3]
+
+
 def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """(R^+ b, rank of R) from one least-squares solve with no U or V.
 
@@ -355,43 +414,91 @@ def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return x, _rank_from_singular_values(s, R.shape)
 
 
-def _certified_solve(
-    index: _EdgeIndex, D: np.ndarray, p: Configuration, b: np.ndarray
+def _motion_frame(p: Configuration) -> np.ndarray:
+    """Orthonormal columns spanning the rigid motions at the centred points
+    of p, for d in {1, 2, 3}.  For d <= 2 in closed form: the d unit
+    translations over sqrt(n) and, for d = 2, the normalized rotation
+    (-y, x) of the centred points, orthogonal to both because the points
+    are centred.  For d = 3, the Q of a QR.  Some two points of p must
+    differ, so that the rotation is not zero."""
+    d, n = p.d, p.n
+    centred = p.points - p.points.mean(axis=0)
+    if d == 3:
+        return np.linalg.qr(rigid_motion_basis(Configuration(d, centred)))[0]
+    frame = np.zeros((n, d, d * (d + 1) // 2))
+    frame[:, np.arange(d), np.arange(d)] = 1.0 / np.sqrt(n)
+    if d == 2:
+        rotation = np.stack((-centred[:, 1], centred[:, 0]), axis=1)
+        frame[:, :, 2] = rotation / np.linalg.norm(rotation)
+    return frame.reshape(d * n, -1)
+
+
+_STIFFNESS_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
+
+
+def _certify_full_rank(
+    index: _EdgeIndex, D: np.ndarray, p: Configuration, floor: float = 0.0
 ) -> np.ndarray | None:
-    """R^+ b for the rigidity matrix R at p, given by its edge index and
-    edge vectors D, from the stiffness matrix K = R^T R + s Q Q^T when a
-    Cholesky test proves that R has rank max_generic_rank(n, d); otherwise
+    """The stiffness matrix K = R^T R + s Q Q^T of the rigidity matrix R
+    at p, given by its edge index and edge vectors D, when a Cholesky of
+    K - delta I proves that R has rank max_generic_rank(n, d); otherwise
     None, and nothing is decided.
 
-    The test, its shift delta and why it proves the rank are in the module
-    docstring.  The lift is the normal-equation solution with one corrected
-    semi-normal step.  R itself is not formed: R^T R puts each edge's
-    D_k D_k^T at its two endpoint blocks and subtracts it at the two mixed
-    ones, R x is a gather and R^T w is :func:`_transpose_apply`.  The
-    caller guarantees coordinates below ``COORD_LIMIT``.
+    delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K): a rank
+    decision takes the rounding term alone, and the model lift of
+    :func:`_certified_solve` its sqrt(eps) floor; the module docstring
+    proves both.  Q is :func:`_motion_frame`.  R itself is not formed:
+    R^T R puts each edge's D_k D_k^T at its two endpoint blocks and
+    subtracts it at the two mixed ones (``index.stiffness``).  The caller
+    guarantees coordinates below ``COORD_LIMIT``.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
     if d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d):
         return None
-    ends = np.stack((index.first, index.second))
-    at = ends[:, None, :, :, None] * size + ends[None, :, :, None, :]
-    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
-    outer = signs * (D[:, :, None] * D[:, None, :])
-    K = np.bincount(at.reshape(-1), outer.reshape(-1), minlength=size * size).reshape(size, size)
+    outer = _STIFFNESS_SIGNS * (D[:, :, None] * D[:, None, :])
+    K = np.bincount(index.stiffness.reshape(-1), outer.reshape(-1),
+                    minlength=size * size).reshape(size, size)
     trace = float(np.trace(K))
     if not trace > 1.0 / SQUARE_LIMIT:
         return None
-    Q = np.linalg.qr(rigid_motion_basis(Configuration(d, p.points - p.points.mean(axis=0))))[0]
+    Q = _motion_frame(p)
     W = np.sqrt(trace / size) * Q
     K += W @ W.T
     eps = np.finfo(float).eps
-    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * eps, np.sqrt(eps)) * float(np.trace(K))
+    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * eps, floor) * float(np.trace(K))
     shifted = K.copy()
     shifted.flat[:: size + 1] -= delta
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
+        return None
+    return K
+
+
+def _certifies_full_rank(graph: Graph, p: Configuration) -> bool:
+    """Whether a rank decision at p is taken from :func:`_certify_full_rank`
+    with no SVD: from d*n = ``_CERTIFIED_MIN_SIZE`` on, when it proves
+    full rank.  The caller guarantees coordinates below ``COORD_LIMIT``."""
+    return (p.d * p.n >= _CERTIFIED_MIN_SIZE
+            and _certify_full_rank(*_edge_vectors(graph, p), p) is not None)
+
+
+def _certified_solve(
+    index: _EdgeIndex, D: np.ndarray, p: Configuration, b: np.ndarray
+) -> np.ndarray | None:
+    """R^+ b for the rigidity matrix R at p, given by its edge index and
+    edge vectors D, when :func:`_certify_full_rank` with the sqrt(eps)
+    floor proves that R has rank max_generic_rank(n, d); otherwise None,
+    and nothing is decided.
+
+    The lift is the normal-equation solution with one corrected
+    semi-normal step on that certificate's K: R x is a gather and R^T w is
+    :func:`_transpose_apply`.  The caller guarantees coordinates below
+    ``COORD_LIMIT``.
+    """
+    K = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
+    if K is None:
         return None
     x = np.linalg.solve(K, _transpose_apply(index, D, b))
     residual = b - _rowdot(D, x[index.first] - x[index.second])

@@ -14,6 +14,7 @@ files round-trip through :func:`load_scenario` unchanged.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -79,8 +80,11 @@ def _at(where: str, build, *args, **kwargs):
 
 
 def _coordinates(raw, n: int, d: int, where: str) -> Configuration:
-    """An (n, d) configuration whose coordinates are finite and below
-    ``COORD_LIMIT`` in magnitude, the bound of everything built from R."""
+    """An (n, d) configuration whose coordinates are numbers, finite and
+    below ``COORD_LIMIT`` in magnitude, the bound of everything built from
+    R; a string such as "1" is no number, though NumPy would convert it."""
+    if _at(where, np.asarray, raw).dtype.kind in "SU":
+        raise ScenarioError(f"{where}: coordinates must be numbers, not strings")
     arr = _at(where, np.asarray, raw, dtype=float)
     if arr.shape != (n, d):
         raise ScenarioError(f"{where}: expected {n} rows of {d} coordinates, got shape {arr.shape}")
@@ -204,9 +208,9 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if not isinstance(description, str):
         raise ScenarioError(f"{where}.description: must be a string")
 
-    d = _require(doc, "dimension", where)
-    if not isinstance(d, int) or not 1 <= d <= 3:
-        raise ScenarioError(f"{where}.dimension: must be an integer in 1..3")
+    d = _at(f"{where}.dimension", _require_count, "dimension", _require(doc, "dimension", where), 1)
+    if d > 3:
+        raise ScenarioError(f"{where}.dimension: must be at most 3, got {d}")
 
     graph_doc = _require(doc, "graph", where)
     if not isinstance(graph_doc, dict):
@@ -230,14 +234,12 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     init_doc = doc.get("initial", {"seed": 0, "relative_scale": DEFAULT_RELATIVE_SCALE})
     if isinstance(init_doc, dict):
         _reject_unknown(init_doc, {"seed", "relative_scale"}, f"{where}.initial")
-        initial_seed = _require(init_doc, "seed", f"{where}.initial")
-        if not isinstance(initial_seed, int):
-            raise ScenarioError(f"{where}.initial.seed: must be an integer")
-        if initial_seed < 0:
-            raise ScenarioError(f"{where}.initial.seed: must be non-negative, got {initial_seed}")
+        initial_seed = _at(f"{where}.initial", _require_count, "seed",
+                           _require(init_doc, "seed", f"{where}.initial"), 0)
         relative_scale = init_doc.get("relative_scale", DEFAULT_RELATIVE_SCALE)
+        # an exact comparison, so that NaN, inf and an int beyond float range fail it
         if (not isinstance(relative_scale, (int, float))
-                or relative_scale <= 0 or not np.isfinite(relative_scale)):
+                or not 0 < relative_scale <= sys.float_info.max):
             raise ScenarioError(f"{where}.initial.relative_scale: must be a positive, finite number")
         relative_scale = float(relative_scale)
     else:

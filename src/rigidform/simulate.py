@@ -33,6 +33,7 @@ sample's speed is the field value the stepper yielded with its state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
@@ -47,12 +48,15 @@ RTOL_MIN = 100 * np.finfo(float).eps
 
 
 def _require_finite(config) -> None:
-    """Raise ValueError naming the first float field that is NaN or infinite
-    (a NaN passes every ``<= 0`` check)."""
+    """Raise ValueError naming the first field that is a NaN or infinite
+    float (a NaN passes every ``<= 0`` check) or an int beyond float range
+    (which no float operation takes)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{f.name} must be finite, got an integer beyond float range")
 
 
 @dataclass(frozen=True)

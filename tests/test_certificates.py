@@ -273,11 +273,13 @@ def test_component_blocks_equal_the_dense_construction():
 
 
 def test_acyclic_admissibility_takes_no_eigvals_and_no_basis(monkeypatch):
-    # the spectrum comes from symmetric vertex blocks and r from singular
-    # values alone, so no general eigensolve and no U or V is needed
+    # the spectrum comes from symmetric vertex blocks and r from the
+    # Cholesky certificate (d*n = 120), so no general eigensolve, no U or V
+    # and no SVD at all is needed
     graph, orientation, _ = _acyclic_henneberg(60, seed=3)
-    eigvals_calls, svd_uv = [], []
+    eigvals_calls, svd_uv, certified = [], [], []
     real_eigvals, real_svd = np.linalg.eigvals, np.linalg.svd
+    real_certify = rigidity_mod._certify_full_rank
 
     def eigvals(*args, **kwargs):
         eigvals_calls.append(args)
@@ -287,12 +289,19 @@ def test_acyclic_admissibility_takes_no_eigvals_and_no_basis(monkeypatch):
         svd_uv.append(compute_uv)
         return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
 
+    def certify(*args, **kwargs):
+        K = real_certify(*args, **kwargs)
+        certified.append(K is not None)
+        return K
+
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(rigidity_mod, "_certify_full_rank", certify)
     dyn, _ = admissibility(graph, "directed", orientation, 2)
     assert len(dyn.per_sample) == 5
     assert eigvals_calls == []
-    assert svd_uv and not any(svd_uv)
+    assert not any(svd_uv)
+    assert certified == [True] * 5 and svd_uv == []
 
 
 @pytest.mark.parametrize("kind", ["gradient", "model", "directed"])

@@ -34,7 +34,12 @@ from rigidform import (
 )
 
 from rigidform.certificates import _diagonal_blocks
-from rigidform.rigidity import _certified_solve, _edge_vectors, _min_norm_solve
+from rigidform.rigidity import (
+    _certified_solve,
+    _certify_full_rank,
+    _edge_vectors,
+    _min_norm_solve,
+)
 
 from conftest import random_graph, random_instance, random_orientation
 
@@ -436,6 +441,39 @@ def test_certified_lift_agrees_with_the_least_squares_rule(case):
             with pytest.raises(RankDeficiencyError) as info:
                 model_field(graph, p, m_star)
             assert info.value.rank == r
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_degenerate_frameworks())
+def test_certified_full_rank_is_the_svd_rank(case):
+    # wherever the certificate proves full rank with the rounding shift
+    # alone, the SVD rule counts max_generic_rank too; so the rank decisions
+    # routed through it, here at every size, are those of the SVD alone
+    graph, p, _ = case
+    R = rigidity_matrix(graph, p)
+    if _certify_full_rank(*_edge_vectors(graph, p), p) is not None:
+        assert matrix_rank(R) == max_generic_rank(graph.n, p.d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+        routed = generic_rank(graph, p.d), is_regular_point(graph, p)
+    svd_only = generic_rank(rigidity_mod.Graph(graph.n, graph.edges), p.d)
+    assert routed == (svd_only, matrix_rank(R) == svd_only)
+
+
+def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
+    # a certified draw reaches the ceiling and ends the generic-rank loop,
+    # and the certificate decides regularity for the model restriction
+    graph, target, _ = _rigid_formation(60, np.random.default_rng(61))
+    spec = ControllerSpec(graph, "model", distance_map(graph, target))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert generic_rank(graph, 2) == max_generic_rank(60, 2) == 117
+    assert is_regular_point(graph, target)
+    rep = restricted_sym_form(spec, target)
+    assert rep.verdict == "pass" and rep.spectrum == (1.0,) * 117
 
 
 def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):

@@ -221,7 +221,17 @@ def test_counts_and_labels_are_integers_by_name(where, value, message):
         scenario_from_dict(doc)
 
 
-_FUZZ_VALUES = (2.5, 50.0, -1, 0, "1", None, 1e308, float("nan"), [], {}, 10**6)
+@pytest.mark.parametrize("where", ["target", "initial"])
+def test_coordinate_strings_are_named(where):
+    # NumPy reads the string "1" as the number 1.0, but JSON "1" is no number
+    doc = _wheel_doc()
+    doc[where] = [list(row) for row in doc["target"]]
+    doc[where][1][0] = "1"
+    with pytest.raises(ScenarioError, match=f"^scenario[.]{where}: coordinates must be numbers, not strings$"):
+        scenario_from_dict(doc)
+
+
+_FUZZ_VALUES = (2.5, 50.0, -1, 0, "1", None, 1e308, float("nan"), [], {}, 10**6, 10**400)
 _FUZZ_KEYS = sorted({where for name in BUILTINS
                      for _, _, where in _slots(json.loads(builtin_path(name).read_text()), "scenario")})
 
@@ -231,6 +241,7 @@ _FUZZ_KEYS = sorted({where for name in BUILTINS
        st.sampled_from(_FUZZ_VALUES))
 @example("w5-undirected", "scenario.termination.window", 0, 2.5)  # once a slice TypeError
 @example("w5-undirected", "scenario.target", 1, 1e308)  # once overflow warnings
+@example("w5-undirected", "scenario.initial.relative_scale", 0, 10**400)  # once a TypeError
 def test_any_one_bad_leaf_is_named_or_runs(tmp_path_factory, name, where, slot, value):
     # one leaf, a key or a list slot anywhere, takes a value that is wrong for
     # most fields: the loader names a key, or the run ends in an exit code
@@ -290,7 +301,7 @@ def test_negative_seed_is_named():
     scn = builtin_scenario("w5-undirected")
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         scn.initial_configuration(-1)
-    with pytest.raises(ScenarioError, match=r"initial\.seed: must be non-negative, got -3"):
+    with pytest.raises(ScenarioError, match=r"initial: seed must be a non-negative integer, got -3"):
         scenario_from_dict(_wheel_doc(initial={"seed": -3}))
 
 
