@@ -20,8 +20,9 @@ built:
   sum of 2 D_k D_k^T over the edges k with tail i, block (i, head k) is
   -2 D_k D_k^T, with D_k = p_tail - p_head.  The D_k are the gather of the
   orientation's edge index (:mod:`rigidform.rigidity`), and all n diagonal
-  blocks are one ``np.bincount`` of the 2 D_k D_k^T over the tails' block
-  positions, d^2 entries per edge.  So M is block-triangular over
+  blocks are one scatter of the 2 D_k D_k^T over the tails' block
+  positions, d^2 entries per edge, by the same kernel that assembles the
+  stiffness matrix there.  So M is block-triangular over
   the strongly connected components of the digraph, and the spectrum of A
   is that of M's diagonal blocks, less the dn - r eigenvalues of least
   magnitude (the zeros that ker R contributes).  A vertex that is a component of its own
@@ -76,6 +77,7 @@ from rigidform.rigidity import (
     _edge_vectors,
     _regular_rank,
     _regular_svd,
+    _scatter_outer,
     directed_rigidity_matrix,
     is_generically_rigid,
 )
@@ -155,11 +157,11 @@ def _diagonal_blocks(orientation: Orientation, p: Configuration) -> tuple[np.nda
     the (n, d, d) diagonal blocks of M = 2 Rdir^T R, their sums over the
     edges with tail i)."""
     index, D = _edge_vectors(orientation.graph, p, orientation)
-    outer = 2.0 * D[:, :, None] * D[:, None, :]
     d = p.d
-    # outer[k, a, b] belongs at flat position (d T_k + a) d + b of the blocks
-    at = (d * index.first[:, :, None] + np.arange(d)).reshape(-1)
-    return outer, np.bincount(at, outer.reshape(-1), minlength=d * index.size).reshape(-1, d, d)
+    # 2 D_k D_k^T belongs at flat positions (d T_k + a) d + b of the blocks
+    at = d * index.first[:, :, None] + np.arange(d)
+    blocks = _scatter_outer(at, D, np.array(2.0), d * index.size).reshape(-1, d, d)
+    return 2.0 * D[:, :, None] * D[:, None, :], blocks
 
 
 def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:

@@ -24,10 +24,14 @@ matrix K = R^T R + s Q Q^T, Q the rigid motions at p, built from D on the
 same edge index: a floating-point Cholesky of K - delta I that succeeds
 proves that R has the largest rank any graph can have, so p is regular
 with no generic-rank draw, and x is the normal-equation solution with one
-corrected semi-normal step (:mod:`rigidform.rigidity` gives delta and the
-interlacing argument).  Below that size, and wherever the Cholesky fails,
-R is built from D and x comes from one least-squares solve whose singular
-values also decide regularity, so no SVD factor U or V is formed.
+corrected semi-normal step.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE`` on,
+both solves with K refine on that Cholesky factor, so the call takes one
+factorization; below it, and where the refinement stalls, they are LU
+solves with K.  :mod:`rigidform.rigidity` gives delta, the interlacing
+argument and the refinement's a-posteriori bound.  Below
+``_CERTIFIED_MIN_SIZE``, and wherever the Cholesky fails, R is built from D
+and x comes from one least-squares solve whose singular values also decide
+regularity, so no SVD factor U or V is formed.
 :func:`field_gain` gives the operator norm of the edge-to-node map.
 
 The fields do not compute the edge velocity v = 2 R(p) u: that is

@@ -51,9 +51,9 @@ by at most (|E| + k + dn + 3) u tr(K), u = eps / 2 (Demmel 1989; Rump,
 *BIT* 46, 2006), that is by delta_0 / 4 with
 delta_0 = 2 (|E| + k + dn + 3) eps tr(K).  So when the floating-point
 Cholesky of K - delta I succeeds for a shift delta >= delta_0, the exact
-R^T R + s Q Q^T has every eigenvalue above delta - delta_0 / 4 >= delta / 2.
+R^T R + s Q Q^T has every eigenvalue above delta - delta_0 / 4 >= 3 delta / 4.
 Its s Q Q^T term is positive semidefinite of rank k, so by interlacing
-sigma_g(R)^2 >= delta / 2 with g = dn - k = max_generic_rank(n, d)
+sigma_g(R)^2 >= 3 delta / 4 > delta / 2 with g = dn - k = max_generic_rank(n, d)
 (n >= d): R has the largest rank any graph can have, p is regular, and no
 generic-rank draw is needed.  This holds for either shift in use: a rank
 decision takes delta = delta_0, the least the argument allows, and the
@@ -72,15 +72,47 @@ it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
 below delta.
 
 From the same size on (:mod:`rigidform.controllers`) the model field takes
-R^+ b from the certificate's K instead (:func:`_certified_solve`).  The
-sqrt(eps) floor of its shift bounds cond(R)^2 by 2 / sqrt(eps), so the
+R^+ b from the certificate instead (:func:`_certified_solve`).  The
+sqrt(eps) floor of its shift makes lambda_min(K) >= 3 delta / 4 >=
+(3/4) sqrt(eps) tr(K), which bounds cond(R)^2 by 4 / (3 sqrt(eps)), so the
 normal-equation solution with one corrected semi-normal step (Bjorck,
-*Numerical Methods for Least Squares Problems*, 1996, 2.2) is as accurate
-as the least-squares solve.
+*Numerical Methods for Least Squares Problems*, 1996, 2.2), both solves
+with K backward stable, is as accurate as the least-squares solve.
+
+Factor once (:class:`_Certificate`).  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
+on, both solves with K run on the certificate's own factor L of
+M = K - delta I, and the certified lift takes that one factorization and no
+LU, least-squares or SVD.  K itself is not kept: K y = M y + delta y.  A
+solve of K y = c starts from y = M^-1 c and refines, y <- y + M^-1 (c - K y),
+with M^-1 applied as L^-T L^-1: L^-1 is formed once per certificate, its
+diagonal blocks by one batched inverse and the rest block row by block row
+with matrix products (:func:`_lower_inverse`).  The iteration matrix is
+-delta M^-1, which contracts by delta / (lambda_min(K) - delta) per step.
+Each step is checked a posteriori: with the residual rho computed as
+fl(c - M y - delta y), its rounding is at most
+beta = (dn + 2) eps (|c| + nu |y|), nu = ||M||_F + delta >= ||K||_2
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5), so y
+solves (K + E) y = c with ||E||_2 <= (|rho| + beta) / |y| (Rigal and
+Gaches 1967), and ||y - K^-1 c|| <= (4 / (3 delta)) (|rho| + beta).  y is
+taken once |rho| + beta <= 4 (dn + 2) eps nu |y|: E is then within the
+normwise backward error of the LU or Cholesky solve it replaces (Higham
+2002, 9.3 and 10.1), which is all the semi-normal argument above needs.  A
+residual that fails to halve before that (lambda_min(K) < 3 delta, or so
+near it that the steps stall) hands the solve to LU with K, rebuilt from M
+and K's own diagonal and bit-identical to it, which the same argument
+covers; a least-squares solve there would cost several times more.  Below
+``_FACTORED_SOLVE_MIN_SIZE`` both solves are such LU solves: there forming
+L^-1 costs more than the two solves it replaces.  Per model_field call on d = 2
+formations of bench.inputs.rigid_formation(n, n // 2) (one BLAS thread,
+median over three formations of the best of fifteen interleaved trials),
+LU vs refinement on L: d*n = 40, 125 vs 229 us; 80, 446 vs 661; 120, 476
+vs 569; 150, 1045 vs 1025; 160, 2046 vs 1843; 200, 3387 vs 2630; 240,
+4772 vs 3613; 300, 5348 vs 3511.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,6 +122,8 @@ import numpy as np
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation, _require_count
 
 SVD_RTOL = 1e-12
+
+_EPS = np.finfo(float).eps
 
 # samples drawn when estimating a generic rank; one generic sample realizes
 # the rank with probability 1, repetition guards against near-degeneracy
@@ -116,6 +150,10 @@ COORD_LIMIT = SQUARE_LIMIT**0.5
 # singular values of R vs certificate, both from p: d*n = 24, 48 vs 52 us;
 # 28, 58 vs 52; 36, 83 vs 56; 40, 93 vs 57; 120, 1053 vs 158; 300, 11204
 # vs 1843.  The built-ins have d*n <= 12, persistence reductions d*n <= 22.
+# The lift column stands with the factored solve: below
+# _FACTORED_SOLVE_MIN_SIZE the certified lift is bit-identical to the one
+# measured here, and at d*n = 40 it took 116 us against 118 before (best of
+# thirty interleaved 100-call trials, one formation), so the constant stays.
 _CERTIFIED_MIN_SIZE = 36
 
 
@@ -171,14 +209,23 @@ class _EdgeIndex:
     size: int
 
     @cached_property
-    def stiffness(self) -> np.ndarray:
-        """The (2, 2, |E|, d, d) flat positions in the dn x dn matrix R^T R
-        of edge k's blocks (first, first), (first, second), (second, first)
-        and (second, second), where it adds _STIFFNESS_SIGNS * D_k D_k^T."""
+    def stiffness(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where R^T R lives in the flat dn x dn matrix: (touched, slot,
+        diagonal).  ``touched`` holds, sorted, the distinct flat positions
+        of the dn diagonal entries and of edge k's blocks (first, first),
+        (first, second), (second, first) and (second, second), where R^T R
+        adds _STIFFNESS_SIGNS * D_k D_k^T; ``slot`` (2, 2, |E|, d, d) and
+        ``diagonal`` (dn,) index those block entries and the diagonal, in
+        order, into ``touched``."""
         ends = np.stack((self.first, self.second))
         at = ends[:, None, :, :, None] * self.size + ends[None, :, :, None, :]
-        at.setflags(write=False)
-        return at
+        diagonal = np.arange(self.size) * (self.size + 1)
+        touched, slot = np.unique(np.concatenate((diagonal, at.reshape(-1))), return_inverse=True)
+        slot = slot.reshape(-1)
+        plan = touched, slot[self.size:].reshape(at.shape), slot[: self.size]
+        for a in plan:
+            a.setflags(write=False)
+        return plan
 
 
 def _edge_index(graph: Graph, d: int, orientation: Orientation | None = None) -> _EdgeIndex:
@@ -222,6 +269,16 @@ def _put_blocks(index: _EdgeIndex, *blocks: np.ndarray) -> np.ndarray:
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (|E|, d) arrays."""
     return (a * b).sum(axis=1)
+
+
+def _scatter_outer(at: np.ndarray, D: np.ndarray, scale: np.ndarray, bins: int) -> np.ndarray:
+    """The one scatter of matrix-weighted Laplacian terms c D_k D_k^T: the
+    ``np.bincount``, ``bins`` long, of the products (c D_k) D_k^T over the
+    flat positions or slots ``at``, of shape scale.shape + (|E|, d, d),
+    where c runs over ``scale``.  Each position sums its terms in edge
+    order, as ``np.add.at`` does, so every sum and sign bit is the same."""
+    outer = (scale[..., None, None] * D)[..., :, None] * D[:, None, :]
+    return np.bincount(at.reshape(-1), outer.reshape(-1), minlength=bins)
 
 
 def _transpose_apply(index: _EdgeIndex, D: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -422,58 +479,148 @@ def _motion_frame(p: Configuration) -> np.ndarray:
     are centred.  For d = 3, the Q of a QR.  Some two points of p must
     differ, so that the rotation is not zero."""
     d, n = p.d, p.n
-    centred = p.points - p.points.mean(axis=0)
+    centred = p.points - p.points.sum(axis=0) / n
     if d == 3:
         return np.linalg.qr(rigid_motion_basis(Configuration(d, centred)))[0]
     frame = np.zeros((n, d, d * (d + 1) // 2))
-    frame[:, np.arange(d), np.arange(d)] = 1.0 / np.sqrt(n)
+    for a in range(d):
+        frame[:, a, a] = 1.0 / math.sqrt(n)
     if d == 2:
-        rotation = np.stack((-centred[:, 1], centred[:, 0]), axis=1)
-        frame[:, :, 2] = rotation / np.linalg.norm(rotation)
+        rotation = frame[:, :, 2]
+        rotation[:, 0] = -centred[:, 1]
+        rotation[:, 1] = centred[:, 0]
+        rotation /= np.linalg.norm(rotation)
     return frame.reshape(d * n, -1)
 
 
-_STIFFNESS_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
+_STIFFNESS_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+# the widest diagonal block of L that _lower_inverse inverts directly
+_INVERSE_BLOCK = 32
+
+# d*n from which _Certificate.solve refines on L instead of solving with K
+# by LU: about where the two cost the same (table in the module docstring)
+_FACTORED_SOLVE_MIN_SIZE = 160
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower-triangular L, block row by block row: the diagonal
+    blocks, at most ``_INVERSE_BLOCK`` wide, from one batched inverse (the
+    last padded with the identity), and left of block (i, i)
+    -L_ii^-1 L_i,<i (L^-1)_<i,<i."""
+    size = L.shape[0]
+    count = -(-size // _INVERSE_BLOCK)
+    width = -(-size // count)
+    spans = [(start, min(start + width, size)) for start in range(0, size, width)]
+    stack = np.zeros((count, width, width))
+    stack[:, np.arange(width), np.arange(width)] = 1.0
+    for block, (start, stop) in zip(stack, spans):
+        block[: stop - start, : stop - start] = L[start:stop, start:stop]
+    X = np.zeros_like(L)
+    for inverse, (start, stop) in zip(np.linalg.inv(stack), spans):
+        diagonal = inverse[: stop - start, : stop - start]
+        X[start:stop, start:stop] = diagonal
+        if start:
+            X[start:stop, :start] = -(diagonal @ (L[start:stop, :start] @ X[:start, :start]))
+    return X
+
+
+@dataclass(frozen=True, eq=False)
+class _Certificate:
+    """A successful certificate: the Cholesky factor ``L`` of the shifted
+    stiffness matrix ``M`` = K - ``delta`` I, which is kept in place of K,
+    and K's own ``diagonal``.  :meth:`solve` solves with K."""
+
+    M: np.ndarray = field(repr=False)
+    L: np.ndarray = field(repr=False)
+    delta: float
+    diagonal: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return _lower_inverse(self.L)
+
+    @cached_property
+    def _scale(self) -> float:
+        """||M||_F + delta, at least ||K||_2 and || |M| ||_2 + delta."""
+        return float(np.linalg.norm(self.M)) + self.delta
+
+    @cached_property
+    def _stiffness(self) -> np.ndarray:
+        K = self.M.copy()
+        K.flat[:: K.shape[0] + 1] = self.diagonal
+        return K
+
+    def substitute(self, c: np.ndarray) -> np.ndarray:
+        """M^-1 c, as L^-T (L^-1 c)."""
+        X = self._inverse
+        return X.T @ (X @ c)
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """K^-1 c, backward stable.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
+        on, refined from :meth:`substitute` until the module docstring's
+        a-posteriori test shows it backward stable, as long as each step at
+        least halves the residual; otherwise, and below that size, by LU
+        with K."""
+        M, delta = self.M, self.delta
+        if M.shape[0] >= _FACTORED_SOLVE_MIN_SIZE:
+            scale = self._scale
+            rounding = (M.shape[0] + 2) * _EPS
+            c_norm = math.sqrt(c @ c)
+            y = self.substitute(c)
+            last = math.inf
+            while True:
+                residual = c - M @ y
+                residual -= delta * y
+                r_norm, y_norm = math.sqrt(residual @ residual), math.sqrt(y @ y)
+                if r_norm + rounding * (c_norm + scale * y_norm) <= 4.0 * rounding * scale * y_norm:
+                    return y
+                if not r_norm <= 0.5 * last:
+                    break
+                last = r_norm
+                y += self.substitute(residual)
+        return np.linalg.solve(self._stiffness, c)
 
 
 def _certify_full_rank(
     index: _EdgeIndex, D: np.ndarray, p: Configuration, floor: float = 0.0
-) -> np.ndarray | None:
-    """The stiffness matrix K = R^T R + s Q Q^T of the rigidity matrix R
-    at p, given by its edge index and edge vectors D, when a Cholesky of
-    K - delta I proves that R has rank max_generic_rank(n, d); otherwise
-    None, and nothing is decided.
+) -> _Certificate | None:
+    """The certificate that the rigidity matrix R at p, given by its edge
+    index and edge vectors D, has rank max_generic_rank(n, d): the
+    :class:`_Certificate` of K = R^T R + s Q Q^T when a Cholesky of
+    K - delta I succeeds; otherwise None, and nothing is decided.
 
     delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K): a rank
     decision takes the rounding term alone, and the model lift of
     :func:`_certified_solve` its sqrt(eps) floor; the module docstring
     proves both.  Q is :func:`_motion_frame`.  R itself is not formed:
     R^T R puts each edge's D_k D_k^T at its two endpoint blocks and
-    subtracts it at the two mixed ones (``index.stiffness``).  The caller
-    guarantees coordinates below ``COORD_LIMIT``.
+    subtracts it at the two mixed ones, summed by :func:`_scatter_outer`
+    over the distinct positions ``index.stiffness`` and added to
+    s Q Q^T, which is the one dense matrix formed; the shift is taken in
+    place.  The caller guarantees coordinates below ``COORD_LIMIT``.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
     if d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d):
         return None
-    outer = _STIFFNESS_SIGNS * (D[:, :, None] * D[:, None, :])
-    K = np.bincount(index.stiffness.reshape(-1), outer.reshape(-1),
-                    minlength=size * size).reshape(size, size)
-    trace = float(np.trace(K))
+    touched, slot, diagonal = index.stiffness
+    sums = _scatter_outer(slot, D, _STIFFNESS_SIGNS, touched.size)
+    trace = float(sums[diagonal].sum())
     if not trace > 1.0 / SQUARE_LIMIT:
         return None
     Q = _motion_frame(p)
     W = np.sqrt(trace / size) * Q
-    K += W @ W.T
-    eps = np.finfo(float).eps
-    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * eps, floor) * float(np.trace(K))
-    shifted = K.copy()
-    shifted.flat[:: size + 1] -= delta
+    M = W @ W.T
+    M.reshape(-1)[touched] += sums
+    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * float(np.trace(M))
+    diagonal = M.diagonal().copy()
+    M.flat[:: size + 1] -= delta
     try:
-        np.linalg.cholesky(shifted)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return None
-    return K
+    return _Certificate(M, L, delta, diagonal)
 
 
 def _certifies_full_rank(graph: Graph, p: Configuration) -> bool:
@@ -493,16 +640,17 @@ def _certified_solve(
     and nothing is decided.
 
     The lift is the normal-equation solution with one corrected
-    semi-normal step on that certificate's K: R x is a gather and R^T w is
-    :func:`_transpose_apply`.  The caller guarantees coordinates below
-    ``COORD_LIMIT``.
+    semi-normal step, both solves with K taken by
+    :meth:`_Certificate.solve`: R x is a gather and R^T w is
+    :func:`_transpose_apply`.  The caller guarantees
+    coordinates below ``COORD_LIMIT``.
     """
-    K = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
-    if K is None:
+    certificate = _certify_full_rank(index, D, p, math.sqrt(_EPS))
+    if certificate is None:
         return None
-    x = np.linalg.solve(K, _transpose_apply(index, D, b))
+    x = certificate.solve(_transpose_apply(index, D, b))
     residual = b - _rowdot(D, x[index.first] - x[index.second])
-    return x + np.linalg.solve(K, _transpose_apply(index, D, residual))
+    return x + certificate.solve(_transpose_apply(index, D, residual))
 
 
 def tangent_basis(graph: Graph, p: Configuration) -> TangentBasis:

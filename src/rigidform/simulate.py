@@ -33,6 +33,7 @@ sample's speed is the field value the stepper yielded with its state.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -48,11 +49,16 @@ RTOL_MIN = 100 * np.finfo(float).eps
 
 
 def _require_finite(config) -> None:
-    """Raise ValueError naming the first field that is a NaN or infinite
-    float (a NaN passes every ``<= 0`` check) or an int beyond float range
-    (which no float operation takes)."""
+    """Raise ValueError naming the first field that is annotated ``float``
+    but holds no real number (a string, a bool, or None where None is not
+    allowed), that is a NaN or infinite float (a NaN passes every ``<= 0``
+    check), or that is an int beyond float range (which no float operation
+    takes)."""
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type.startswith("float") and not (value is None and f.type.endswith("None")):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
         if isinstance(value, int) and not abs(value) <= sys.float_info.max:

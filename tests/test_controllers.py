@@ -415,6 +415,21 @@ def test_certified_lift_agrees_with_the_least_squares_rule(case):
     # where the Cholesky certificate is issued the SVD rule finds the largest
     # rank and the lift is the least-squares one; where it is not, the model
     # field raises or returns exactly what the least-squares path does
+    _check_certified_lift(case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_degenerate_frameworks())
+def test_factored_lift_agrees_with_the_least_squares_rule(case):
+    # the same with both solves with K refined on the certificate's factor,
+    # as from _FACTORED_SOLVE_MIN_SIZE on; where the refinement stalls,
+    # LU with K takes over
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity_mod, "_FACTORED_SOLVE_MIN_SIZE", 0)
+        _check_certified_lift(case)
+
+
+def _check_certified_lift(case):
     graph, p, target = case
     R = rigidity_matrix(graph, p)
     m_star = distance_map(graph, target)
@@ -476,16 +491,72 @@ def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
     assert rep.verdict == "pass" and rep.spectrum == (1.0,) * 117
 
 
-def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
-    graph, target, p = _rigid_formation(60, np.random.default_rng(60))
+def _certified_lift_calls(monkeypatch, n):
+    """The np.linalg calls of one model_field call on a rigid formation of
+    n vertices, which must take no lstsq, SVD or generic-rank draw."""
+    graph, target, p = _rigid_formation(n, np.random.default_rng(n))
     m_star = distance_map(graph, target)
+    calls = []
 
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return call
 
+    def count(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(np.linalg, "lstsq", refuse("lstsq"))
     monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
     monkeypatch.setattr(rigidity_mod, "generic_rank", refuse("generic_rank"))
-    assert model_field(graph, p, m_star).shape == (120,)
+    for name in ("cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, count(name))
+    assert model_field(graph, p, m_star).shape == (2 * n,)
+    return calls
+
+
+def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
+    # below _FACTORED_SOLVE_MIN_SIZE both solves with K are LU solves
+    assert 120 < rigidity_mod._FACTORED_SOLVE_MIN_SIZE
+    assert _certified_lift_calls(monkeypatch, 60) == ["cholesky", "solve", "solve"]
+
+
+def test_certified_lift_at_n150_factors_once(monkeypatch):
+    # one Cholesky, one batched inverse of its diagonal blocks, no dense solve
+    assert 300 >= rigidity_mod._FACTORED_SOLVE_MIN_SIZE
+    assert _certified_lift_calls(monkeypatch, 150) == ["cholesky", "inv"]
+
+
+def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
+    # a flat triangle, certified, with lambda_min(K) / delta between 1 and 2:
+    # the refinement's iteration matrix -delta M^-1 has spectral radius
+    # delta / (lambda_min - delta) > 1, so the residual grows, both solves
+    # with K fall to LU, and the lift is bit for bit the LU-only one
+    graph = build_graph(3, [(1, 2), (1, 3), (2, 3)])
+    p = Configuration(2, [[0.0, 0.0], [1.0, 0.0], [0.5, 2e-4]])
+    m_star = Measurement([1.0, 1.0, 1.0])
+    index, D = _edge_vectors(graph, p)
+    certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
+    assert certificate is not None
+    ratio = (np.linalg.eigvalsh(certificate.M)[0] + certificate.delta) / certificate.delta
+    assert 1.0 < ratio < 2.0
+    e = m_star.values - distance_map(graph, p).values
+    lu_only = _certified_solve(index, D, p, e)
+    monkeypatch.setattr(rigidity_mod, "_FACTORED_SOLVE_MIN_SIZE", 0)
+    solves, substitutions = [], []
+    real_solve, real_substitute = np.linalg.solve, rigidity_mod._Certificate.substitute
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
+    monkeypatch.setattr(rigidity_mod._Certificate, "substitute",
+                        lambda self, c: substitutions.append(1) or real_substitute(self, c))
+    x = _certified_solve(index, D, p, e)
+    assert len(solves) == 2 and len(substitutions) >= 2
+    assert np.array_equal(x, lu_only)
+    monkeypatch.setattr(controllers_mod, "_CERTIFIED_MIN_SIZE", 0)
+    assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
+    ref, r = _min_norm_solve(rigidity_matrix(graph, p), e)
+    assert r == 3 and np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)

@@ -1,6 +1,6 @@
 """Closed-loop integration: convergence, termination, energy, decay fits."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from rigidform import (
     integrate,
     linearized_edge_matrix,
 )
-from rigidform.scenarios import builtin_scenario
+from rigidform.scenarios import ScenarioError, builtin_scenario, scenario_from_dict
 
 PAIR = build_graph(2, [(1, 2)])
 
@@ -365,3 +365,24 @@ def test_directed_rate_respects_spectral_bound():
     rate = decay_rate(traj)
     slowest = min(z.real for z in linearized_edge_matrix(spec, scn.target).spectrum)
     assert rate >= 0.5 * slowest
+
+
+# every number field of both settings classes, with a string and with None
+# (None is dt_init's default, so not a bad value there)
+_NON_NUMBERS = [(cls, f.name, value) for cls in (IntegratorConfig, TerminationCriteria)
+                for f in fields(cls) if f.type.startswith("float")
+                for value in ("1", None) if not (value is None and f.name == "dt_init")]
+
+
+@pytest.mark.parametrize("cls, name, value", _NON_NUMBERS,
+                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in _NON_NUMBERS])
+def test_non_number_settings_are_named(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        cls(**{name: value})
+
+
+def test_scenario_integrator_string_names_its_key():
+    doc = builtin_scenario("w5-undirected").to_dict()
+    doc["integrator"]["t_max"] = "1"
+    with pytest.raises(ScenarioError, match="^scenario[.]integrator: t_max must be a real number, got '1'$"):
+        scenario_from_dict(doc)
