@@ -21,13 +21,13 @@ built:
   -2 D_k D_k^T, with D_k = p_tail - p_head.  The D_k are the gather of the
   orientation's edge index (:mod:`rigidform.rigidity`), and all n diagonal
   blocks are one scatter of the 2 D_k D_k^T over the tails' block
-  positions, d^2 entries per edge, by the same kernel that assembles the
-  stiffness matrix there.  So M is block-triangular over
-  the strongly connected components of the digraph, and the spectrum of A
-  is that of M's diagonal blocks, less the dn - r eigenvalues of least
-  magnitude (the zeros that ker R contributes).  A vertex that is a component of its own
-  has a symmetric d x d block, and all of them take one batched symmetric
-  eigensolve; each larger component c takes one general eigensolve of its
+  positions, by the kernel ``rigidity._tail_blocks``.  So M is
+  block-triangular over the strongly connected components of the digraph,
+  and the spectrum of A is that of M's diagonal blocks, less the dn - r
+  eigenvalues of least magnitude (the zeros that ker R contributes).  A
+  vertex that is a component of its own has a symmetric d x d block, and
+  all of them take one batched symmetric eigensolve; each larger
+  component c takes one general eigensolve of its
   own d|c| x d|c| block, built from its vertex blocks and the edges with
   both ends in c, so the whole dn x dn M is never formed.  A itself, and
   the U and V it is built from, are formed only for the certificate's
@@ -35,11 +35,10 @@ built:
 
 Where A needs r alone (model, and directed without A or its symmetric part,
 as in every admissibility sample), the regularity decision and r come from
-:func:`rigidform.rigidity._regular_rank`.  From d*n = its
-``_CERTIFIED_MIN_SIZE`` on, the Cholesky certificate of the stiffness
-matrix proves r = max_generic_rank(n, d) with no SVD and no generic-rank
-draw; the singular values decide where it does not.  The gradient A reads
-the singular values themselves.
+:func:`rigidform.rigidity._regular_rank`, which takes them from the
+Cholesky certificate where :mod:`rigidform.rigidity` issues it, with no SVD
+and no generic-rank draw.  The gradient A reads the singular values
+themselves.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -77,7 +76,7 @@ from rigidform.rigidity import (
     _edge_vectors,
     _regular_rank,
     _regular_svd,
-    _scatter_outer,
+    _tail_blocks,
     directed_rigidity_matrix,
     is_generically_rigid,
 )
@@ -156,12 +155,7 @@ def _diagonal_blocks(orientation: Orientation, p: Configuration) -> tuple[np.nda
     """(the (|E|, d, d) stack of 2 D_k D_k^T, with D_k = p_tail - p_head;
     the (n, d, d) diagonal blocks of M = 2 Rdir^T R, their sums over the
     edges with tail i)."""
-    index, D = _edge_vectors(orientation.graph, p, orientation)
-    d = p.d
-    # 2 D_k D_k^T belongs at flat positions (d T_k + a) d + b of the blocks
-    at = d * index.first[:, :, None] + np.arange(d)
-    blocks = _scatter_outer(at, D, np.array(2.0), d * index.size).reshape(-1, d, d)
-    return 2.0 * D[:, :, None] * D[:, None, :], blocks
+    return _tail_blocks(*_edge_vectors(orientation.graph, p, orientation))
 
 
 def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:

@@ -13,26 +13,17 @@ the fields return the flat u and nothing else:
   so information flow is one-way and the flow is no longer a gradient.
 
 The gradient and directed fields never build R.  Both run on the edge
-index of :mod:`rigidform.rigidity`, the flat positions in vec(p) of each
-edge's endpoint blocks: R^T e is the ``np.bincount`` of e_k D_k over the
-first endpoints' positions less that over the second's, and Rdir^T e the
-one ``np.bincount`` of e_k (p_t - p_h) over the tails' positions.  The
-model field gathers D once and takes u = x / 2 with x = R^+ (m* - m).
-From d*n = ``_CERTIFIED_MIN_SIZE`` on (:mod:`rigidform.rigidity`, whose
-rank decisions share it), x comes first from the stiffness
-matrix K = R^T R + s Q Q^T, Q the rigid motions at p, built from D on the
-same edge index: a floating-point Cholesky of K - delta I that succeeds
-proves that R has the largest rank any graph can have, so p is regular
-with no generic-rank draw, and x is the normal-equation solution with one
-corrected semi-normal step.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE`` on,
-both solves with K refine on that Cholesky factor, so the call takes one
-factorization; below it, and where the refinement stalls, they are LU
-solves with K.  :mod:`rigidform.rigidity` gives delta, the interlacing
-argument and the refinement's a-posteriori bound.  Below
-``_CERTIFIED_MIN_SIZE``, and wherever the Cholesky fails, R is built from D
-and x comes from one least-squares solve whose singular values also decide
-regularity, so no SVD factor U or V is formed.
-:func:`field_gain` gives the operator norm of the edge-to-node map.
+index of :mod:`rigidform.rigidity`: R^T e and Rdir^T e are its kernels
+``_transpose_apply`` and ``_tail_apply`` on the gathered edge vectors D.
+The model field gathers D once and takes u = x / 2 from the one regular
+lift x = R^+ (m* - m) of ``rigidity._regular_lift``: the Cholesky
+certificate of the stiffness matrix where it is issued, else one
+least-squares solve.  :mod:`rigidform.rigidity` holds the size rule, the
+proof and the accuracy argument of both.  :func:`field_gain` gives the
+operator norm of the edge-to-node map.  The gather raises
+:class:`~rigidform.rigidity.RankDeficiencyError` at coordinates that are
+not finite or reach ``COORD_LIMIT``, so every field, :func:`field_gain`
+and :func:`eta_matrix` do.
 
 The fields do not compute the edge velocity v = 2 R(p) u: that is
 eta (m* - m), from :func:`eta_matrix`, whose restriction to the achievable
@@ -47,15 +38,11 @@ import numpy as np
 
 from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
-    _CERTIFIED_MIN_SIZE,
-    _certified_solve,
     _edge_vectors,
-    _min_norm_solve,
+    _regular_lift,
     _regular_svd,
-    _require_coordinates,
-    _require_regular,
-    _put_blocks,
     _rowdot,
+    _tail_apply,
     _transpose_apply,
     directed_rigidity_matrix,
     distance_map,
@@ -113,14 +100,8 @@ def model_field(
     graph's generic rank, where the projector stops tracking the feasible
     set and integration should abort.
     """
-    _require_coordinates(p)
     index, D = _edge_vectors(graph, p)
-    e = m_star.values - _rowdot(D, D)
-    x = _certified_solve(index, D, p, e) if index.size >= _CERTIFIED_MIN_SIZE else None
-    if x is None:
-        x, r = _min_norm_solve(_put_blocks(index, D, -D), e)
-        _require_regular(graph, p.d, r, seed)
-    return 0.5 * x
+    return 0.5 * _regular_lift(graph, index, D, p, m_star.values - _rowdot(D, D), seed)
 
 
 def directed_field(
@@ -129,8 +110,7 @@ def directed_field(
     """One-way variant of the gradient field: per edge, only the tail moves."""
     # D_k = p_tail - p_head is +-(p_i - p_j), so its squared norm is exact
     index, D = _edge_vectors(orientation.graph, p, orientation)
-    pull = (m_star.values - _rowdot(D, D))[:, None] * D
-    return np.bincount(index.first.reshape(-1), pull.reshape(-1), minlength=index.size)
+    return _tail_apply(index, D, m_star.values - _rowdot(D, D))
 
 
 def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndarray:
@@ -150,7 +130,6 @@ def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     if spec.kind == "model":
         _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
         return 0.5 / float(s[r - 1])
-    _require_coordinates(p)
     if spec.kind == "directed":
         R = directed_rigidity_matrix(spec.orientation, p)
     else:
@@ -171,7 +150,6 @@ def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndar
         U, _, _, r = _regular_svd(spec.graph, p, seed)
         P = U[:, :r]
         return P @ P.T
-    _require_coordinates(p)
     R = rigidity_matrix(spec.graph, p)
     if spec.kind == "gradient":
         return 2.0 * (R @ R.T)

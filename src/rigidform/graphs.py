@@ -48,13 +48,33 @@ def _strong_components(n: int, tails: np.ndarray, heads: np.ndarray):
 class Graph:
     """Undirected graph with a canonical edge order.
 
-    ``edges`` holds 0-based pairs (i, j), i < j, sorted lexicographically
-    with no duplicates.  Use :func:`build_graph` to construct one from
-    1-based vertex labels.
+    ``edges`` holds 0-based pairs (i, j), 0 <= i < j < n, strictly
+    increasing in lexicographic order, so with no duplicates; anything
+    else, or an ``n`` that is not an integer of at least 2, raises
+    ValueError.  Use :func:`build_graph` to construct one from 1-based
+    vertex labels in any order.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        n = _require_count("vertex count", self.n, 2)
+        if not isinstance(self.edges, (tuple, list)):
+            raise ValueError(f"edges must be a tuple of pairs, got {self.edges!r}")
+        pairs, previous = [], (-1, -1)
+        for edge in self.edges:
+            pair = ()
+            if isinstance(edge, (tuple, list)) and len(edge) == 2:
+                pair = tuple(_require_count("edge endpoint", v, 0) for v in edge)
+            if not (pair and previous < pair and pair[0] < pair[1] < n):
+                raise ValueError(
+                    f"edge {edge!r} is not canonical: edges are pairs (i, j) with "
+                    f"0 <= i < j < {n}, in strictly increasing order")
+            pairs.append(pair)
+            previous = pair
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(pairs))
 
     @property
     def num_edges(self) -> int:

@@ -14,34 +14,36 @@ Every per-edge quantity goes through one edge-index record
 its (tail, head) arrows: the flat positions in vec(p) of each edge's two
 endpoint blocks, and the flat positions of R's nonzeros.  The edge vectors
 are one gather D = x[first] - x[second] over x = vec(p); R and Rdir are
-zeros with D (and -D) put at their nonzeros; and R^T e, Rdir^T e are
-``np.bincount`` sums over the same positions, which add in edge order.
+zeros with D (and -D) put at their nonzeros; and R^T e, Rdir^T e and the
+tail blocks of 2 Rdir^T R are ``np.bincount`` sums over the same
+positions, which add in edge order.  No other module reads the index.
 
 Rank decisions use the relative singular-value cutoff
 ``sigma > sigma_max * max(shape) * SVD_RTOL``; generic ranks are estimated by
 maximizing the rank over a few seeded random configurations, which depend
 only on (n, d, seed).  A regular point is one where R attains the generic
 rank; :func:`_require_regular` is the single test of it, applied to the rank
-of an SVD (:func:`_regular_svd`) or of a least-squares solve.  From
-d*n = ``_CERTIFIED_MIN_SIZE`` on, a decision that needs the rank alone (a
-generic-rank draw, :func:`is_regular_point`, :func:`_regular_rank`) is first
-put to the Cholesky certificate below, and an SVD decides only where that
-fails.
+of an SVD (:func:`_regular_svd`), of :func:`_rank` or of a least-squares
+solve.  A rank of max_generic_rank(n, d) is the largest any graph can have,
+so it is the generic rank and takes no generic-rank draw.  :func:`_rank`
+is the one rank rule where the rank alone is needed (the generic-rank
+draws, :func:`is_regular_point`, :func:`_regular_rank`): max_generic_rank
+when the Cholesky certificate below proves it, else the SVD rule.
 
 Minimum-norm lifts R^+ b come from one LAPACK least-squares call
 (:func:`_min_norm_solve`) whose singular values also give the rank under the
 same cutoff, so no U or V factor is formed; the full SVD of :func:`_svd` is
-kept for what needs a basis.
+kept for what needs a basis.  :func:`_regular_lift`, the model field's
+lift, takes R^+ b from the certificate where it is issued and from that
+least-squares call elsewhere.
 
 ``COORD_LIMIT`` = SQUARE_LIMIT^(1/2) = 1e75 is the one coordinate bound for
 everything built from R: below it R, the squared edge lengths and R^T R
 are finite.  A configuration with a NaN or infinite coordinate, or one of
-magnitude ``COORD_LIMIT`` or more, is not a regular point:
-:func:`_require_coordinates` raises :class:`RankDeficiencyError` before R
-reaches LAPACK, which may not return on a non-finite matrix.  The gradient
-and directed fields skip the check, which would cost one more reduction
-per evaluation; where their squared lengths overflow they return
-non-finite values, which :func:`rigidform.simulate.integrate` rejects.
+magnitude ``COORD_LIMIT`` or more, is not a regular point: the gather
+:func:`_edge_vectors`, which everything built from R starts with, raises
+:class:`RankDeficiencyError` before a product can overflow or R reach
+LAPACK, which may not return on a non-finite matrix.
 
 The certificate (:func:`_certify_full_rank`).  With Q an orthonormal
 basis of the k = d(d+1)/2 rigid motions at p (of the centred points,
@@ -58,6 +60,8 @@ sigma_g(R)^2 >= 3 delta / 4 > delta / 2 with g = dn - k = max_generic_rank(n, d)
 generic-rank draw is needed.  This holds for either shift in use: a rank
 decision takes delta = delta_0, the least the argument allows, and the
 model lift delta = max(delta_0, sqrt(eps) tr(K)); each takes one Cholesky.
+The certificate is tried from d*n = ``_CERTIFIED_MIN_SIZE`` on, a rule
+that :func:`_certify_full_rank` applies itself, so its callers share it.
 The SVD rule gives the same verdict.  As sigma_1^2 <= tr(R^T R) <= tr(K),
 sigma_g / sigma_1 >= ((|E| + k + dn + 3) eps)^(1/2), about 4e-7 at
 n = 150 in the plane, which is above the cutoff max(|E|, dn) * SVD_RTOL
@@ -67,12 +71,12 @@ certificate decides, ranks, verdicts and outputs are those of the SVD.  A
 Cholesky that fails decides nothing, and the SVD or least-squares path
 runs as before: near rank loss, on flexible graphs, on collinear frames,
 or for d outside {1, 2, 3}.  The certificate assumes coordinates below
-``COORD_LIMIT``, checked by its caller, so that no product overflows, and
-it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
+``COORD_LIMIT``, checked by the gather of D, so that no product overflows,
+and it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
 below delta.
 
-From the same size on (:mod:`rigidform.controllers`) the model field takes
-R^+ b from the certificate instead (:func:`_certified_solve`).  The
+Where the certificate is issued, the model field's lift takes R^+ b from
+it (:func:`_certified_solve`).  The
 sqrt(eps) floor of its shift makes lambda_min(K) >= 3 delta / 4 >=
 (3/4) sqrt(eps) tr(K), which bounds cond(R)^2 by 4 / (3 sqrt(eps)), so the
 normal-equation solution with one corrected semi-normal step (Bjorck,
@@ -249,10 +253,16 @@ def _edge_vectors(
     graph: Graph, p: Configuration, orientation: Orientation | None = None
 ) -> tuple[_EdgeIndex, np.ndarray]:
     """(the edge index, D): row k of D is p_i - p_j for edge k = {i, j},
-    i < j, or p_tail - p_head given ``orientation``."""
+    i < j, or p_tail - p_head given ``orientation``.  Raises
+    :class:`RankDeficiencyError` unless every coordinate of p is finite
+    and below ``COORD_LIMIT``."""
     _check_dims(graph, p)
     index = _edge_index(graph, p.d, orientation)
     x = p.points.reshape(-1)
+    if not np.abs(x).max() < COORD_LIMIT:  # False for NaN too
+        if not np.isfinite(x).all():
+            raise RankDeficiencyError("configuration is not finite")
+        raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R^T R would overflow")
     return index, x[index.first] - x[index.second]
 
 
@@ -271,14 +281,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=1)
 
 
-def _scatter_outer(at: np.ndarray, D: np.ndarray, scale: np.ndarray, bins: int) -> np.ndarray:
-    """The one scatter of matrix-weighted Laplacian terms c D_k D_k^T: the
-    ``np.bincount``, ``bins`` long, of the products (c D_k) D_k^T over the
-    flat positions or slots ``at``, of shape scale.shape + (|E|, d, d),
-    where c runs over ``scale``.  Each position sums its terms in edge
-    order, as ``np.add.at`` does, so every sum and sign bit is the same."""
+def _scatter_outer(
+    at: np.ndarray, D: np.ndarray, scale: np.ndarray, bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one scatter of matrix-weighted Laplacian terms c D_k D_k^T:
+    (the products (c D_k) D_k^T, of shape scale.shape + (|E|, d, d), where
+    c runs over ``scale``; their ``np.bincount``, ``bins`` long, over the
+    flat positions or slots ``at`` of the same shape).  Each position sums
+    its terms in edge order, as ``np.add.at`` does, so every sum and sign
+    bit is the same."""
     outer = (scale[..., None, None] * D)[..., :, None] * D[:, None, :]
-    return np.bincount(at.reshape(-1), outer.reshape(-1), minlength=bins)
+    return outer, np.bincount(at.reshape(-1), outer.reshape(-1), minlength=bins)
 
 
 def _transpose_apply(index: _EdgeIndex, D: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -288,6 +301,24 @@ def _transpose_apply(index: _EdgeIndex, D: np.ndarray, w: np.ndarray) -> np.ndar
     pull = (w[:, None] * D).reshape(-1)
     return (np.bincount(index.first.reshape(-1), pull, minlength=index.size)
             - np.bincount(index.second.reshape(-1), pull, minlength=index.size))
+
+
+def _tail_apply(index: _EdgeIndex, D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rdir^T w for the Rdir that an orientation's ``index`` and D give:
+    the ``np.bincount`` of w_k D_k over the tails' positions."""
+    pull = (w[:, None] * D).reshape(-1)
+    return np.bincount(index.first.reshape(-1), pull, minlength=index.size)
+
+
+def _tail_blocks(index: _EdgeIndex, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the (|E|, d, d) stack of 2 D_k D_k^T; its (n, d, d) sums over the
+    edges with tail i, the diagonal blocks of 2 Rdir^T R) for the Rdir
+    that an orientation's ``index`` and D give."""
+    d = D.shape[1]
+    # 2 D_k D_k^T belongs at flat positions (d T_k + a) d + b of the blocks
+    at = d * index.first[:, :, None] + np.arange(d)
+    outer, blocks = _scatter_outer(at, D, np.array(2.0), d * index.size)
+    return outer, blocks.reshape(-1, d, d)
 
 
 def distance_map(graph: Graph, p: Configuration) -> Measurement:
@@ -325,12 +356,13 @@ def _draws(graph: Graph, d: int, seed: int):
         yield Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
 
 
-def _draw_rank(graph: Graph, p: Configuration) -> int:
-    """Rank of R at a draw: max_generic_rank(n, d) when
-    :func:`_certifies_full_rank` proves it, else the SVD rank."""
-    if _certifies_full_rank(graph, p):
+def _rank(graph: Graph, p: Configuration) -> int:
+    """The rank of R at p: max_generic_rank(n, d) when
+    :func:`_certify_full_rank` proves it, else the SVD rank."""
+    index, D = _edge_vectors(graph, p)
+    if _certify_full_rank(index, D, p) is not None:
         return max_generic_rank(p.n, p.d)
-    return matrix_rank(rigidity_matrix(graph, p))
+    return matrix_rank(_put_blocks(index, D, -D))
 
 
 def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
@@ -339,8 +371,8 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     Estimated as the max rank over the seeded draws of :func:`_draws`.  No
     draw can exceed the ceiling min(|E|, max_generic_rank(n, d)), so the
     draws stop once one reaches it: a generically rigid graph takes one
-    draw, which from d*n = ``_CERTIFIED_MIN_SIZE`` on is decided by the
-    Cholesky certificate and no SVD.  Deterministic per seed; memoized on
+    draw, ranked by :func:`_rank`, so wherever the Cholesky certificate
+    is issued with no SVD.  Deterministic per seed; memoized on
     the graph object per (d, seed), so the memo is freed with the graph.
 
     With ``edges``, a sequence of edge indices, the rank is that of the
@@ -359,7 +391,7 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
         if cached is not None:
             return cached
         ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
-        ranks = (_draw_rank(graph, p) for p in _draws(graph, d, seed))
+        ranks = (_rank(graph, p) for p in _draws(graph, d, seed))
     else:
         draws = graph._draw_memo.get(key)
         if draws is None:
@@ -409,19 +441,14 @@ class TangentBasis:
     rank: int
 
 
-def _require_coordinates(p: Configuration) -> None:
-    """Raise :class:`RankDeficiencyError` unless every coordinate of p is
-    finite and below ``COORD_LIMIT`` in magnitude, so that R, the squared
-    lengths and R^T R are finite."""
-    if not np.abs(p.points).max() < COORD_LIMIT:  # False for NaN too
-        if not np.isfinite(p.points).all():
-            raise RankDeficiencyError("configuration is not finite")
-        raise RankDeficiencyError(f"coordinates exceed {COORD_LIMIT:.4g}: R^T R would overflow")
-
-
 def _require_regular(graph: Graph, d: int, r: int, seed: int) -> None:
     """Raise :class:`RankDeficiencyError`, with its ``rank`` set to r, unless
-    r, the rank of R at a configuration in R^d, is the generic rank."""
+    r, the rank of R at a configuration in R^d, is the generic rank; a
+    rank of max_generic_rank(n, d) is, with no generic-rank draw.  Raises
+    ValueError unless ``seed`` is a non-negative integer, drawn or not."""
+    _require_count("seed", seed, 0)
+    if r == max_generic_rank(graph.n, d):
+        return
     expected = generic_rank(graph, d, seed)
     if r != expected:
         exc = RankDeficiencyError(f"not a regular point: rank {r} != generic rank {expected}")
@@ -433,7 +460,6 @@ def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
     """SVD of R(p) plus its numerical rank: (U, s, Vt, r).  With
     ``compute_uv=False`` only the singular values are computed and U, Vt
     are None."""
-    _require_coordinates(p)
     R = rigidity_matrix(graph, p)
     if compute_uv:
         U, s, Vt = np.linalg.svd(R, full_matrices=False)
@@ -450,14 +476,12 @@ def _regular_svd(graph: Graph, p: Configuration, seed: int = 0, compute_uv: bool
 
 
 def _regular_rank(graph: Graph, p: Configuration, seed: int = 0) -> int:
-    """The rank r of R(p), checked by :func:`_require_regular`:
-    max_generic_rank(n, d) with no SVD and no generic-rank draw when
-    :func:`_certifies_full_rank` proves it, otherwise that of
-    :func:`_regular_svd` without U and V."""
-    _require_coordinates(p)
-    if _certifies_full_rank(graph, p):
-        return max_generic_rank(p.n, p.d)
-    return _regular_svd(graph, p, seed, compute_uv=False)[3]
+    """The rank r of R(p) by :func:`_rank`, checked by
+    :func:`_require_regular`: where the certificate is issued, with no SVD
+    and no generic-rank draw."""
+    r = _rank(graph, p)
+    _require_regular(graph, p.d, r, seed)
+    return r
 
 
 def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -587,8 +611,9 @@ def _certify_full_rank(
 ) -> _Certificate | None:
     """The certificate that the rigidity matrix R at p, given by its edge
     index and edge vectors D, has rank max_generic_rank(n, d): the
-    :class:`_Certificate` of K = R^T R + s Q Q^T when a Cholesky of
-    K - delta I succeeds; otherwise None, and nothing is decided.
+    :class:`_Certificate` of K = R^T R + s Q Q^T when d*n is at least
+    ``_CERTIFIED_MIN_SIZE`` and a Cholesky of K - delta I succeeds;
+    otherwise None, and nothing is decided.
 
     delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K): a rank
     decision takes the rounding term alone, and the model lift of
@@ -598,14 +623,15 @@ def _certify_full_rank(
     subtracts it at the two mixed ones, summed by :func:`_scatter_outer`
     over the distinct positions ``index.stiffness`` and added to
     s Q Q^T, which is the one dense matrix formed; the shift is taken in
-    place.  The caller guarantees coordinates below ``COORD_LIMIT``.
+    place.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
-    if d not in (1, 2, 3) or n < d or D.shape[0] < max_generic_rank(n, d):
+    if (size < _CERTIFIED_MIN_SIZE or d not in (1, 2, 3) or n < d
+            or D.shape[0] < max_generic_rank(n, d)):
         return None
     touched, slot, diagonal = index.stiffness
-    sums = _scatter_outer(slot, D, _STIFFNESS_SIGNS, touched.size)
+    _, sums = _scatter_outer(slot, D, _STIFFNESS_SIGNS, touched.size)
     trace = float(sums[diagonal].sum())
     if not trace > 1.0 / SQUARE_LIMIT:
         return None
@@ -623,14 +649,6 @@ def _certify_full_rank(
     return _Certificate(M, L, delta, diagonal)
 
 
-def _certifies_full_rank(graph: Graph, p: Configuration) -> bool:
-    """Whether a rank decision at p is taken from :func:`_certify_full_rank`
-    with no SVD: from d*n = ``_CERTIFIED_MIN_SIZE`` on, when it proves
-    full rank.  The caller guarantees coordinates below ``COORD_LIMIT``."""
-    return (p.d * p.n >= _CERTIFIED_MIN_SIZE
-            and _certify_full_rank(*_edge_vectors(graph, p), p) is not None)
-
-
 def _certified_solve(
     index: _EdgeIndex, D: np.ndarray, p: Configuration, b: np.ndarray
 ) -> np.ndarray | None:
@@ -642,8 +660,7 @@ def _certified_solve(
     The lift is the normal-equation solution with one corrected
     semi-normal step, both solves with K taken by
     :meth:`_Certificate.solve`: R x is a gather and R^T w is
-    :func:`_transpose_apply`.  The caller guarantees
-    coordinates below ``COORD_LIMIT``.
+    :func:`_transpose_apply`.
     """
     certificate = _certify_full_rank(index, D, p, math.sqrt(_EPS))
     if certificate is None:
@@ -651,6 +668,21 @@ def _certified_solve(
     x = certificate.solve(_transpose_apply(index, D, b))
     residual = b - _rowdot(D, x[index.first] - x[index.second])
     return x + certificate.solve(_transpose_apply(index, D, residual))
+
+
+def _regular_lift(
+    graph: Graph, index: _EdgeIndex, D: np.ndarray, p: Configuration, b: np.ndarray, seed: int
+) -> np.ndarray:
+    """R^+ b for the rigidity matrix R at a regular point p, given by its
+    edge index and edge vectors D: from :func:`_certified_solve` where the
+    certificate is issued, otherwise from :func:`_min_norm_solve`, whose
+    rank :func:`_require_regular` checks (raising
+    :class:`RankDeficiencyError` off regular points)."""
+    x = _certified_solve(index, D, p, b)
+    if x is None:
+        x, r = _min_norm_solve(_put_blocks(index, D, -D), b)
+        _require_regular(graph, p.d, r, seed)
+    return x
 
 
 def tangent_basis(graph: Graph, p: Configuration) -> TangentBasis:
@@ -687,7 +719,6 @@ def min_norm_lift(graph: Graph, p: Configuration, v: np.ndarray) -> np.ndarray:
     if v.shape != (graph.num_edges,):
         raise ValueError(f"edge velocity must have length {graph.num_edges}")
     _require_finite("edge velocity v", v, SQUARE_LIMIT)
-    _require_coordinates(p)
     R = rigidity_matrix(graph, p)
     x, _ = _min_norm_solve(R, v)
     # R R^+ is the projector onto Im R, so v - R x is the part outside it

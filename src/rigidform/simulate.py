@@ -22,7 +22,9 @@ of four ways:
                           (only the minimum-norm controller can), the
                           adaptive stepper failed, or the run diverged: a
                           state or its field value is not finite (NaN or
-                          infinite).  The trajectory then ends at the last
+                          infinite), or a state has a coordinate of
+                          ``COORD_LIMIT`` or more, which every field
+                          rejects.  The trajectory then ends at the last
                           sample recorded before, which is finite.
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
@@ -42,7 +44,8 @@ import numpy as np
 
 from rigidform.controllers import ControllerSpec, evaluate_field
 from rigidform.graphs import Configuration, _require_count
-from rigidform.rigidity import RankDeficiencyError, congruence_check, distance_map
+from rigidform.rigidity import COORD_LIMIT, RankDeficiencyError, congruence_check, distance_map
+from rigidform.rigidity import _require_finite as _require_finite_array
 
 # least relative tolerance: a tighter error test would ask for rounding noise
 RTOL_MIN = 100 * np.finfo(float).eps
@@ -219,7 +222,9 @@ def integrate(
 ) -> Trajectory:
     """Run the closed loop from p0 until convergence, cycling, or t_max.
 
-    Raises ValueError when p0 or the field value there is not finite.
+    Raises ValueError when p0 is not finite or has a coordinate of
+    magnitude ``COORD_LIMIT`` or more, or when the field value there is not
+    finite; a later state past that bound ends the run "aborted".
     """
     graph, d = spec.graph, p0.d
 
@@ -228,8 +233,7 @@ def integrate(
         return evaluate_field(spec, Configuration.from_vector(d, x), seed)
 
     x0 = p0.vector
-    if not np.isfinite(x0).all():
-        raise ValueError("initial configuration is not finite")
+    _require_finite_array("initial configuration", x0, COORD_LIMIT)
     # a diverging state overflows inside the field; the finite checks below,
     # not NumPy's warnings, turn that into an input error or "aborted"
     with np.errstate(over="ignore", invalid="ignore"):

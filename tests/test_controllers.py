@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rigidform.controllers as controllers_mod
 import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
@@ -131,29 +130,47 @@ def test_model_field_rejects_non_finite_configuration(capfd, w5, p_star, bad, me
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("scale", [1e110, 1e160, 1e200])
 def test_squares_that_overflow_get_rank_verdicts(capfd, scale):
-    # R is finite here but |D_k|^2 and R^T R are not; every function built on
-    # R names the bound instead of returning NaN with an overflow warning,
-    # which the suite's filterwarnings setting turns into a failure
+    # R is finite here but |D_k|^2 and R^T R are not, or (at 1e110) the
+    # products e_k D_k of the gradient and directed fields; every function
+    # built on R names the bound instead of returning NaN with an overflow
+    # warning, which the suite's filterwarnings setting turns into a failure
     k4 = build_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    arrows = orient(k4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     p = Configuration(2, scale * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     m_star = Measurement(np.ones(6))
     message = "coordinates exceed 1e+75: R^T R would overflow"
     spec = ControllerSpec(k4, "model", m_star)
-    with pytest.raises(RankDeficiencyError) as info:
-        model_field(k4, p, m_star)
-    assert str(info.value) == message
-    with pytest.raises(RankDeficiencyError) as info:
-        field_gain(spec, p)
-    assert str(info.value) == message
+    for call in (lambda: model_field(k4, p, m_star), lambda: field_gain(spec, p),
+                 lambda: gradient_field(k4, p, m_star), lambda: directed_field(arrows, p, m_star),
+                 lambda: evaluate_field(ControllerSpec(k4, "gradient", m_star), p),
+                 lambda: evaluate_field(ControllerSpec(k4, "directed", m_star, arrows), p)):
+        with pytest.raises(RankDeficiencyError) as info:
+            call()
+        assert str(info.value) == message
     assert not is_regular_point(k4, p)
-    arrows = orient(k4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     for kind in ("gradient", "model", "directed"):
         spec = ControllerSpec(k4, kind, m_star, arrows if kind == "directed" else None)
         rep = restricted_sym_form(spec, p)
         assert rep.verdict == "indeterminate" and rep.detail == f"target: {message}"
     assert capfd.readouterr().err == ""
+
+
+def test_coordinate_bound_is_exact_at_coord_limit(w5, p_star):
+    # the gather rejects a coordinate at the bound, and not one just below it
+    limit = rigidity_mod.COORD_LIMIT
+    for bound, below in ((limit, np.nextafter(limit, 0.0)), (-limit, np.nextafter(-limit, 0.0))):
+        pts = np.zeros((5, 2))
+        pts[3, 1] = bound
+        with pytest.raises(RankDeficiencyError, match="coordinates exceed"):
+            distance_map(w5, Configuration(2, pts))
+        pts[3, 1] = below
+        assert np.isfinite(distance_map(w5, Configuration(2, pts)).values).all()
+    pts = p_star.points.copy()
+    pts[1, 0] = np.nan
+    with pytest.raises(RankDeficiencyError, match="configuration is not finite"):
+        gradient_field(w5, Configuration(2, pts), distance_map(w5, p_star))
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
@@ -434,10 +451,11 @@ def _check_certified_lift(case):
     R = rigidity_matrix(graph, p)
     m_star = distance_map(graph, target)
     e = m_star.values - distance_map(graph, p).values
-    x = _certified_solve(*_edge_vectors(graph, p), p, e)
     ref, r = _min_norm_solve(R, e)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controllers_mod, "_CERTIFIED_MIN_SIZE", 0)
+        # every size tries the certificate, as from _CERTIFIED_MIN_SIZE on
+        mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+        x = _certified_solve(*_edge_vectors(graph, p), p, e)
         if x is not None:
             top = max_generic_rank(graph.n, p.d)
             s = np.linalg.svd(R, compute_uv=False)
@@ -466,10 +484,10 @@ def test_certified_full_rank_is_the_svd_rank(case):
     # routed through it, here at every size, are those of the SVD alone
     graph, p, _ = case
     R = rigidity_matrix(graph, p)
-    if _certify_full_rank(*_edge_vectors(graph, p), p) is not None:
-        assert matrix_rank(R) == max_generic_rank(graph.n, p.d)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+        if _certify_full_rank(*_edge_vectors(graph, p), p) is not None:
+            assert matrix_rank(R) == max_generic_rank(graph.n, p.d)
         routed = generic_rank(graph, p.d), is_regular_point(graph, p)
     svd_only = generic_rank(rigidity_mod.Graph(graph.n, graph.edges), p.d)
     assert routed == (svd_only, matrix_rank(R) == svd_only)
@@ -540,6 +558,7 @@ def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
     graph = build_graph(3, [(1, 2), (1, 3), (2, 3)])
     p = Configuration(2, [[0.0, 0.0], [1.0, 0.0], [0.5, 2e-4]])
     m_star = Measurement([1.0, 1.0, 1.0])
+    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
     index, D = _edge_vectors(graph, p)
     certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
     assert certificate is not None
@@ -556,7 +575,30 @@ def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
     x = _certified_solve(index, D, p, e)
     assert len(solves) == 2 and len(substitutions) >= 2
     assert np.array_equal(x, lu_only)
-    monkeypatch.setattr(controllers_mod, "_CERTIFIED_MIN_SIZE", 0)
     assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
     ref, r = _min_norm_solve(rigidity_matrix(graph, p), e)
     assert r == 3 and np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_one_size_rule_routes_rank_and_lift_through_the_certificate(monkeypatch, w5, p_star):
+    # the certificate's size rule has one binding, in rigidity: lowering it
+    # there alone sends the wheel (d*n = 10) through the Cholesky
+    # certificate for a rank decision and for the model field, with no SVD,
+    # no least-squares solve and no generic-rank draw
+    m_star = distance_map(w5, p_star)
+    p = Configuration(2, p_star.points + 0.05 * np.random.default_rng(5).standard_normal((5, 2)))
+    e = m_star.values - distance_map(w5, p).values
+    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+    x = _certified_solve(*_edge_vectors(w5, p), p, e)
+    assert x is not None
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+    monkeypatch.setattr(np.linalg, "lstsq", refuse("lstsq"))
+    monkeypatch.setattr(rigidity_mod, "generic_rank", refuse("generic_rank"))
+    assert is_regular_point(w5, p)
+    assert np.array_equal(model_field(w5, p, m_star), 0.5 * x)

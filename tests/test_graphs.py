@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from rigidform import Configuration, build_graph, edge_index, orient
+from rigidform import Configuration, Graph, build_graph, edge_index, orient
 
 from conftest import W5_ARROWS, W5_EDGES, random_instance, random_orientation
 
@@ -34,6 +34,36 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(2, 2)])
     with pytest.raises(ValueError):
         build_graph(3, [(0, 1)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (4, ((0, 7),), "edge (0, 7) is not canonical"),  # ended in an IndexError
+    (4, ((1, 0), (1, 0)), "edge (1, 0) is not canonical"),  # was ranked 1
+    (4, ((0, 1), (0, 1)), "edge (0, 1) is not canonical"),
+    (4, ((0, 2), (0, 1)), "edge (0, 1) is not canonical"),
+    (4, ((-1, 2),), "edge endpoint must be a non-negative integer, got -1"),
+    (4, ((0, 1.0),), "edge endpoint must be a non-negative integer, got 1.0"),
+    (4, ((0, 1, 2),), "edge (0, 1, 2) is not canonical"),
+    (4, (3,), "edge 3 is not canonical"),  # ended in a TypeError
+    (4, ("01",), "edge '01' is not canonical"),
+    (4, 5, "edges must be a tuple of pairs, got 5"),
+    (4.0, (), "vertex count must be an integer >= 2, got 4.0"),
+    (True, (), "vertex count must be an integer >= 2, got True"),
+    (1, (), "vertex count must be an integer >= 2, got 1"),
+], ids=["out-of-range", "reversed-duplicate", "duplicate", "unsorted", "negative",
+        "float-endpoint", "triple", "scalar-edge", "string-edge", "scalar-edges",
+        "float-count", "bool-count", "one-vertex"])
+def test_graph_built_directly_rejects_non_canonical_input(n, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(n, edges)
+
+
+def test_graph_built_directly_keeps_canonical_input():
+    g = Graph(np.int64(4), [(0, 1), [0, 3], (np.int64(1), np.int64(2))])
+    assert g.edge_labels == ((1, 2), (1, 4), (2, 3))
+    assert g == Graph(4, ((0, 1), (0, 3), (1, 2)))
+    assert type(g.n) is int and all(type(v) is int for e in g.edges for v in e)
+    assert Graph(3, ()).num_edges == 0
 
 
 def test_edge_index_is_one_based(w5):

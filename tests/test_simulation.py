@@ -275,9 +275,13 @@ def test_non_finite_start_is_an_input_error():
     spec = _pair_spec()
     with pytest.raises(ValueError, match="initial configuration is not finite"):
         integrate(spec, Configuration(1, [[0.0], [np.nan]]))
-    # finite coordinates whose field value overflows
-    with pytest.raises(ValueError, match="field value .* not finite"):
+    # finite coordinates past COORD_LIMIT, where the squared lengths overflow
+    with pytest.raises(ValueError, match="initial configuration has an entry of magnitude 1e\\+75 or more"):
         integrate(spec, Configuration(1, [[0.0], [1e200]]))
+    # coordinates within the bound whose field value overflows against a huge target
+    with pytest.raises(ValueError, match="field value .* not finite"):
+        integrate(ControllerSpec(PAIR, "gradient", Measurement([1e308])),
+                  Configuration(1, [[0.0], [1e10]]))
 
 
 def test_rk4_evaluates_the_field_once_per_state(monkeypatch):
