@@ -11,11 +11,23 @@ stdout, stderr and exit code); ``analyze`` with and without
 stderr and exit code).  Then every file that ``run_studies.py --out``
 writes, and its stdout.  Each command runs in-process in a fresh
 directory, which is removed from the printed text ("wrote" lines, study
-summaries), so digests do not depend on where they ran.  Uses the standard
-library and the package only; RIGIDFORM_SEED is ignored.
+summaries), so digests do not depend on where they ran.
+
+The built-ins all have d*n <= 12, below the size from which the rank
+decisions and the model lift take the Cholesky certificate, so the library
+is also called on the formations of ``bench/inputs.py`` (imported from this
+checkout): ``rigid_formation(n, n // 2, default_rng(n))`` at n = 20, 60
+and 150.  Per formation and controller it digests ``restricted_sym_form``,
+``linearized_edge_matrix`` (A's bytes, spectrum and rank), three-sample
+``admissibility`` and a two-step RK4 ``integrate`` from one perturbed start
+(every recorded array's bytes); then ``persistence_check`` on one persistent
+and one non-persistent ``persistence_graph``.  An exception is digested as
+its type and message.  Uses the standard library, NumPy, the package and
+``bench/inputs.py``; RIGIDFORM_SEED is ignored.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -24,11 +36,36 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rigidform import builtin_names
+import numpy as np
+
+from rigidform import (
+    Configuration,
+    ControllerSpec,
+    Graph,
+    IntegratorConfig,
+    Orientation,
+    TerminationCriteria,
+    admissibility,
+    build_graph,
+    builtin_names,
+    distance_map,
+    integrate,
+    linearized_edge_matrix,
+    orient,
+    persistence_check,
+    restricted_sym_form,
+)
 from rigidform.cli import main as cli_main
 from rigidform.controllers import CONTROLLER_KINDS
 
-STUDIES = Path(__file__).resolve().parent / "run_studies.py"
+ROOT = Path(__file__).resolve().parent.parent
+STUDIES = ROOT / "scripts" / "run_studies.py"
+sys.path.insert(0, str(ROOT / "bench"))
+from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
+
+FORMATION_SIZES = (20, 60, 150)
+# (out-degrees of the plain vertices from vertex 3 on, gadget position)
+PERSISTENCE_GRAPHS = (((3, 4, 4), None), ((3, 3, 2, 2, 2), 5))
 
 
 def _digest(data) -> str:
@@ -68,6 +105,61 @@ def _studies(out: Path):
     return 0
 
 
+def _encode(value) -> bytes:
+    """Bytes that pin ``value`` exactly: an array's dtype, shape and raw
+    bytes, a dataclass's or tuple's entries in order, and the repr of
+    anything else (that of a float round-trips)."""
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return b"(" + b",".join(_encode(v) for v in value) + b")"
+    return repr(value).encode()
+
+
+def _value(label: str, call) -> None:
+    """Print the digest of what ``call()`` returns, or of the type and
+    message of what it raises."""
+    try:
+        data = _encode(call())
+    except Exception as exc:  # an error is an output too
+        data = f"{type(exc).__name__}: {exc}".encode()
+    print(f"{label} {_digest(data)}")
+
+
+def _recorded(traj) -> tuple:
+    return (traj.times, traj.positions, traj.measurements, traj.edge_error,
+            traj.speed, traj.energy, traj.termination)
+
+
+def _formations() -> None:
+    for n in FORMATION_SIZES:
+        rng = np.random.default_rng(n)
+        pts, edges, tails = rigid_formation(n, n // 2, rng)
+        graph = Graph(n, edges)
+        orientation = Orientation(graph, tails)
+        target = Configuration(2, pts)
+        start = Configuration(2, pts + 0.05 * rng.standard_normal(pts.shape))
+        for kind in CONTROLLER_KINDS:
+            o = orientation if kind == "directed" else None
+            spec = ControllerSpec(graph, kind, distance_map(graph, target), o)
+            dt = eta_step(kind, edges, tails, pts)
+            rk4 = IntegratorConfig(method="rk4", dt=dt, t_max=2 * dt)
+            label = f"formation n={n} {kind}"
+            _value(f"{label} restricted_sym_form", lambda: restricted_sym_form(spec, target))
+            _value(f"{label} linearized_edge_matrix", lambda: linearized_edge_matrix(spec, target))
+            _value(f"{label} admissibility", lambda: admissibility(graph, kind, o, 2, 3))
+            _value(f"{label} integrate",
+                   lambda: _recorded(integrate(spec, start, rk4, TerminationCriteria())))
+    for degrees, gadget_at in PERSISTENCE_GRAPHS:
+        n, arcs, reductions = persistence_graph(degrees, np.random.default_rng(0), gadget_at)
+        labels = [(t + 1, h + 1) for t, h in arcs]
+        sensing = orient(build_graph(n, labels), labels)
+        _value(f"persistence_check n={n} reductions={reductions}",
+               lambda: persistence_check(sensing, 2))
+
+
 def main() -> None:
     os.environ.pop("RIGIDFORM_SEED", None)
     for name in builtin_names():
@@ -84,6 +176,7 @@ def main() -> None:
         _run(f"persistence {name}",
              _cli("persistence", "--builtin", name, "--json", "{out}report.json"))
     _run("studies", _studies)
+    _formations()
 
 
 if __name__ == "__main__":

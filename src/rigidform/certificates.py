@@ -29,16 +29,20 @@ built:
   all of them take one batched symmetric eigensolve; each larger
   component c takes one general eigensolve of its
   own d|c| x d|c| block, built from its vertex blocks and the edges with
-  both ends in c, so the whole dn x dn M is never formed.  A itself, and
-  the U and V it is built from, are formed only for the certificate's
-  symmetric part and for :func:`linearized_edge_matrix`.
+  both ends in c, so the whole dn x dn M is never formed.
 
-Where A needs r alone (model, and directed without A or its symmetric part,
-as in every admissibility sample), the regularity decision and r come from
-:func:`rigidform.rigidity._regular_rank`, which takes them from the
-Cholesky certificate where :mod:`rigidform.rigidity` issues it, with no SVD
-and no generic-rank draw.  The gradient A reads the singular values
-themselves.
+Two functions answer the two questions asked of A.  :func:`_spectrum`
+gives its r eigenvalues and forms no matrix: all that admissibility reads.
+Where they need r alone (model and directed), the regularity decision and r
+come from :func:`rigidform.rigidity._regular_rank`, which takes them from
+the Cholesky certificate where :mod:`rigidform.rigidity` issues it, with no
+SVD and no generic-rank draw; the gradient A reads the singular values
+themselves.  :func:`_linearization` gives A itself with its eigenvalues,
+for :func:`linearized_edge_matrix` and for the directed certificate's
+symmetric part; only there are the directed A, and the full SVD's U and V
+it is built from, formed.  The gradient and model A are diagonal, so the
+certificate takes their symmetric part's eigenvalues as the sorted
+spectrum and forms no r x r matrix.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -52,7 +56,7 @@ themselves.
 * :func:`persistence_check` decides the classical directed-graph persistence
   property by enumerating all out-degree-d reductions and rank-testing each;
   the enumeration is exponential in the redundant out-edges, hence the cap.
-  Every reduction is ranked as the row subset of the whole graph's R that it
+  Every reduction is tested as the row subset of the whole graph's R that it
   keeps (``is_generically_rigid`` with ``edges``), so no reduction graph is
   built.
 
@@ -151,13 +155,6 @@ def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
 
 
-def _diagonal_blocks(orientation: Orientation, p: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """(the (|E|, d, d) stack of 2 D_k D_k^T, with D_k = p_tail - p_head;
-    the (n, d, d) diagonal blocks of M = 2 Rdir^T R, their sums over the
-    edges with tail i)."""
-    return _tail_blocks(*_edge_vectors(orientation.graph, p, orientation))
-
-
 def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:
     """Eigenvalues of the directed controller's A at p, where R has rank r:
     those of the diagonal blocks of M = 2 Rdir^T R over the strongly
@@ -165,7 +162,7 @@ def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np
     magnitude (module docstring)."""
     T, H = orientation.arrows
     n, d = p.n, p.d
-    outer, blocks = _diagonal_blocks(orientation, p)
+    outer, blocks = _tail_blocks(*_edge_vectors(orientation.graph, p, orientation))
     singles, larger = orientation.strong_components
     eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
     local = np.full(n, -1)
@@ -183,34 +180,33 @@ def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np
     return eigs[np.argsort(np.abs(eigs), kind="stable")[d * n - r:]]
 
 
-def _restricted_operator(
-    graph: Graph, kind: str, orientation: Orientation | None, p: Configuration,
-    seed: int, matrix: bool = False, sym: bool = False,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, int]:
-    """(A, eigenvalues of A, ascending eigenvalues of its symmetric part, r)
-    for A = P^T eta P over the basis P = U_r of Im R(p), in the closed forms
-    of the module docstring.  A is returned only with ``matrix`` and the
-    symmetric part's eigenvalues only with ``sym``, None otherwise; the
-    directed A, and the U and V it is built from, are formed only then.
-    ``orientation`` is read only by the directed controller.  Raises off
-    regular points."""
+def _spectrum(
+    graph: Graph, kind: str, orientation: Orientation | None, p: Configuration, seed: int
+) -> np.ndarray:
+    """The r eigenvalues of A = P^T eta P at p, in the closed forms of the
+    module docstring, with no A, U or V formed.  ``orientation`` is read
+    only by the directed controller.  Raises off regular points."""
     if kind == "gradient":
         _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
-        eigs = 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
-    elif kind == "model" or not (matrix or sym):
-        r = _regular_rank(graph, p, seed)
-        if kind == "directed":
-            return None, _directed_spectrum(orientation, p, r), None, r
-        eigs = np.ones(r)  # eta is the projector P P^T
-    else:
-        U, s, Vt, r = _regular_svd(graph, p, seed)
-        eigs = _directed_spectrum(orientation, p, r)
-        RdirV = directed_rigidity_matrix(orientation, p) @ Vt[:r].T
-        A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
-        sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T)) if sym else None
-        return (A if matrix else None), eigs, sym_eigs, r
-    # A is diagonal, so it is its own symmetric part
-    return (np.diag(eigs) if matrix else None), eigs, (np.sort(eigs) if sym else None), r
+        return 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
+    r = _regular_rank(graph, p, seed)
+    # the model's eta is the projector P P^T
+    return _directed_spectrum(orientation, p, r) if kind == "directed" else np.ones(r)
+
+
+def _linearization(
+    spec: ControllerSpec, p: Configuration, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, its eigenvalues) for A = P^T eta P over the basis P = U_r of
+    Im R(p): diagonal for the gradient and model controllers, and for the
+    directed one 2 diag(s_r) V_r^T Rdir^T U_r from the full SVD of R.
+    Raises off regular points."""
+    if spec.kind != "directed":
+        eigs = _spectrum(spec.graph, spec.kind, None, p, seed)
+        return np.diag(eigs), eigs
+    U, s, Vt, r = _regular_svd(spec.graph, p, seed)
+    RdirV = directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
+    return 2.0 * s[:r, None] * (RdirV.T @ U[:, :r]), _directed_spectrum(spec.orientation, p, r)
 
 
 def restricted_sym_form(
@@ -228,8 +224,12 @@ def restricted_sym_form(
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
-        _, eigs, sym_eigs, r = _restricted_operator(
-            spec.graph, spec.kind, spec.orientation, p_star, seed, sym=True)
+        if spec.kind == "directed":
+            A, eigs = _linearization(spec, p_star, seed)
+            sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+        else:  # A is diagonal, so it is its own symmetric part
+            eigs = _spectrum(spec.graph, spec.kind, None, p_star, seed)
+            sym_eigs = np.sort(eigs)
     except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
@@ -249,7 +249,7 @@ def restricted_sym_form(
         verdict=verdict,
         min_sym_eigenvalue=min_eig,
         spectrum=_sorted_spectrum(eigs),
-        rank_r=r,
+        rank_r=eigs.size,
         tol=TOL_PD,
         spectral_norm=norm,
     )
@@ -263,9 +263,8 @@ def linearized_edge_matrix(
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, eigs, _, r = _restricted_operator(
-        spec.graph, spec.kind, spec.orientation, p_star, seed, matrix=True)
-    return EdgeLinearization(A, _sorted_spectrum(eigs), r)
+    A, eigs = _linearization(spec, p_star, seed)
+    return EdgeLinearization(A, _sorted_spectrum(eigs), eigs.size)
 
 
 def admissibility(
@@ -297,7 +296,7 @@ def admissibility(
         for _ in range(_RESAMPLE_CAP):
             p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
             try:
-                eigs = _restricted_operator(graph, kind, orientation, p, seed)[1]
+                eigs = _spectrum(graph, kind, orientation, p, seed)
                 break
             except RankDeficiencyError:
                 continue
@@ -378,10 +377,13 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
     reduction is returned as a witness (as 1-based tail->head pairs), and no
     reduction after it is ranked; ``reductions_checked`` is the size of the
     whole enumeration either way.  An enumeration above ``REDUCTION_CAP``
-    is not ranked and yields "indeterminate".
+    is not ranked and yields "indeterminate".  Raises ValueError unless d
+    is 2 or 3 and ``seed`` a non-negative integer, whatever the
+    enumeration's size.
     """
     if _require_count("dimension", d, 1) not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
+    seed = _require_count("seed", seed, 0)
     graph = orientation.graph
     total = reduction_count(orientation, d)
     if total > REDUCTION_CAP:

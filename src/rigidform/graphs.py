@@ -111,7 +111,7 @@ class Graph:
     @cached_property
     def _draw_memo(self) -> dict[tuple[int, int], list[np.ndarray]]:
         """Rigidity matrices at the generic-rank draws keyed by (d, seed), for
-        ranking spanning subgraphs as row subsets; holds the newest (d, seed)
+        testing spanning subgraphs as row subsets; holds the newest (d, seed)
         only and is freed with the graph."""
         return {}
 

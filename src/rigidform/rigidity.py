@@ -365,7 +365,7 @@ def _rank(graph: Graph, p: Configuration) -> int:
     return matrix_rank(_put_blocks(index, D, -D))
 
 
-def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
+def generic_rank(graph: Graph, d: int, seed: int = 0) -> int:
     """Rank of R at a generic configuration in R^d.
 
     Estimated as the max rank over the seeded draws of :func:`_draws`.  No
@@ -374,38 +374,18 @@ def generic_rank(graph: Graph, d: int, seed: int = 0, edges=None) -> int:
     draw, ranked by :func:`_rank`, so wherever the Cholesky certificate
     is issued with no SVD.  Deterministic per seed; memoized on
     the graph object per (d, seed), so the memo is freed with the graph.
-
-    With ``edges``, a sequence of edge indices, the rank is that of the
-    spanning subgraph on those edges, taken as the SVD rank of the rows
-    ``edges`` of the graph's R at the same draws.  Those R are built once
-    per (d, seed) and kept on the graph until a subgraph is ranked at
-    another (d, seed), so ranking many subgraphs builds no graph and no R
-    of their own and the graph keeps one set of draws at most; subgraph
-    ranks are not memoized.
     Raises ValueError unless d is a positive integer and seed a non-negative one.
     """
     d = _require_count("dimension", d, 1)
     key = (d, _require_count("seed", seed, 0))
-    if edges is None:
-        cached = graph._rank_memo.get(key)
-        if cached is not None:
-            return cached
+    best = graph._rank_memo.get(key)
+    if best is None:
         ceiling = min(graph.num_edges, max_generic_rank(graph.n, d))
-        ranks = (_rank(graph, p) for p in _draws(graph, d, seed))
-    else:
-        draws = graph._draw_memo.get(key)
-        if draws is None:
-            graph._draw_memo.clear()
-            draws = graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
-        rows = np.asarray(edges, dtype=np.intp)
-        ceiling = min(rows.size, max_generic_rank(graph.n, d))
-        ranks = (matrix_rank(R[rows]) for R in draws)
-    best = 0
-    for r in ranks:
-        best = max(best, r)
-        if best == ceiling:
-            break
-    if edges is None:
+        best = 0
+        for p in _draws(graph, d, seed):
+            best = max(best, _rank(graph, p))
+            if best == ceiling:
+                break
         graph._rank_memo[key] = best
     return best
 
@@ -418,10 +398,29 @@ def max_generic_rank(n: int, d: int) -> int:
 
 
 def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> bool:
-    """Whether generic frameworks of the graph in R^d admit only rigid motions;
-    with ``edges``, of its spanning subgraph on those edges (see
-    :func:`generic_rank`)."""
-    return generic_rank(graph, d, seed, edges) == max_generic_rank(graph.n, d)
+    """Whether generic frameworks of the graph in R^d admit only rigid
+    motions: whether :func:`generic_rank` reaches max_generic_rank(n, d).
+
+    With ``edges``, a sequence of edge indices, the verdict is that of the
+    spanning subgraph on those edges: whether it has at least
+    max_generic_rank(n, d) edges and the rows ``edges`` of the graph's R
+    reach that rank, by the SVD rule, at one of the same draws.  Those R are
+    built once per (d, seed) and kept on the graph until a subgraph is
+    tested at another (d, seed), so testing many subgraphs builds no graph
+    and no R of their own and the graph keeps one set of draws at most;
+    subgraph verdicts are not memoized.
+    Raises ValueError unless d is a positive integer and seed a non-negative one.
+    """
+    d = _require_count("dimension", d, 1)
+    full = max_generic_rank(graph.n, d)
+    if edges is None:
+        return generic_rank(graph, d, seed) == full
+    key = (d, _require_count("seed", seed, 0))
+    if key not in graph._draw_memo:
+        graph._draw_memo.clear()
+        graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
+    rows = np.asarray(edges, dtype=np.intp)
+    return rows.size >= full and any(matrix_rank(R[rows]) == full for R in graph._draw_memo[key])
 
 
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:

@@ -44,14 +44,14 @@ import numpy as np
 
 from rigidform.controllers import ControllerSpec, evaluate_field
 from rigidform.graphs import Configuration, _require_count
-from rigidform.rigidity import COORD_LIMIT, RankDeficiencyError, congruence_check, distance_map
-from rigidform.rigidity import _require_finite as _require_finite_array
+from rigidform.rigidity import COORD_LIMIT, RankDeficiencyError, _require_finite
+from rigidform.rigidity import congruence_check, distance_map
 
 # least relative tolerance: a tighter error test would ask for rounding noise
 RTOL_MIN = 100 * np.finfo(float).eps
 
 
-def _require_finite(config) -> None:
+def _require_real_fields(config) -> None:
     """Raise ValueError naming the first field that is annotated ``float``
     but holds no real number (a string, a bool, or None where None is not
     allowed), that is a NaN or infinite float (a NaN passes every ``<= 0``
@@ -87,7 +87,7 @@ class IntegratorConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_real_fields(self)
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
         _require_count("sample_every", self.sample_every, 1)
@@ -117,7 +117,7 @@ class TerminationCriteria:
     min_speed: float = 1e-4
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_real_fields(self)
         _require_count("window", self.window, 2)
         if min(self.tol_edge, self.tol_node, self.min_speed) <= 0:
             raise ValueError("termination thresholds must be positive")
@@ -224,7 +224,9 @@ def integrate(
 
     Raises ValueError when p0 is not finite or has a coordinate of
     magnitude ``COORD_LIMIT`` or more, or when the field value there is not
-    finite; a later state past that bound ends the run "aborted".
+    finite; a later state past that bound ends the run "aborted".  A field
+    that needs a regular point and has none at p0 raises
+    :class:`RankDeficiencyError` with the field's own message and ``rank``.
     """
     graph, d = spec.graph, p0.d
 
@@ -233,14 +235,16 @@ def integrate(
         return evaluate_field(spec, Configuration.from_vector(d, x), seed)
 
     x0 = p0.vector
-    _require_finite_array("initial configuration", x0, COORD_LIMIT)
+    _require_finite("initial configuration", x0, COORD_LIMIT)
     # a diverging state overflows inside the field; the finite checks below,
     # not NumPy's warnings, turn that into an input error or "aborted"
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             u0 = rhs(0.0, x0)
-        except RankDeficiencyError:
-            raise RankDeficiencyError("initial configuration is rank deficient")
+        except RankDeficiencyError as exc:
+            error = RankDeficiencyError(f"initial configuration is rank deficient: {exc}")
+            error.rank = exc.rank
+            raise error from exc
         if not np.isfinite(u0).all():
             raise ValueError("field value at the initial configuration is not finite")
         if integrator.method == "rk45":

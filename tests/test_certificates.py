@@ -32,7 +32,8 @@ from rigidform import (
     rigidity_matrix,
     tangent_basis,
 )
-from rigidform.certificates import _diagonal_blocks, _directed_spectrum, reduction_count
+from rigidform.certificates import _directed_spectrum, reduction_count
+from rigidform.rigidity import _edge_vectors, _tail_blocks
 from rigidform.scenarios import builtin_names, builtin_scenario
 
 from conftest import random_instance, random_orientation
@@ -234,7 +235,7 @@ def _dense_directed_spectrum(orientation, p, r):
     the whole dense (n, d, n, d) M = 2 Rdir^T R."""
     T, H = orientation.arrows
     n, d = p.n, p.d
-    outer, blocks = _diagonal_blocks(orientation, p)
+    outer, blocks = _tail_blocks(*_edge_vectors(orientation.graph, p, orientation))
     singles, larger = orientation.strong_components
     eigs = [np.linalg.eigvalsh(blocks[singles]).ravel()] if singles.size else []
     M = np.zeros((n, d, n, d))
@@ -325,6 +326,13 @@ def test_negative_seed_is_named(w5):
         restricted_sym_form(scn.controller_spec(), scn.target, seed=-1)
     with pytest.raises(ValueError, match=message):
         admissibility(w5, "gradient", None, 2, seed=-1)
+    # named before the enumeration's size is judged: this one is too large
+    # to rank (test_persistence_cap_yields_indeterminate)
+    sensed = range(4, 34)
+    graph = build_graph(33, [(t, h) for t in (1, 2, 3) for h in sensed])
+    orientation = orient(graph, [(t, h) for t in (1, 2, 3) for h in sensed])
+    with pytest.raises(ValueError, match=message):
+        persistence_check(orientation, 2, seed=-1)
 
 
 def test_certificate_indeterminate_off_regular_points(w5, w5_arrows):

@@ -178,16 +178,16 @@ def test_simulate_t_max_override(capsys, tmp_path):
 
 
 def test_admissibility_takes_each_sample_spectrum_once(capsys, monkeypatch):
-    # one restricted operator per sampled target, shared by the dynamic and
-    # algebraic verdicts; analyze adds one for the certificate at the target
-    real = certificates_mod._restricted_operator
+    # one spectrum per sampled target, shared by the dynamic and algebraic
+    # verdicts; analyze adds one linearization for the certificate at the
+    # directed controller's target
     calls = []
+    for name in ("_spectrum", "_linearization"):
+        def counting(*args, real=getattr(certificates_mod, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(certificates_mod, "_restricted_operator", counting)
+        monkeypatch.setattr(certificates_mod, name, counting)
     run(capsys, "analyze", "w5-directed-good", "--seed", "0")
     assert len(calls) == 6
     calls.clear()

@@ -142,22 +142,23 @@ def test_generic_rank_below_the_ceiling_takes_every_draw(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_subgraph_rank_matches_its_own_graph(seed):
-    # the rows ``edges`` of R at the shared draws rank the spanning
-    # subgraph exactly as a Graph built from those edges does
+    # the rows ``edges`` of R at the shared draws test the spanning
+    # subgraph's rigidity exactly as a Graph built from those edges does
     rng = np.random.default_rng(seed)
     graph, _ = random_instance(rng, n_max=7)
     kept = sorted(rng.choice(graph.num_edges, size=rng.integers(0, graph.num_edges + 1),
                              replace=False).tolist())
     sub = rigidity_mod.Graph(graph.n, tuple(graph.edges[k] for k in kept))
     for d in (2, 3):
-        assert generic_rank(graph, d, seed, edges=kept) == generic_rank(sub, d, seed)
+        assert (is_generically_rigid(graph, d, seed, edges=kept)
+                == is_generically_rigid(sub, d, seed))
         assert (is_generically_rigid(graph, d, seed, edges=tuple(kept))
                 == is_generically_rigid(sub, d, seed))
 
 
 def test_subgraph_ranks_build_the_draws_once(monkeypatch, w5):
     # R at the draws is built once per (d, seed) and kept on the graph;
-    # subgraph ranks are not memoized, and the graph's own rank is
+    # subgraph verdicts are not memoized, and the graph's own rank is
     built = []
     real = rigidity_mod.rigidity_matrix
 
@@ -168,13 +169,12 @@ def test_subgraph_ranks_build_the_draws_once(monkeypatch, w5):
     monkeypatch.setattr(rigidity_mod, "rigidity_matrix", counting)
     spokes_and_rim = list(range(w5.num_edges))
     for drop in range(w5.num_edges):
+        # the wheel's 8 edges with any one dropped leave 7 independent rows
         kept = spokes_and_rim[:drop] + spokes_and_rim[drop + 1:]
-        assert generic_rank(w5, 2, 7, edges=kept) <= 7
+        assert is_generically_rigid(w5, 2, 7, edges=kept)
     assert len(built) == rigidity_mod.GENERIC_SAMPLES
     assert all(g is w5 for g in built)
     assert (2, 7) not in w5._rank_memo
-    # the wheel's 8 edges with one dropped leave 7 independent rows
-    assert is_generically_rigid(w5, 2, 7, edges=spokes_and_rim[1:])
 
 
 def test_small_n_rank_formula():
@@ -421,7 +421,7 @@ def test_edge_index_does_not_outlive_its_graph():
     m_star = distance_map(graph, p)
     gradient_field(graph, p, m_star)
     directed_field(orientation, p, m_star)
-    generic_rank(graph, 2, edges=[0, 1, 2])
+    is_generically_rigid(graph, 2, edges=[0, 1, 2])
     refs = [weakref.ref(rigidity_mod._edge_index(graph, 2)),
             weakref.ref(rigidity_mod._edge_index(graph, 2, orientation)),
             weakref.ref(orientation.arrows[0]),

@@ -195,8 +195,12 @@ def test_model_rank_loss_aborts_immediately():
     tri = build_graph(3, [(1, 2), (1, 3), (2, 3)])
     spec = ControllerSpec(tri, "model", Measurement([1.0, 1.0, 1.0]))
     collinear = Configuration(2, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError) as raised:
         integrate(spec, collinear, IntegratorConfig(t_max=1.0))
+    # the field's own cause and rank survive
+    assert str(raised.value) == ("initial configuration is rank deficient: "
+                                 "not a regular point: rank 2 != generic rank 3")
+    assert raised.value.rank == 2
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
