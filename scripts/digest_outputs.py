@@ -22,8 +22,14 @@ and 150.  Per formation and controller it digests ``restricted_sym_form``,
 ``admissibility`` and a two-step RK4 ``integrate`` from one perturbed start
 (every recorded array's bytes); then ``persistence_check`` on one persistent
 and one non-persistent ``persistence_graph``.  An exception is digested as
-its type and message.  Uses the standard library, NumPy, the package and
-``bench/inputs.py``; RIGIDFORM_SEED is ignored.
+its type and message.
+
+Last come the public readers of R's SVD, at every built-in's target and at
+the n = 20 and n = 60 formations: ``tangent_basis``, ``projector`` and
+``is_regular_point``, and per controller ``field_gain`` and
+``eta_matrix`` (a built-in with no orientation digests the directed
+controller's ValueError).  Uses the standard library, NumPy, the package
+and ``bench/inputs.py``; RIGIDFORM_SEED is ignored.
 """
 
 import contextlib
@@ -48,12 +54,18 @@ from rigidform import (
     admissibility,
     build_graph,
     builtin_names,
+    builtin_scenario,
     distance_map,
+    eta_matrix,
+    field_gain,
     integrate,
+    is_regular_point,
     linearized_edge_matrix,
     orient,
     persistence_check,
+    projector,
     restricted_sym_form,
+    tangent_basis,
 )
 from rigidform.cli import main as cli_main
 from rigidform.controllers import CONTROLLER_KINDS
@@ -64,6 +76,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
 
 FORMATION_SIZES = (20, 60, 150)
+# the formations whose SVD readers are digested; n = 150 would add only time
+SVD_READER_SIZES = (20, 60)
 # (out-degrees of the plain vertices from vertex 3 on, gadget position)
 PERSISTENCE_GRAPHS = (((3, 4, 4), None), ((3, 3, 2, 2, 2), 5))
 
@@ -160,6 +174,30 @@ def _formations() -> None:
                lambda: persistence_check(sensing, 2))
 
 
+def _svd_readers(label: str, graph, orientation, target) -> None:
+    """Digest the public functions that read the SVD of R at ``target``:
+    ``tangent_basis``, ``projector`` and ``is_regular_point``, then per
+    controller ``field_gain`` and ``eta_matrix``."""
+    _value(f"{label} tangent_basis", lambda: tangent_basis(graph, target))
+    _value(f"{label} projector", lambda: projector(graph, target))
+    _value(f"{label} is_regular_point", lambda: is_regular_point(graph, target))
+    for kind in CONTROLLER_KINDS:
+        o = orientation if kind == "directed" else None
+        for reader in (field_gain, eta_matrix):
+            _value(f"{label} {kind} {reader.__name__}", lambda: reader(
+                ControllerSpec(graph, kind, distance_map(graph, target), o), target))
+
+
+def _all_svd_readers() -> None:
+    for name in builtin_names():
+        scn = builtin_scenario(name)
+        _svd_readers(f"builtin {name}", scn.graph, scn.orientation, scn.target)
+    for n in SVD_READER_SIZES:
+        pts, edges, tails = rigid_formation(n, n // 2, np.random.default_rng(n))
+        graph = Graph(n, edges)
+        _svd_readers(f"formation n={n}", graph, Orientation(graph, tails), Configuration(2, pts))
+
+
 def main() -> None:
     os.environ.pop("RIGIDFORM_SEED", None)
     for name in builtin_names():
@@ -177,6 +215,7 @@ def main() -> None:
              _cli("persistence", "--builtin", name, "--json", "{out}report.json"))
     _run("studies", _studies)
     _formations()
+    _all_svd_readers()
 
 
 if __name__ == "__main__":

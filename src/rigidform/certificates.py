@@ -79,6 +79,7 @@ from rigidform.rigidity import (
     RankDeficiencyError,
     _edge_vectors,
     _regular_rank,
+    _regular_singular_values,
     _regular_svd,
     _tail_blocks,
     directed_rigidity_matrix,
@@ -187,7 +188,7 @@ def _spectrum(
     module docstring, with no A, U or V formed.  ``orientation`` is read
     only by the directed controller.  Raises off regular points."""
     if kind == "gradient":
-        _, s, _, r = _regular_svd(graph, p, seed, compute_uv=False)
+        s, r = _regular_singular_values(graph, p, seed)
         return 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
     r = _regular_rank(graph, p, seed)
     # the model's eta is the projector P P^T
@@ -283,7 +284,9 @@ def admissibility(
     ``TOL_HYP`` and the algebraic test min |z| against ``TOL_INV``, both
     relative to the spectral norm.  Raises ValueError unless ``kind`` names
     a controller that ``orientation`` pairs with (only "directed" reads it)
-    and ``d``, ``samples`` are positive integers, ``seed`` a non-negative one.
+    and ``d``, ``samples`` are positive integers, ``seed`` a non-negative one,
+    and :class:`RankDeficiencyError` when ``_RESAMPLE_CAP`` draws of one
+    sample are all off regular points.
     """
     _require_controller(graph, kind, orientation if kind == "directed" else None)
     d = _require_count("dimension", d, 1)
@@ -301,7 +304,7 @@ def admissibility(
             except RankDeficiencyError:
                 continue
         else:
-            raise RuntimeError(
+            raise RankDeficiencyError(
                 f"failed to sample a regular configuration in {_RESAMPLE_CAP} tries"
             )
         norm = float(np.abs(eigs).max())

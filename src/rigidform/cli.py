@@ -10,10 +10,11 @@ Subcommands:
 * ``persistence``    out-degree-reduction test for an orientation.
 
 Exit codes for verdict-producing commands: 0 pass, 1 fail, 2 indeterminate,
-3 usage or input error.  The environment variable RIGIDFORM_SEED supplies
-the default seed; an explicit --seed always wins.  ``simulate`` keeps a
-scenario's explicit start unless --seed is given, but rejects an invalid
-RIGIDFORM_SEED all the same.
+3 usage or input error, including an output file that cannot be written.
+The environment variable RIGIDFORM_SEED supplies the default seed; an
+explicit --seed always wins.  ``simulate`` keeps a scenario's explicit
+start unless --seed is given, but rejects an invalid RIGIDFORM_SEED all
+the same.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RankDeficiencyError) as exc:
+    except (ValueError, RankDeficiencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -40,6 +40,7 @@ from rigidform.graphs import Configuration, Graph, Measurement, Orientation
 from rigidform.rigidity import (
     _edge_vectors,
     _regular_lift,
+    _regular_singular_values,
     _regular_svd,
     _rowdot,
     _tail_apply,
@@ -128,7 +129,7 @@ def field_gain(spec: ControllerSpec, p: Configuration, seed: int = 0) -> float:
     for model (which, like the field, needs a regular point); coordinates
     that are not finite or reach ``COORD_LIMIT`` raise RankDeficiencyError."""
     if spec.kind == "model":
-        _, s, _, r = _regular_svd(spec.graph, p, seed, compute_uv=False)
+        s, r = _regular_singular_values(spec.graph, p, seed)
         return 0.5 / float(s[r - 1])
     if spec.kind == "directed":
         R = directed_rigidity_matrix(spec.orientation, p)

@@ -23,19 +23,25 @@ Rank decisions use the relative singular-value cutoff
 maximizing the rank over a few seeded random configurations, which depend
 only on (n, d, seed).  A regular point is one where R attains the generic
 rank; :func:`_require_regular` is the single test of it, applied to the rank
-of an SVD (:func:`_regular_svd`), of :func:`_rank` or of a least-squares
-solve.  A rank of max_generic_rank(n, d) is the largest any graph can have,
-so it is the generic rank and takes no generic-rank draw.  :func:`_rank`
-is the one rank rule where the rank alone is needed (the generic-rank
-draws, :func:`is_regular_point`, :func:`_regular_rank`): max_generic_rank
-when the Cholesky certificate below proves it, else the SVD rule.
+of an SVD (:func:`_regular_svd`, :func:`_regular_singular_values`), of
+:func:`_rank` or of a least-squares solve.  A rank of max_generic_rank(n, d)
+is the largest any graph can have, so it is the generic rank and takes no
+generic-rank draw.  :func:`_rank` is the one rank rule where the rank alone
+is needed (the generic-rank draws, :func:`is_regular_point`,
+:func:`_regular_rank`): max_generic_rank when the Cholesky certificate
+below proves it, else the SVD rule.
 
-Minimum-norm lifts R^+ b come from one LAPACK least-squares call
-(:func:`_min_norm_solve`) whose singular values also give the rank under the
-same cutoff, so no U or V factor is formed; the full SVD of :func:`_svd` is
-kept for what needs a basis.  :func:`_regular_lift`, the model field's
-lift, takes R^+ b from the certificate where it is issued and from that
-least-squares call elsewhere.
+Each SVD helper answers one question.  :func:`_svd` and
+:func:`_regular_svd` always return the thin factors and the rank,
+(U, s, Vt, r), for what needs a basis; :func:`_regular_singular_values`
+returns (s, r) and forms no U or V, for what reads the singular values
+alone (the model's field gain, the gradient spectrum).  Minimum-norm
+lifts R^+ b come from one LAPACK least-squares call
+(:func:`_min_norm_solve`) whose singular values also give the rank under
+the same cutoff, so no U or V factor is formed there either.
+:func:`_regular_lift`, the model field's lift, takes R^+ b from the
+certificate where it is issued and from that least-squares call
+elsewhere.
 
 ``COORD_LIMIT`` = SQUARE_LIMIT^(1/2) = 1e75 is the one coordinate bound for
 everything built from R: below it R, the squared edge lengths and R^T R
@@ -168,11 +174,6 @@ class RankDeficiencyError(RuntimeError):
     rank: int | None = None
 
 
-def _check_dims(graph: Graph, p: Configuration) -> None:
-    if p.n != graph.n:
-        raise ValueError(f"configuration has {p.n} points, graph has {graph.n} vertices")
-
-
 def _rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -255,8 +256,10 @@ def _edge_vectors(
     """(the edge index, D): row k of D is p_i - p_j for edge k = {i, j},
     i < j, or p_tail - p_head given ``orientation``.  Raises
     :class:`RankDeficiencyError` unless every coordinate of p is finite
-    and below ``COORD_LIMIT``."""
-    _check_dims(graph, p)
+    and below ``COORD_LIMIT``, and ValueError unless p has one point per
+    vertex."""
+    if p.n != graph.n:
+        raise ValueError(f"configuration has {p.n} points, graph has {graph.n} vertices")
     index = _edge_index(graph, p.d, orientation)
     x = p.points.reshape(-1)
     if not np.abs(x).max() < COORD_LIMIT:  # False for NaN too
@@ -455,26 +458,31 @@ def _require_regular(graph: Graph, d: int, r: int, seed: int) -> None:
         raise exc
 
 
-def _svd(graph: Graph, p: Configuration, compute_uv: bool = True):
-    """SVD of R(p) plus its numerical rank: (U, s, Vt, r).  With
-    ``compute_uv=False`` only the singular values are computed and U, Vt
-    are None."""
+def _svd(graph: Graph, p: Configuration):
+    """The thin SVD of R(p) plus its numerical rank: (U, s, Vt, r)."""
     R = rigidity_matrix(graph, p)
-    if compute_uv:
-        U, s, Vt = np.linalg.svd(R, full_matrices=False)
-    else:
-        U, s, Vt = None, np.linalg.svd(R, compute_uv=False), None
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
     return U, s, Vt, _rank_from_singular_values(s, R.shape)
 
 
-def _regular_svd(graph: Graph, p: Configuration, seed: int = 0, compute_uv: bool = True):
+def _regular_svd(graph: Graph, p: Configuration, seed: int):
     """:func:`_svd` of R(p), checked by :func:`_require_regular`."""
-    U, s, Vt, r = _svd(graph, p, compute_uv)
+    U, s, Vt, r = _svd(graph, p)
     _require_regular(graph, p.d, r, seed)
     return U, s, Vt, r
 
 
-def _regular_rank(graph: Graph, p: Configuration, seed: int = 0) -> int:
+def _regular_singular_values(graph: Graph, p: Configuration, seed: int) -> tuple[np.ndarray, int]:
+    """(s, r): the singular values of R(p) and its numerical rank, checked
+    by :func:`_require_regular`, with no U or V formed."""
+    R = rigidity_matrix(graph, p)
+    s = np.linalg.svd(R, compute_uv=False)
+    r = _rank_from_singular_values(s, R.shape)
+    _require_regular(graph, p.d, r, seed)
+    return s, r
+
+
+def _regular_rank(graph: Graph, p: Configuration, seed: int) -> int:
     """The rank r of R(p) by :func:`_rank`, checked by
     :func:`_require_regular`: where the certificate is issued, with no SVD
     and no generic-rank draw."""

@@ -29,7 +29,11 @@ of four ways:
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
 and final states), so CSV output is deterministic for a given run.  A
-sample's speed is the field value the stepper yielded with its state.
+sample's speed is the norm of the field value the stepper yielded with its
+state.  Each sample is one row (t, points, m, edge error, speed) appended
+to one list: :func:`_verdict` judges the newest row and the trailing
+window, and :func:`_finish` unzips the rows once into the
+:class:`Trajectory` arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -162,55 +167,29 @@ class ConvergenceOutcome:
     congruence_residual: float
 
 
-class _Recorder:
-    def __init__(self, criteria: TerminationCriteria):
-        self.criteria = criteria
-        self.times: list[float] = []
-        self.positions: list[np.ndarray] = []
-        self.measurements: list[np.ndarray] = []
-        self.edge_error: list[float] = []
-        self.speed: list[float] = []
-
-    def add(self, t: float, p: np.ndarray, m: np.ndarray, err: float, spd: float):
-        self.times.append(t)
-        self.positions.append(p)
-        self.measurements.append(m)
-        self.edge_error.append(err)
-        self.speed.append(spd)
-
-    def verdict(self) -> str | None:
-        """Termination reason at the newest sample, if any."""
-        c = self.criteria
-        if self.edge_error[-1] < c.tol_edge:
-            return "converged"
-        if len(self.times) >= c.window:
-            err = np.asarray(self.edge_error[-c.window:])
-            spd = np.asarray(self.speed[-c.window:])
-            pos = self.positions[-c.window:]
-            leveled = err.max() - err.min() < 0.1 * err.mean()
-            moving = spd.mean() > c.min_speed
-            travel = float(np.linalg.norm(pos[-1] - pos[0], axis=1).max())
-            if leveled and moving and travel > c.tol_node:
-                return "limit-cycle-suspect"
-        return None
+def _verdict(rows: list[tuple], criteria: TerminationCriteria) -> str | None:
+    """Termination reason at the newest row (t, points, m, err, speed) of
+    ``rows``, judged on it and on the trailing ``criteria.window`` rows."""
+    c = criteria
+    if rows[-1][3] < c.tol_edge:
+        return "converged"
+    if len(rows) >= c.window:
+        window = rows[-c.window:]
+        err, spd = (np.fromiter(map(itemgetter(k), window), float, c.window) for k in (3, 4))
+        leveled = err.max() - err.min() < 0.1 * err.mean()
+        moving = spd.mean() > c.min_speed
+        travel = float(np.linalg.norm(window[-1][1] - window[0][1], axis=1).max())
+        if leveled and moving and travel > c.tol_node:
+            return "limit-cycle-suspect"
+    return None
 
 
-def _finish(spec: ControllerSpec, rec: _Recorder, termination: str) -> Trajectory:
-    times = np.asarray(rec.times)
-    speed = np.asarray(rec.speed)
+def _finish(spec: ControllerSpec, rows: list[tuple], termination: str) -> Trajectory:
+    times, positions, measurements, edge_error, speed = map(np.asarray, zip(*rows))
     power = speed**2
     # the trapezoid rule, summed in order from 0
     energy = np.concatenate(([0.0], np.cumsum(np.diff(times) * (power[1:] + power[:-1]) / 2.0)))
-    return Trajectory(
-        spec=spec,
-        times=times,
-        positions=np.asarray(rec.positions),
-        measurements=np.asarray(rec.measurements),
-        edge_error=np.asarray(rec.edge_error),
-        speed=speed,
-        energy=energy,
-        termination=termination,
-    )
+    return Trajectory(spec, times, positions, measurements, edge_error, speed, energy, termination)
 
 
 def integrate(
@@ -253,7 +232,7 @@ def integrate(
             steps = _rk4_steps(rhs, x0, u0, integrator)
 
         # the start is state 0, sampled and judged before the first step is taken
-        rec = _Recorder(criteria)
+        rows = []
         termination = "horizon"
         try:
             for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
@@ -264,14 +243,14 @@ def integrate(
                     p = Configuration.from_vector(d, x)
                     m = distance_map(graph, p).values
                     err = float(np.linalg.norm(m - spec.m_star.values))
-                    rec.add(t, p.points, m, err, float(np.linalg.norm(u)))
-                    verdict = rec.verdict()
+                    rows.append((t, p.points, m, err, float(np.linalg.norm(u))))
+                    verdict = _verdict(rows, criteria)
                     if verdict is not None:
                         termination = verdict
                         break
         except (RankDeficiencyError, _StepFailed):
             termination = "aborted"
-    return _finish(spec, rec, termination)
+    return _finish(spec, rows, termination)
 
 
 class _StepFailed(Exception):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import rigidform.certificates as certificates_mod
 import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
@@ -427,6 +428,46 @@ def test_admissibility_needs_a_positive_sample_count(w5, samples):
     # zero samples would be a vacuous pass, and SeedSequence rejects negatives
     with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
         admissibility(w5, "gradient", None, 2, samples=samples)
+
+
+def _refuse_spectrum_draws(monkeypatch, refused):
+    """Patch ``_spectrum`` to raise RankDeficiencyError at its first
+    ``refused`` calls; returns the configurations it was called at."""
+    real = certificates_mod._spectrum
+    drawn = []
+
+    def spectrum(graph, kind, orientation, p, seed):
+        drawn.append(p.points.copy())
+        if len(drawn) <= refused:
+            raise RankDeficiencyError("refused")
+        return real(graph, kind, orientation, p, seed)
+
+    monkeypatch.setattr(certificates_mod, "_spectrum", spectrum)
+    return drawn
+
+
+def test_admissibility_redraws_a_refused_sample(monkeypatch, w5):
+    # the sample is the stream's second draw, and its spectrum is the report's
+    first_only = admissibility(w5, "gradient", None, 2, samples=1, seed=7)
+    drawn = _refuse_spectrum_draws(monkeypatch, refused=1)
+    dyn, alg = admissibility(w5, "gradient", None, 2, samples=1, seed=7)
+    assert len(drawn) == 2
+    rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+    for points in drawn:
+        assert np.array_equal(points, rng.uniform(-1.0, 1.0, size=(5, 2)))
+    monkeypatch.undo()
+    q = Configuration(2, drawn[1])
+    expected = restricted_sym_form(ControllerSpec(w5, "gradient", distance_map(w5, q)), q)
+    assert dyn.per_sample[0].spectrum == alg.per_sample[0].spectrum == expected.spectrum
+    assert dyn.per_sample[0].spectrum != first_only[0].per_sample[0].spectrum
+
+
+def test_admissibility_resample_cap_is_a_named_error(monkeypatch, w5):
+    drawn = _refuse_spectrum_draws(monkeypatch, refused=10**9)
+    with pytest.raises(RankDeficiencyError,
+                       match="failed to sample a regular configuration in 50 tries"):
+        admissibility(w5, "gradient", None, 2, samples=3)
+    assert len(drawn) == certificates_mod._RESAMPLE_CAP == 50
 
 
 # -------------------------------------------------------------- persistence

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import re
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 import rigidform.certificates as certificates_mod
 import rigidform.cli as cli_mod
 from rigidform.cli import main
+from rigidform.rigidity import RankDeficiencyError
+from rigidform.scenarios import builtin_path
+from rigidform.svg import plane_paths
 
 from conftest import P_STAR
 
@@ -379,3 +384,65 @@ def test_integrator_settings_rejected_by_name(capsys, tmp_path, integrator, extr
     assert code == 3
     assert message in err
     assert "Warning" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "triangle-cyclic", "--t-max", "0.1", "-o", "{missing}run.csv"],
+    ["simulate", "triangle-cyclic", "--t-max", "0.1", "--svg", "{missing}p"],
+    ["simulate", "triangle-cyclic", "--t-max", "0.1", "--json", "{missing}run.json"],
+    ["analyze", "triangle-cyclic", "--json", "{missing}x.json"],
+    ["admissibility", "--builtin", "triangle-cyclic", "--json", "{missing}x.json"],
+    ["persistence", "--builtin", "triangle-cyclic", "--json", "{missing}x.json"],
+], ids=["simulate-csv", "simulate-svg", "simulate-json", "analyze-json",
+        "admissibility-json", "persistence-json"])
+def test_unwritable_output_exits_3_naming_the_path(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, *(a.replace("{missing}", f"{missing}/") for a in argv))
+    assert code == 3
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_admissibility_resample_cap_exits_3(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RankDeficiencyError("refused")
+
+    monkeypatch.setattr(certificates_mod, "_spectrum", refuse)
+    code, _, err = run(capsys, "admissibility", "--builtin", "triangle-cyclic")
+    assert code == 3
+    assert err == "error: failed to sample a regular configuration in 50 tries\n"
+
+
+@pytest.mark.parametrize("command", ["admissibility", "persistence"])
+def test_graph_file_reads_as_its_builtin(capsys, tmp_path, command):
+    path = tmp_path / "fig4.json"
+    path.write_text(builtin_path("fig4-nonpersistent").read_text())
+    from_builtin = run(capsys, command, "--builtin", "fig4-nonpersistent", "--seed", "3")
+    from_file = run(capsys, command, "--graph", str(path), "--seed", "3")
+    assert from_file == from_builtin
+    assert from_file[0] in (0, 1) and from_file[2] == ""
+
+    code, out, err = run(capsys, command, "--graph", str(tmp_path / "none.json"))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {tmp_path / 'none.json'}: ") and "No such file" in err
+
+
+def test_scenario_that_is_no_json_object_or_a_directory_exits_3(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: document must be a JSON object\n"
+
+    code, out, err = run(capsys, "simulate", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 3, 3)], ids=["2d", "3d-points"])
+def test_plane_paths_names_a_bad_shape(tmp_path, shape):
+    with pytest.raises(ValueError,
+                       match=re.escape("plane_paths needs positions shaped (samples, nodes, 2)")):
+        plane_paths(tmp_path / "p.svg", np.zeros(shape))
+    assert not (tmp_path / "p.svg").exists()

@@ -102,6 +102,11 @@ def test_spec_validation(w5, p_star, w5_arrows):
         ControllerSpec(w5, "gradient", Measurement([1.0, 2.0]))
 
 
+
+def test_spec_with_an_orientation_of_another_graph_is_named(w5, p_star):
+    with pytest.raises(ValueError, match="orientation is over a different graph"):
+        ControllerSpec(w5, "directed", distance_map(w5, p_star), orient(PAIR, [(1, 2)]))
+
 def test_model_requires_regular_point():
     tri = build_graph(3, [(1, 2), (1, 3), (2, 3)])
     collinear = Configuration(2, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from rigidform import Configuration, Graph, build_graph, edge_index, orient
+from rigidform import (
+    Configuration,
+    Graph,
+    Measurement,
+    Orientation,
+    build_graph,
+    edge_index,
+    orient,
+)
 
 from conftest import W5_ARROWS, W5_EDGES, random_instance, random_orientation
 
@@ -205,3 +213,27 @@ def test_canonicalization_is_idempotent(ne):
     # canonical form: sorted, i < j, no duplicates
     assert list(g.edges) == sorted(set(g.edges))
     assert all(i < j for i, j in g.edges)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda g: Orientation(g, (0,) * 7), "exactly one direction flag per edge is required"),
+    (lambda g: Orientation(g, (2,) + (0,) * 7), "tail 3 of edge 0 is not an endpoint of (1, 2)"),
+    (lambda g: orient(g, [(1, 1)] + W5_ARROWS), "(1, 1) is not a valid directed pair"),
+    (lambda g: edge_index(g, 0, 2), "(0, 2) references a vertex outside 1..5"),
+    (lambda g: edge_index(g, 1, 6), "(1, 6) references a vertex outside 1..5"),
+], ids=["tail-count", "tail-off-edge", "self-pair", "edge-index-0", "edge-index-past-n"])
+def test_orientation_and_edge_index_errors_are_named(w5, make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(w5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Configuration(2, np.zeros((3, 3))), "points must be an (n, 2) array"),
+    (lambda: Configuration(2, np.zeros(6)), "points must be an (n, 2) array"),
+    (lambda: Configuration(2, [[0.0, 1.0]]), "a configuration needs at least two points"),
+    (lambda: Configuration.from_vector(2, np.zeros(5)), "flat vector length must be a multiple of d"),
+    (lambda: Measurement(np.zeros((2, 2))), "measurement values must be a flat vector"),
+], ids=["not-n-by-d", "flat", "one-point", "from-vector-length", "2d-measurement"])
+def test_configuration_and_measurement_shape_errors_are_named(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

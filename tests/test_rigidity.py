@@ -8,6 +8,7 @@ each test.
 import gc
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import rigidform.rigidity as rigidity_mod
 from rigidform import (
     Configuration,
+    Graph,
     build_graph,
     directed_field,
     congruence_check,
@@ -434,3 +436,45 @@ def test_edge_index_does_not_outlive_its_graph():
     del graph, orientation
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize("call", [
+    distance_map, rigidity_matrix, is_regular_point, tangent_basis,
+    lambda g, p: min_norm_lift(g, p, np.ones(g.num_edges)),
+], ids=["distance_map", "rigidity_matrix", "is_regular_point", "tangent_basis",
+        "min_norm_lift"])
+def test_configuration_of_another_size_is_named(w5, p_star, call):
+    with pytest.raises(ValueError, match="configuration has 4 points, graph has 5 vertices"):
+        call(w5, Configuration(2, p_star.points[:4]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, p: tangent_basis(g, Configuration(2, np.zeros((5, 2)))),
+     "rigidity matrix is zero: all edge endpoints coincide"),
+    (lambda g, p: min_norm_lift(g, p, np.ones(7)), "edge velocity must have length 8"),
+    (lambda g, p: rigid_motion_basis(Configuration(4, np.zeros((5, 4)))),
+     "rigid motions implemented for dimensions 1, 2, 3 only"),
+    (lambda g, p: congruence_check(p, Configuration(2, p.points[:4])),
+     "configurations have 5 and 4 points"),
+    (lambda g, p: congruence_check(p, Configuration(3, np.zeros((5, 3)))),
+     "configurations have dimensions 2 and 3"),
+], ids=["coincident-points", "lift-length", "motions-in-4d", "congruence-n",
+        "congruence-d"])
+def test_rigidity_argument_errors_are_named(w5, p_star, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(w5, p_star)
+
+
+def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
+    # below tr(R^T R) = 1 / SQUARE_LIMIT the certificate decides nothing,
+    # and the SVD rule, relative to sigma_max, still finds the full rank
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from inputs import rigid_formation
+
+    pts, edges, _ = rigid_formation(20, 10, np.random.default_rng(20))
+    graph = Graph(20, edges)
+    for scale, certified in ((1.0, True), (1e-80, False)):
+        p = Configuration(2, scale * pts)
+        index, D = rigidity_mod._edge_vectors(graph, p)
+        assert (rigidity_mod._certify_full_rank(index, D, p) is not None) == certified
+        assert is_regular_point(graph, p)
