@@ -21,8 +21,13 @@ and 150.  Per formation and controller it digests ``restricted_sym_form``,
 ``linearized_edge_matrix`` (A's bytes, spectrum and rank), three-sample
 ``admissibility`` and a two-step RK4 ``integrate`` from one perturbed start
 (every recorded array's bytes); then ``persistence_check`` on one persistent
-and one non-persistent ``persistence_graph``.  An exception is digested as
-its type and message.
+and one non-persistent ``persistence_graph``.  Then ``model_field`` at d*n =
+300 once per path its lift can take, each from a perturbed start of
+``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
+the certificate's factor converges quickly; s = 50, where it converges
+slowly; s = 192, where it stalls and both solves fall back to LU; and s = 3,
+where no certificate is issued and least squares decides.  An exception is
+digested as its type and message.
 
 Last come the public readers of R's SVD, at every built-in's target and at
 the n = 20 and n = 60 formations: ``tangent_basis``, ``projector`` and
@@ -61,6 +66,7 @@ from rigidform import (
     integrate,
     is_regular_point,
     linearized_edge_matrix,
+    model_field,
     orient,
     persistence_check,
     projector,
@@ -78,6 +84,9 @@ from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
 FORMATION_SIZES = (20, 60, 150)
 # the formations whose SVD readers are digested; n = 150 would add only time
 SVD_READER_SIZES = (20, 60)
+# lambda_min(K) / delta is about 711, 3.9 and 1.45 at the first three
+# starts, and the last is issued no certificate (module docstring)
+LIFT_SEEDS = (0, 50, 192, 3)
 # (out-degrees of the plain vertices from vertex 3 on, gadget position)
 PERSISTENCE_GRAPHS = (((3, 4, 4), None), ((3, 3, 2, 2, 2), 5))
 
@@ -174,6 +183,19 @@ def _formations() -> None:
                lambda: persistence_check(sensing, 2))
 
 
+def _lift_regimes() -> None:
+    """Digest ``model_field`` at one perturbed start of each ``LIFT_SEEDS``
+    formation, toward the formation's own target."""
+    for s in LIFT_SEEDS:
+        rng = np.random.default_rng(s)
+        pts, edges, _ = rigid_formation(150, 75, rng)
+        start = pts + 0.05 * rng.standard_normal(pts.shape)
+        graph = Graph(150, edges)
+        m_star = distance_map(graph, Configuration(2, pts))
+        _value(f"model lift n=150 seed={s}",
+               lambda: model_field(graph, Configuration(2, start), m_star, 0))
+
+
 def _svd_readers(label: str, graph, orientation, target) -> None:
     """Digest the public functions that read the SVD of R at ``target``:
     ``tangent_basis``, ``projector`` and ``is_regular_point``, then per
@@ -215,6 +237,7 @@ def main() -> None:
              _cli("persistence", "--builtin", name, "--json", "{out}report.json"))
     _run("studies", _studies)
     _formations()
+    _lift_regimes()
     _all_svd_readers()
 
 

@@ -278,9 +278,11 @@ def admissibility(
 ) -> tuple[AdmissibilityReport, AdmissibilityReport]:
     """(dynamic, algebraic) admissibility from one pass over sampled targets.
 
-    Each of ``samples`` random configurations, one per stream spawned from
-    ``seed`` and redrawn until regular, has the spectrum of its restricted
-    operator taken once; the dynamic test judges min |Re z| against
+    Each of ``samples`` random configurations, sample i drawn from the
+    stream with spawn key (i,) under ``seed`` (the i-th child that
+    ``SeedSequence(seed).spawn`` gives, made only as it is drawn) and
+    redrawn until regular, has the spectrum of its restricted operator
+    taken once; the dynamic test judges min |Re z| against
     ``TOL_HYP`` and the algebraic test min |z| against ``TOL_INV``, both
     relative to the spectral norm.  Raises ValueError unless ``kind`` names
     a controller that ``orientation`` pairs with (only "directed" reads it)
@@ -294,8 +296,8 @@ def admissibility(
     seed = _require_count("seed", seed, 0)
     tests = (("dynamic", TOL_HYP), ("algebraic", TOL_INV))
     per_sample = ([], [])
-    for stream in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(stream)
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for _ in range(_RESAMPLE_CAP):
             p = Configuration(d, rng.uniform(-1.0, 1.0, size=(graph.n, d)))
             try:

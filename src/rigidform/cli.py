@@ -281,9 +281,7 @@ def cmd_simulate(args) -> int:
 def _graph_source(args) -> Scenario:
     if args.builtin:
         return builtin_scenario(args.builtin)
-    if args.graph:
-        return load_scenario(args.graph)
-    raise ScenarioError("one of --builtin or --graph is required")
+    return load_scenario(args.graph)
 
 
 def cmd_admissibility(args) -> int:
@@ -357,16 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("admissibility", help="randomized generic-spectrum tests")
-    p.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
-    p.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
+    source.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the graph")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=cmd_admissibility)
 
     p = sub.add_parser("persistence", help="out-degree-reduction persistence test")
-    p.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
-    p.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the orientation")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
+    source.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the orientation")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=cmd_persistence)

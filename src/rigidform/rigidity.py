@@ -89,18 +89,20 @@ normal-equation solution with one corrected semi-normal step (Bjorck,
 *Numerical Methods for Least Squares Problems*, 1996, 2.2), both solves
 with K backward stable, is as accurate as the least-squares solve.
 
-Factor once (:class:`_Certificate`).  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
+Factor once (:class:`_Certificate`).  The certificate keeps K itself:
+the shift is taken in place for the Cholesky and undone by writing K's
+saved diagonal back, exactly, so the K it holds is the K it certified and
+no second dn x dn matrix is formed.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
 on, both solves with K run on the certificate's own factor L of
 M = K - delta I, and the certified lift takes that one factorization and no
-LU, least-squares or SVD.  K itself is not kept: K y = M y + delta y.  A
-solve of K y = c starts from y = M^-1 c and refines, y <- y + M^-1 (c - K y),
-with M^-1 applied as L^-T L^-1: L^-1 is formed once per certificate, its
-diagonal blocks by one batched inverse and the rest block row by block row
-with matrix products (:func:`_lower_inverse`).  The iteration matrix is
--delta M^-1, which contracts by delta / (lambda_min(K) - delta) per step.
-Each step is checked a posteriori: with the residual rho computed as
-fl(c - M y - delta y), its rounding is at most
-beta = (dn + 2) eps (|c| + nu |y|), nu = ||M||_F + delta >= ||K||_2
+LU, least-squares or SVD.  A solve of K y = c starts from y = M^-1 c and
+refines, y <- y + M^-1 (c - K y), with M^-1 applied as L^-T L^-1: L^-1 is
+formed once per certificate, its diagonal blocks by one batched inverse and
+the rest block row by block row with matrix products
+(:func:`_lower_inverse`).  The iteration matrix is -delta M^-1, which
+contracts by delta / (lambda_min(K) - delta) per step.  Each step is checked
+a posteriori: with the residual rho computed as fl(c - K y), its rounding
+is at most beta = (dn + 2) eps (|c| + nu |y|), nu = ||K||_F >= || |K| ||_2
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5), so y
 solves (K + E) y = c with ||E||_2 <= (|rho| + beta) / |y| (Rigal and
 Gaches 1967), and ||y - K^-1 c|| <= (4 / (3 delta)) (|rho| + beta).  y is
@@ -108,14 +110,14 @@ taken once |rho| + beta <= 4 (dn + 2) eps nu |y|: E is then within the
 normwise backward error of the LU or Cholesky solve it replaces (Higham
 2002, 9.3 and 10.1), which is all the semi-normal argument above needs.  A
 residual that fails to halve before that (lambda_min(K) < 3 delta, or so
-near it that the steps stall) hands the solve to LU with K, rebuilt from M
-and K's own diagonal and bit-identical to it, which the same argument
-covers; a least-squares solve there would cost several times more.  Below
-``_FACTORED_SOLVE_MIN_SIZE`` both solves are such LU solves: there forming
-L^-1 costs more than the two solves it replaces.  Per model_field call on d = 2
-formations of bench.inputs.rigid_formation(n, n // 2) (one BLAS thread,
-median over three formations of the best of fifteen interleaved trials),
-LU vs refinement on L: d*n = 40, 125 vs 229 us; 80, 446 vs 661; 120, 476
+near it that the steps stall) hands the solve to LU with K, which the same
+argument covers; a least-squares solve there would cost several times
+more.  Below ``_FACTORED_SOLVE_MIN_SIZE`` both solves are such LU solves:
+there forming L^-1 costs more than the two solves it replaces.  Per
+model_field call on d = 2 formations of
+bench.inputs.rigid_formation(n, n // 2) (one BLAS thread, median over
+three formations of the best of fifteen interleaved trials), LU vs
+refinement on L: d*n = 40, 125 vs 229 us; 80, 446 vs 661; 120, 476
 vs 569; 150, 1045 vs 1025; 160, 2046 vs 1843; 200, 3387 vs 2630; 240,
 4772 vs 3613; 300, 5348 vs 3511.
 """
@@ -558,14 +560,13 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Certificate:
-    """A successful certificate: the Cholesky factor ``L`` of the shifted
-    stiffness matrix ``M`` = K - ``delta`` I, which is kept in place of K,
-    and K's own ``diagonal``.  :meth:`solve` solves with K."""
+    """A successful certificate: the stiffness matrix ``K`` it certifies,
+    the Cholesky factor ``L`` of K - ``delta`` I, and ``delta``.
+    :meth:`solve` solves with K."""
 
-    M: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
     delta: float
-    diagonal: np.ndarray = field(repr=False)
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -573,17 +574,11 @@ class _Certificate:
 
     @cached_property
     def _scale(self) -> float:
-        """||M||_F + delta, at least ||K||_2 and || |M| ||_2 + delta."""
-        return float(np.linalg.norm(self.M)) + self.delta
-
-    @cached_property
-    def _stiffness(self) -> np.ndarray:
-        K = self.M.copy()
-        K.flat[:: K.shape[0] + 1] = self.diagonal
-        return K
+        """||K||_F, at least ||K||_2 and || |K| ||_2."""
+        return float(np.linalg.norm(self.K))
 
     def substitute(self, c: np.ndarray) -> np.ndarray:
-        """M^-1 c, as L^-T (L^-1 c)."""
+        """(K - delta I)^-1 c, as L^-T (L^-1 c)."""
         X = self._inverse
         return X.T @ (X @ c)
 
@@ -593,16 +588,15 @@ class _Certificate:
         a-posteriori test shows it backward stable, as long as each step at
         least halves the residual; otherwise, and below that size, by LU
         with K."""
-        M, delta = self.M, self.delta
-        if M.shape[0] >= _FACTORED_SOLVE_MIN_SIZE:
+        K = self.K
+        if K.shape[0] >= _FACTORED_SOLVE_MIN_SIZE:
             scale = self._scale
-            rounding = (M.shape[0] + 2) * _EPS
+            rounding = (K.shape[0] + 2) * _EPS
             c_norm = math.sqrt(c @ c)
             y = self.substitute(c)
             last = math.inf
             while True:
-                residual = c - M @ y
-                residual -= delta * y
+                residual = c - K @ y
                 r_norm, y_norm = math.sqrt(residual @ residual), math.sqrt(y @ y)
                 if r_norm + rounding * (c_norm + scale * y_norm) <= 4.0 * rounding * scale * y_norm:
                     return y
@@ -610,7 +604,7 @@ class _Certificate:
                     break
                 last = r_norm
                 y += self.substitute(residual)
-        return np.linalg.solve(self._stiffness, c)
+        return np.linalg.solve(K, c)
 
 
 def _certify_full_rank(
@@ -629,8 +623,9 @@ def _certify_full_rank(
     R^T R puts each edge's D_k D_k^T at its two endpoint blocks and
     subtracts it at the two mixed ones, summed by :func:`_scatter_outer`
     over the distinct positions ``index.stiffness`` and added to
-    s Q Q^T, which is the one dense matrix formed; the shift is taken in
-    place.
+    s Q Q^T, which is the one dense matrix formed.  The shift is taken in
+    place for the Cholesky and undone by writing K's saved diagonal back,
+    so the certificate holds exactly the K it certified.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
@@ -644,16 +639,17 @@ def _certify_full_rank(
         return None
     Q = _motion_frame(p)
     W = np.sqrt(trace / size) * Q
-    M = W @ W.T
-    M.reshape(-1)[touched] += sums
-    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * float(np.trace(M))
-    diagonal = M.diagonal().copy()
-    M.flat[:: size + 1] -= delta
+    K = W @ W.T
+    K.reshape(-1)[touched] += sums
+    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * float(np.trace(K))
+    diagonal = K.diagonal().copy()
+    K.flat[:: size + 1] -= delta
     try:
-        L = np.linalg.cholesky(M)
+        L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
-    return _Certificate(M, L, delta, diagonal)
+    K.flat[:: size + 1] = diagonal
+    return _Certificate(K, L, delta)
 
 
 def _certified_solve(

@@ -1,6 +1,7 @@
 """Certificates: restricted positive definiteness, admissibility, persistence."""
 
 import gc
+import tracemalloc
 from dataclasses import asdict
 from itertools import combinations, product
 
@@ -462,12 +463,21 @@ def test_admissibility_redraws_a_refused_sample(monkeypatch, w5):
     assert dyn.per_sample[0].spectrum != first_only[0].per_sample[0].spectrum
 
 
-def test_admissibility_resample_cap_is_a_named_error(monkeypatch, w5):
+@pytest.mark.parametrize("samples", [3, 10**5])
+def test_admissibility_resample_cap_is_a_named_error(monkeypatch, w5, samples):
+    # the first sample's stream is made as it is drawn, not all of them up
+    # front, so a huge sample count costs no memory before the error
     drawn = _refuse_spectrum_draws(monkeypatch, refused=10**9)
-    with pytest.raises(RankDeficiencyError,
-                       match="failed to sample a regular configuration in 50 tries"):
-        admissibility(w5, "gradient", None, 2, samples=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RankDeficiencyError,
+                           match="failed to sample a regular configuration in 50 tries"):
+            admissibility(w5, "gradient", None, 2, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(drawn) == certificates_mod._RESAMPLE_CAP == 50
+    assert peak < 4 * 2**20
 
 
 # -------------------------------------------------------------- persistence

@@ -206,9 +206,6 @@ def test_admissibility_command(capsys, tmp_path):
     assert "dynamic admissibility: pass" in out
     assert "algebraic admissibility: pass" in out
 
-    code, _, err = run(capsys, "admissibility")
-    assert code == 3 and "required" in err
-
     json_path = tmp_path / "adm.json"
     code, _, _ = run(capsys, "admissibility", "--builtin", "w5-directed-good",
                      "--samples", "3", "--seed", "5", "--json", str(json_path))
@@ -238,10 +235,17 @@ def test_admissibility_command(capsys, tmp_path):
     (["simulate", "w5-undirected", "--controller", "pid"], None,
      "argument --controller: invalid choice: 'pid'"),
     (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+    (["admissibility"], None, "one of the arguments --builtin --graph is required"),
+    (["persistence"], None, "one of the arguments --builtin --graph is required"),
+    (["admissibility", "--builtin", "fig4-nonpersistent", "--graph", "w5.json"], None,
+     "argument --graph: not allowed with argument --builtin"),
+    (["persistence", "--builtin", "fig4-nonpersistent", "--graph", "w5.json"], None,
+     "argument --graph: not allowed with argument --builtin"),
 ], ids=["analyze-samples-0", "analyze-samples-neg", "admissibility-samples-0",
         "admissibility-samples-neg", "seed-neg", "env-seed-neg",
         "env-seed-not-int-explicit-start", "env-seed-neg-explicit-start", "samples-not-int",
-        "unknown-controller", "unknown-command"])
+        "unknown-controller", "unknown-command", "admissibility-no-source",
+        "persistence-no-source", "admissibility-both-sources", "persistence-both-sources"])
 def test_rejected_input_exits_3_with_its_name(capsys, monkeypatch, argv, env_seed, message):
     # 2 is the indeterminate verdict, so no usage or input error may exit 2
     if env_seed is None:

@@ -567,7 +567,7 @@ def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
     index, D = _edge_vectors(graph, p)
     certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
     assert certificate is not None
-    ratio = (np.linalg.eigvalsh(certificate.M)[0] + certificate.delta) / certificate.delta
+    ratio = np.linalg.eigvalsh(certificate.K)[0] / certificate.delta
     assert 1.0 < ratio < 2.0
     e = m_star.values - distance_map(graph, p).values
     lu_only = _certified_solve(index, D, p, e)

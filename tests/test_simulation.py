@@ -224,16 +224,23 @@ def test_mid_run_rank_loss_terminates_aborted(monkeypatch, method):
     assert traj.termination_time == traj.times[-1]
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_model_run_onto_non_finite_state_terminates_aborted(capfd, monkeypatch, method):
+@pytest.mark.parametrize("method, poison", [
+    pytest.param("rk45", "state", id="rk45"),
+    pytest.param("rk4", "state", id="rk4"),
+    pytest.param("rk4", "value", id="rk4-value"),
+])
+def test_model_run_onto_non_finite_state_terminates_aborted(capfd, monkeypatch, method, poison):
     # the model field meets a NaN state mid-run: a named rank verdict ends the
-    # run, where LAPACK would fail on the matrix or print to stderr
+    # run, where LAPACK would fail on the matrix or print to stderr; or the
+    # field returns NaN at a finite state, and the divergence check ends it
     scn = builtin_scenario("w5-undirected")
     real = simulate_mod.evaluate_field
 
     def poisoned(spec_, p, seed=0):
         poisoned.calls += 1
         if poisoned.calls > 40:
+            if poison == "value":
+                return np.full(p.d * p.n, np.nan)
             p = Configuration(p.d, np.where(np.arange(p.n)[:, None] == 2, np.nan, p.points))
         return real(spec_, p, seed)
 
@@ -245,6 +252,13 @@ def test_model_run_onto_non_finite_state_terminates_aborted(capfd, monkeypatch, 
     assert traj.termination == "aborted"
     assert np.isfinite(traj.positions).all()
     assert capfd.readouterr().err == ""
+    if poison == "value":
+        # the start takes one field call and each RK4 step (dt = 0.01) four,
+        # the last at its new state: call 41 is state 10's value, so states
+        # 0-9 are kept
+        assert len(traj.times) == 10
+        assert all(np.isfinite(a).all() for a in (traj.times, traj.measurements,
+                                                   traj.edge_error, traj.speed, traj.energy))
 
 
 def test_failed_adaptive_step_terminates_aborted(monkeypatch):
