@@ -35,6 +35,11 @@ the n = 20 and n = 60 formations: ``tangent_basis``, ``projector`` and
 ``eta_matrix`` (a built-in with no orientation digests the directed
 controller's ValueError).  Uses the standard library, NumPy, the package
 and ``bench/inputs.py``; RIGIDFORM_SEED is ignored.
+
+BLAS runs on one thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS are set to 1 before NumPy is imported, whatever the caller
+set, because a multithreaded BLAS sums in another order and moves the last
+bits of the large formations' results.
 """
 
 import contextlib
@@ -47,9 +52,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"
 
-from rigidform import (
+import numpy as np  # noqa: E402  (after the BLAS thread count is pinned)
+
+from rigidform import (  # noqa: E402
     Configuration,
     ControllerSpec,
     Graph,
@@ -73,8 +81,8 @@ from rigidform import (
     restricted_sym_form,
     tangent_basis,
 )
-from rigidform.cli import main as cli_main
-from rigidform.controllers import CONTROLLER_KINDS
+from rigidform.cli import main as cli_main  # noqa: E402
+from rigidform.controllers import CONTROLLER_KINDS  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 STUDIES = ROOT / "scripts" / "run_studies.py"

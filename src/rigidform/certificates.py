@@ -364,7 +364,9 @@ def algebraic_admissibility(
 
 
 def reduction_count(orientation: Orientation, d: int) -> int:
-    """Number of out-degree-d reductions the persistence test enumerates."""
+    """Number of out-degree-d reductions the persistence test enumerates;
+    ValueError unless d is a positive integer."""
+    d = _require_count("dimension", d, 1)
     count = 1
     for v in range(orientation.graph.n):
         outdeg = len(orientation.out_edges(v))

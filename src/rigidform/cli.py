@@ -9,6 +9,10 @@ Subcommands:
 * ``admissibility``  randomized generic-spectrum tests for a graph;
 * ``persistence``    out-degree-reduction test for an orientation.
 
+``analyze`` prints admissibility and persistence exactly as the
+``admissibility`` and ``persistence`` subcommands do: each report has one
+renderer, and all three commands open with the same scenario header.
+
 Exit codes for verdict-producing commands: 0 pass, 1 fail, 2 indeterminate,
 3 usage or input error, including an output file that cannot be written.
 The environment variable RIGIDFORM_SEED supplies the default seed; an
@@ -31,6 +35,8 @@ import numpy as np
 from rigidform import __version__
 from rigidform.certificates import (
     DEFAULT_SAMPLES,
+    AdmissibilityReport,
+    PersistenceReport,
     admissibility,
     persistence_check,
     restricted_sym_form,
@@ -118,6 +124,32 @@ def cmd_examples(args) -> int:
     return EXIT_PASS
 
 
+def _header(scn: Scenario) -> None:
+    print(f"scenario: {scn.name} ({scn.controller} controller, d={scn.d}, "
+          f"n={scn.graph.n}, edges={scn.graph.num_edges})")
+
+
+def _report_admissibility(dyn: AdmissibilityReport, alg: AdmissibilityReport) -> dict:
+    """Print both verdicts, each with its worst margin relative to the
+    spectral norm (the quantity compared with ``tol``); return their JSON
+    entries."""
+    for rep in (dyn, alg):
+        worst = min(s.margin / s.spectral_norm for s in rep.per_sample)
+        print(f"{rep.test} admissibility: {rep.verdict}  "
+              f"[{rep.samples} samples, seed {rep.seed}, worst relative margin {worst:.3g}]")
+    return {"dynamic_admissibility": asdict(dyn), "algebraic_admissibility": asdict(alg)}
+
+
+def _report_persistence(rep: PersistenceReport) -> dict:
+    """Print the verdict, the witness and the reason; return the JSON entry."""
+    print(f"persistence: {rep.verdict}  [{rep.reductions_checked} reductions checked]")
+    if rep.witness is not None:
+        print("witness reduction: " + ", ".join(f"{t}->{h}" for t, h in rep.witness))
+    if rep.detail:
+        print(f"note: {rep.detail}")
+    return asdict(rep)
+
+
 def _orientation(scn: Scenario):
     """The scenario's orientation, which the persistence test needs."""
     if scn.orientation is None:
@@ -140,7 +172,7 @@ def cmd_analyze(args) -> int:
     dyn, alg = admissibility(graph, scn.controller, scn.orientation, d, args.samples, seed)
     persist = persistence_check(orientation, d, seed) if orientation is not None else None
 
-    print(f"scenario: {scn.name} ({scn.controller} controller, d={d}, n={graph.n}, edges={graph.num_edges})")
+    _header(scn)
     print(f"generic rank: {rank} / {max_rank}"
           f" -> {'generically rigid' if rigid else 'NOT generically rigid'}")
     print(f"target: rank {target_rank} -> {'regular point' if regular else 'NOT a regular point'}")
@@ -152,14 +184,8 @@ def cmd_analyze(args) -> int:
     print(line)
     if cert.spectrum:
         print("linearized edge spectrum: " + ", ".join(_fmt_complex(z) for z in cert.spectrum))
-    for rep in (dyn, alg):
-        margins = ", ".join(f"{s.margin:.3g}" for s in rep.per_sample)
-        print(f"{rep.test} admissibility: {rep.verdict}  [{rep.samples} samples, seed {rep.seed}, margins {margins}]")
-    if persist is not None:
-        print(f"persistence: {persist.verdict}  [{persist.reductions_checked} reductions]")
-        if persist.witness is not None:
-            arrows = ", ".join(f"{t}->{h}" for t, h in persist.witness)
-            print(f"  witness reduction: {arrows}")
+    entries = _report_admissibility(dyn, alg)
+    entries["persistence"] = _report_persistence(persist) if persist is not None else None
 
     if args.json:
         _write_json(args.json, {
@@ -175,9 +201,7 @@ def cmd_analyze(args) -> int:
             "target_regular": regular,
             "certificate": asdict(cert),
             "linearized_spectrum": cert.spectrum,
-            "dynamic_admissibility": asdict(dyn),
-            "algebraic_admissibility": asdict(alg),
-            "persistence": asdict(persist) if persist is not None else None,
+            **entries,
             "seed": seed,
         })
     return _VERDICT_EXIT[cert.verdict]
@@ -214,7 +238,6 @@ def cmd_simulate(args) -> int:
         _master_seed(None)
         seed, p0 = 0, scn.initial
     else:
-        # a loaded scenario without explicit coordinates always has a seed
         seed = _master_seed(args.seed, scn.initial_seed)
         p0 = scn.initial_configuration(seed)
 
@@ -289,18 +312,10 @@ def cmd_admissibility(args) -> int:
     seed = _master_seed(args.seed)
     dyn, alg = admissibility(scn.graph, scn.controller, scn.orientation, scn.d,
                              args.samples, seed)
-    print(f"graph: {scn.name} ({scn.controller} controller, d={scn.d}, "
-          f"n={scn.graph.n}, edges={scn.graph.num_edges})")
-    for rep in (dyn, alg):
-        worst = min(s.margin / s.spectral_norm for s in rep.per_sample)
-        print(f"{rep.test} admissibility: {rep.verdict}  "
-              f"[{rep.samples} samples, seed {rep.seed}, worst relative margin {worst:.3g}]")
+    _header(scn)
+    entries = _report_admissibility(dyn, alg)
     if args.json:
-        _write_json(args.json, {
-            "scenario": scn.name,
-            "dynamic_admissibility": asdict(dyn),
-            "algebraic_admissibility": asdict(alg),
-        })
+        _write_json(args.json, {"scenario": scn.name, **entries})
     return EXIT_PASS if dyn.verdict == "pass" and alg.verdict == "pass" else EXIT_FAIL
 
 
@@ -309,15 +324,23 @@ def cmd_persistence(args) -> int:
     orientation = _orientation(scn)
     seed = _master_seed(args.seed)
     rep = persistence_check(orientation, scn.d, seed)
-    print(f"graph: {scn.name} (d={scn.d}, n={scn.graph.n}, edges={scn.graph.num_edges})")
-    print(f"persistence: {rep.verdict}  [{rep.reductions_checked} reductions checked]")
-    if rep.witness is not None:
-        print("witness reduction: " + ", ".join(f"{t}->{h}" for t, h in rep.witness))
-    if rep.detail:
-        print(f"note: {rep.detail}")
+    _header(scn)
+    entry = _report_persistence(rep)
     if args.json:
-        _write_json(args.json, {"scenario": scn.name, "persistence": asdict(rep)})
+        _write_json(args.json, {"scenario": scn.name, "persistence": entry})
     return _VERDICT_EXIT[rep.verdict]
+
+
+def _graph_command(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A subcommand that reads its scenario from --builtin NAME or --graph FILE."""
+    p = sub.add_parser(name, help=help)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
+    source.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the graph")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--json", metavar="OUT")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,22 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=None, help="override the horizon")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("admissibility", help="randomized generic-spectrum tests")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
-    source.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the graph")
+    p = _graph_command(sub, "admissibility", "randomized generic-spectrum tests", cmd_admissibility)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(func=cmd_admissibility)
-
-    p = sub.add_parser("persistence", help="out-degree-reduction persistence test")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=builtin_names(), help="built-in scenario name")
-    source.add_argument("--graph", metavar="FILE", help="scenario JSON supplying the orientation")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(func=cmd_persistence)
+    _graph_command(sub, "persistence", "out-degree-reduction persistence test", cmd_persistence)
 
     return parser
 

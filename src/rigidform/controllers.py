@@ -68,6 +68,12 @@ def _require_controller(graph: Graph, kind: str, orientation: Orientation | None
         raise ValueError(f"{kind} controller takes no orientation")
 
 
+def _require_target(m_star: Measurement, num_edges: int) -> None:
+    """Raise ValueError unless the target has one entry per edge."""
+    if len(m_star) != num_edges:
+        raise ValueError(f"target has {len(m_star)} entries, graph has {num_edges} edges")
+
+
 @dataclass(frozen=True, eq=False)
 class ControllerSpec:
     """A controller choice bound to a graph and a target measurement."""
@@ -79,11 +85,7 @@ class ControllerSpec:
 
     def __post_init__(self):
         _require_controller(self.graph, self.kind, self.orientation)
-        if len(self.m_star) != self.graph.num_edges:
-            raise ValueError(
-                f"target has {len(self.m_star)} entries, graph has "
-                f"{self.graph.num_edges} edges"
-            )
+        _require_target(self.m_star, self.graph.num_edges)
 
 
 def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> np.ndarray:
@@ -161,11 +163,14 @@ def eta_matrix(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndar
 def node_potential(graph: Graph, p: Configuration, m_star: Measurement) -> float:
     """Quarter squared norm of the edge error at p; the gradient field is
     its negative node-space gradient."""
+    _require_target(m_star, graph.num_edges)
     err = distance_map(graph, p).values - m_star.values
     return 0.25 * float(err @ err)
 
 
 def edge_potential(m: Measurement, m_star: Measurement) -> float:
-    """Half squared distance of a measurement from the target."""
+    """Half squared distance of a measurement from the target, which has
+    one entry per edge of the measured graph."""
+    _require_target(m_star, len(m))
     err = m.values - m_star.values
     return 0.5 * float(err @ err)

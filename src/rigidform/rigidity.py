@@ -193,7 +193,10 @@ def _require_finite(name: str, a: np.ndarray, limit: float = np.inf) -> None:
 
 
 def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank with the toolkit-wide relative SVD cutoff; m must be finite."""
+    """Numerical rank with the toolkit-wide relative SVD cutoff; m must be a
+    finite 2-D matrix."""
+    if m.ndim != 2:
+        raise ValueError(f"m must be a 2-D matrix, got {m.ndim} dimensions")
     _require_finite("m", m)
     return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape)
 
@@ -402,19 +405,36 @@ def max_generic_rank(n: int, d: int) -> int:
     return n * (n - 1) // 2
 
 
+def _edge_subset(graph: Graph, edges) -> np.ndarray:
+    """``edges`` as an index array, when its entries are strictly increasing
+    integers in 0..|E|-1; otherwise ValueError.  A plain loop, which costs
+    less than array checks on the short list persistence_check passes per
+    reduction."""
+    last, top = -1, graph.num_edges
+    for k in edges:
+        if not (type(k) is int or isinstance(k, np.integer)) or not last < k < top:
+            raise ValueError(f"edges must be strictly increasing integers in "
+                             f"0..{top - 1}, got {edges!r}")
+        last = k
+    return np.asarray(edges, dtype=np.intp)
+
+
 def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> bool:
     """Whether generic frameworks of the graph in R^d admit only rigid
     motions: whether :func:`generic_rank` reaches max_generic_rank(n, d).
 
-    With ``edges``, a sequence of edge indices, the verdict is that of the
-    spanning subgraph on those edges: whether it has at least
-    max_generic_rank(n, d) edges and the rows ``edges`` of the graph's R
-    reach that rank, by the SVD rule, at one of the same draws.  Those R are
-    built once per (d, seed) and kept on the graph until a subgraph is
-    tested at another (d, seed), so testing many subgraphs builds no graph
-    and no R of their own and the graph keeps one set of draws at most;
-    subgraph verdicts are not memoized.
-    Raises ValueError unless d is a positive integer and seed a non-negative one.
+    With ``edges``, a sequence of strictly increasing integer edge indices
+    in 0..|E|-1 (the canonical order :class:`Graph` keeps; empty is
+    allowed), the verdict is that of the spanning subgraph on those edges:
+    whether it has at least max_generic_rank(n, d) edges and the rows
+    ``edges`` of the graph's R reach that rank, by the SVD rule, at one of
+    the same draws.  Those R are built once per (d, seed) and kept on the
+    graph until a subgraph is tested at another (d, seed), so testing many
+    subgraphs builds no graph and no R of their own and the graph keeps one
+    set of draws at most; subgraph verdicts are not memoized.
+    Raises ValueError unless d is a positive integer, seed a non-negative
+    one and ``edges`` as above: a negative, fractional, repeated or
+    out-of-range index is never wrapped, truncated or counted.
     """
     d = _require_count("dimension", d, 1)
     full = max_generic_rank(graph.n, d)
@@ -424,7 +444,7 @@ def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> boo
     if key not in graph._draw_memo:
         graph._draw_memo.clear()
         graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
-    rows = np.asarray(edges, dtype=np.intp)
+    rows = _edge_subset(graph, edges)
     return rows.size >= full and any(matrix_rank(R[rows]) == full for R in graph._draw_memo[key])
 
 

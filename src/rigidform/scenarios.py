@@ -105,7 +105,7 @@ class Scenario:
     target: Configuration
     orientation: Orientation | None = None
     initial: Configuration | None = None
-    initial_seed: int | None = None
+    initial_seed: int = 0
     relative_scale: float = DEFAULT_RELATIVE_SCALE
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
@@ -125,15 +125,15 @@ class Scenario:
         )
 
     def initial_configuration(self, seed: int | None = None) -> Configuration:
-        """Resolve the start: explicit coordinates, or a seeded perturbation
-        of the target scaled by ``relative_scale`` times its diameter."""
-        if self.initial is not None and seed is None:
-            return self.initial
-        use_seed = seed if seed is not None else self.initial_seed
-        if use_seed is None:
-            use_seed = 0
-        _require_count("seed", use_seed, 0)
-        rng = np.random.default_rng(use_seed)
+        """Resolve the start: the explicit coordinates when no ``seed`` is
+        given and the scenario has them; otherwise a perturbation of the
+        target, drawn from ``seed`` or else ``initial_seed``, scaled by
+        ``relative_scale`` times the target's diameter."""
+        if seed is None:
+            if self.initial is not None:
+                return self.initial
+            seed = self.initial_seed
+        rng = np.random.default_rng(_require_count("seed", seed, 0))
         rho = self.relative_scale * self.target.diameter()
         noise = rng.standard_normal(self.target.points.shape)
         return Configuration(self.d, self.target.points + rho * noise)
@@ -157,7 +157,7 @@ class Scenario:
             doc["initial"] = [[float(x) for x in row] for row in self.initial.points]
         else:
             doc["initial"] = {
-                "seed": self.initial_seed if self.initial_seed is not None else 0,
+                "seed": self.initial_seed,
                 "relative_scale": self.relative_scale,
             }
         doc["integrator"] = asdict(self.integrator)
@@ -229,7 +229,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     target = _coordinates(_require(doc, "target", where), graph.n, d, f"{where}.target")
 
     initial = None
-    initial_seed = None
+    initial_seed = 0
     relative_scale = DEFAULT_RELATIVE_SCALE
     init_doc = doc.get("initial", {"seed": 0, "relative_scale": DEFAULT_RELATIVE_SCALE})
     if isinstance(init_doc, dict):

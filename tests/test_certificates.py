@@ -611,6 +611,12 @@ def test_persistence_rejects_bad_dimension(w5_arrows):
         persistence_check(w5_arrows, 1)
 
 
+@pytest.mark.parametrize("d", [2.5, 0, -1])
+def test_reduction_count_names_a_bad_dimension(w5_arrows, d):
+    with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d}"):
+        reduction_count(w5_arrows, d)
+
+
 @pytest.mark.parametrize("d", [2.0, 2.5])
 def test_persistence_names_a_dimension_that_is_no_integer(w5_arrows, d):
     with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d}"):

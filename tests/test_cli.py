@@ -110,6 +110,24 @@ def test_simulate_outputs(capsys, tmp_path):
         xml.dom.minidom.parse(str(f))  # well-formed
 
 
+def test_run_that_starts_at_its_target_writes_valid_svgs(capsys, tmp_path):
+    # converged at sample 0: one time, zero edge error and energy, so the
+    # charts meet a point-sized range and a log series with nothing to plot
+    doc = json.loads(builtin_path("triangle-cyclic").read_text())
+    doc["initial"] = doc["target"]
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps(doc))
+    json_path = tmp_path / "run.json"
+    code, _, _ = run(capsys, "simulate", str(path), "--svg", str(tmp_path / "run"),
+                     "--json", str(json_path))
+    assert code == 0
+    summary = json.loads(json_path.read_text())
+    assert (summary["termination"], summary["samples"]) == ("converged", 1)
+    assert summary["svg"] == ["run-edge-error.svg", "run-energy.svg", "run-paths.svg"]
+    for name in summary["svg"]:
+        xml.dom.minidom.parse(str(tmp_path / name))
+
+
 def test_simulate_byte_determinism(capsys, tmp_path):
     outputs = []
     for sub in ("a", "b"):
@@ -281,6 +299,40 @@ def test_persistence_command(capsys):
     code, _, err = run(capsys, "persistence", "--builtin", "w5-undirected")
     assert code == 3
     assert "orient" in err
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+@pytest.mark.parametrize("name", ["w5-directed-good", "w5-directed-bad",
+                                  "fig4-nonpersistent", "triangle-cyclic"])
+def test_analyze_prints_each_report_as_its_subcommand_does(capsys, name, seed):
+    _, analyzed, _ = run(capsys, "analyze", name, "--persistence", "--seed", seed)
+    _, adm, _ = run(capsys, "admissibility", "--builtin", name, "--seed", seed)
+    _, per, _ = run(capsys, "persistence", "--builtin", name, "--seed", seed)
+    header, *adm_lines = adm.splitlines()
+    per_header, *per_lines = per.splitlines()
+    assert analyzed.splitlines()[0] == header == per_header
+    assert "\n" + "\n".join(adm_lines + per_lines) + "\n" in analyzed
+
+
+def test_analyze_persistence_past_the_cap_says_why(capsys, tmp_path):
+    # the K3,30 orientation: vertices 1, 2, 3 each sense the same 30 others,
+    # C(30, 2)^3 = 82,312,875 reductions
+    arcs = [[t, h] for t in (1, 2, 3) for h in range(4, 34)]
+    doc = {
+        "name": "k3-30", "dimension": 2,
+        "graph": {"vertices": 33, "edges": arcs},
+        "orientation": arcs,
+        "controller": "directed",
+        "target": np.random.default_rng(0).uniform(-1.0, 1.0, (33, 2)).tolist(),
+    }
+    path = tmp_path / "k3-30.json"
+    path.write_text(json.dumps(doc))
+    _, analyzed, _ = run(capsys, "analyze", str(path), "--persistence")
+    code, per, _ = run(capsys, "persistence", "--graph", str(path))
+    assert code == 2
+    note = "note: 82312875 reductions exceed the cap of 1000000\n"
+    assert per.endswith("persistence: indeterminate  [0 reductions checked]\n" + note)
+    assert analyzed.endswith(per.split("\n", 1)[1])
 
 
 @pytest.mark.parametrize("argv", [

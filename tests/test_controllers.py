@@ -90,6 +90,13 @@ def test_potentials_single_edge():
     assert edge_potential(m, PAIR_M) == pytest.approx(9.0 / 2.0)
 
 
+def test_potentials_name_a_target_of_another_length(w5, p_star):
+    with pytest.raises(ValueError, match="target has 1 entries, graph has 8 edges"):
+        node_potential(w5, p_star, Measurement([1.0]))
+    with pytest.raises(ValueError, match="target has 1 entries, graph has 2 edges"):
+        edge_potential(Measurement([1.0, 2.0]), Measurement([1.0]))
+
+
 def test_spec_validation(w5, p_star, w5_arrows):
     m = distance_map(w5, p_star)
     with pytest.raises(ValueError):

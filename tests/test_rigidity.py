@@ -41,6 +41,10 @@ from rigidform.scenarios import builtin_scenario
 
 from conftest import random_instance, random_orientation
 
+# the unit square with one diagonal: 5 edges, minimally rigid in the plane
+BRACED_SQUARE = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
+SUBSET_MESSAGE = "edges must be strictly increasing integers in 0..4"
+
 # Squared target lengths of the wheel at the standard placement, by hand:
 # |p1-p2|^2 = .25+.25, |p1-p3|^2 = 1+1, |p1-p4|^2 = 4/9+1, |p1-p5|^2 = 1+1,
 # |p2-p3|^2 = .25+2.25, |p2-p5|^2 = 2.25+.25, |p3-p4|^2 = (5/3)^2,
@@ -458,11 +462,31 @@ def test_configuration_of_another_size_is_named(w5, p_star, call):
      "configurations have 5 and 4 points"),
     (lambda g, p: congruence_check(p, Configuration(3, np.zeros((5, 3)))),
      "configurations have dimensions 2 and 3"),
+    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, -1]),
+     SUBSET_MESSAGE),
+    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0.5, 1, 2, 3, 4]),
+     SUBSET_MESSAGE),
+    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 0, 0, 0, 0]),
+     SUBSET_MESSAGE),
+    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, 9]),
+     SUBSET_MESSAGE),
+    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[True, 1, 2, 3, 4]),
+     SUBSET_MESSAGE),
+    (lambda g, p: matrix_rank(np.ones(3)), "m must be a 2-D matrix, got 1 dimensions"),
+    (lambda g, p: matrix_rank(np.ones((2, 2, 2))), "m must be a 2-D matrix, got 3 dimensions"),
 ], ids=["coincident-points", "lift-length", "motions-in-4d", "congruence-n",
-        "congruence-d"])
+        "congruence-d", "subset-negative", "subset-fractional", "subset-repeated",
+        "subset-out-of-range", "subset-bool", "rank-1d", "rank-3d"])
 def test_rigidity_argument_errors_are_named(w5, p_star, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(w5, p_star)
+
+
+def test_edge_subset_in_canonical_order_is_accepted():
+    assert is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, 4])
+    assert is_generically_rigid(BRACED_SQUARE, 2, edges=np.arange(5))
+    assert not is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3])
+    assert not is_generically_rigid(BRACED_SQUARE, 2, edges=[])
 
 
 def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
