@@ -20,9 +20,12 @@ checkout): ``rigid_formation(n, n // 2, default_rng(n))`` at n = 20, 60
 and 150.  Per formation and controller it digests ``restricted_sym_form``,
 ``linearized_edge_matrix`` (A's bytes, spectrum and rank), three-sample
 ``admissibility`` and a two-step RK4 ``integrate`` from one perturbed start
-(every recorded array's bytes); then ``persistence_check`` on one persistent
-and one non-persistent ``persistence_graph``.  Then ``model_field`` at d*n =
-300 once per path its lift can take, each from a perturbed start of
+(every recorded array's bytes); then ``persistence_check`` in d = 2 and in
+d = 3 on the eight ``persistence_graph`` shapes of the certify workload,
+three persistent and five not, so that one diff covers the plane's
+pebble-game walk and the per-reduction ranking in R^3.  Then
+``model_field`` at d*n = 300 once per path its lift can take, each from a
+perturbed start of
 ``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
 the certificate's factor converges quickly; s = 50, where it converges
 slowly; s = 192, where it stalls and both solves fall back to LU; and s = 3,
@@ -78,6 +81,7 @@ from rigidform import (  # noqa: E402
     orient,
     persistence_check,
     projector,
+    reduction_count,
     restricted_sym_form,
     tangent_basis,
 )
@@ -95,8 +99,18 @@ SVD_READER_SIZES = (20, 60)
 # lambda_min(K) / delta is about 711, 3.9 and 1.45 at the first three
 # starts, and the last is issued no certificate (module docstring)
 LIFT_SEEDS = (0, 50, 192, 3)
-# (out-degrees of the plain vertices from vertex 3 on, gadget position)
-PERSISTENCE_GRAPHS = (((3, 4, 4), None), ((3, 3, 2, 2, 2), 5))
+# (out-degrees of the plain vertices from vertex 3 on, gadget position): the
+# shapes of the certify workload's persistence tests (bench/workloads.py)
+PERSISTENCE_GRAPHS = (
+    ((3, 4, 4), None),
+    ((3, 3, 3, 3, 3), None),
+    ((3, 4, 4, 4), None),
+    ((3, 3, 2, 2, 2), 5),
+    ((3, 3, 3, 2, 2), 4),
+    ((3, 4, 3, 2), 7),
+    ((3, 4, 4, 3), 7),
+    ((3, 4, 4, 3, 2), 4),
+)
 
 
 def _digest(data) -> str:
@@ -184,11 +198,12 @@ def _formations() -> None:
             _value(f"{label} integrate",
                    lambda: _recorded(integrate(spec, start, rk4, TerminationCriteria())))
     for degrees, gadget_at in PERSISTENCE_GRAPHS:
-        n, arcs, reductions = persistence_graph(degrees, np.random.default_rng(0), gadget_at)
+        n, arcs, _ = persistence_graph(degrees, np.random.default_rng(0), gadget_at)
         labels = [(t + 1, h + 1) for t, h in arcs]
         sensing = orient(build_graph(n, labels), labels)
-        _value(f"persistence_check n={n} reductions={reductions}",
-               lambda: persistence_check(sensing, 2))
+        for d in (2, 3):
+            _value(f"persistence_check d={d} n={n} reductions={reduction_count(sensing, d)}",
+                   lambda: persistence_check(sensing, d))
 
 
 def _lift_regimes() -> None:

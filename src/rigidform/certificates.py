@@ -54,15 +54,20 @@ spectrum and forms no r x r matrix.
   :func:`dynamic_admissibility` / :func:`algebraic_admissibility` return
   its halves.
 * :func:`persistence_check` decides the classical directed-graph persistence
-  property by enumerating all out-degree-d reductions and rank-testing each;
-  the enumeration is exponential in the redundant out-edges, hence the cap.
-  Every reduction is tested as the row subset of the whole graph's R that it
+  property over all out-degree-d reductions; the enumeration is exponential
+  in the redundant out-edges, hence the cap.  In the plane one pebble-game
+  walk of the enumeration decides every reduction exactly, sharing the
+  choices that reductions have in common and pruning each subtree that
+  holds no rigid reduction, and only the witness is ranked, as a
+  cross-check.  In R^3 each reduction up to the witness is ranked in turn.
+  A reduction is ranked as the row subset of the whole graph's R that it
   keeps (``is_generically_rigid`` with ``edges``), so no reduction graph is
   built.
 
 Verdicts are numerical: thresholds are relative to the spectral norm of the
 tested matrix, and randomized tests decide generic properties with
-probability 1 but are not proofs.
+probability 1 but are not proofs.  The one exact decision is the plane
+persistence walk, which is combinatorial.
 """
 
 from __future__ import annotations
@@ -78,12 +83,14 @@ from rigidform.graphs import Configuration, Graph, Orientation, _require_count
 from rigidform.rigidity import (
     RankDeficiencyError,
     _edge_vectors,
+    _PebbleGame,
     _regular_rank,
     _regular_singular_values,
     _regular_svd,
     _tail_blocks,
     directed_rigidity_matrix,
     is_generically_rigid,
+    max_generic_rank,
 )
 
 TOL_PD = 1e-8
@@ -375,18 +382,65 @@ def reduction_count(orientation: Orientation, d: int) -> int:
     return count
 
 
+def _first_flexible_in_plane(
+    graph: Graph, fixed: list[int], choice_sets: list[tuple[tuple[int, ...], ...]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The first reduction, in ``itertools.product`` order of
+    ``choice_sets``, whose edges (``fixed`` and one subset from each choice
+    set) are not generically rigid in the plane, as its chosen subsets;
+    None when every reduction is rigid.
+
+    One walk of the reduction product, depth first and in product order,
+    decides every reduction exactly with the pebble game: ``fixed`` goes in
+    once, and each choice goes into a copy of its parent's game.  A
+    reduction keeps |kept| edges of which a rigid one has
+    max_generic_rank(n, 2) independent, so it is flexible exactly when the
+    game rejects more than the slack |kept| - max_generic_rank(n, 2).
+    Rejections only grow down the tree, so a node past the slack has no
+    rigid leaf below it, and every leaf before it passed: the first leaf of
+    its subtree is the answer."""
+    ends = graph.edges
+    slack = len(fixed) + sum(len(c[0]) for c in choice_sets) - max_generic_rank(graph.n, 2)
+
+    def rejected(game: _PebbleGame, edges) -> int:
+        return sum(not game.insert(*ends[k]) for k in edges)
+
+    def walk(game: _PebbleGame, lost: int, depth: int):
+        if lost > slack:
+            return tuple(c[0] for c in choice_sets[depth:])
+        if depth == len(choice_sets):
+            return None
+        for combo in choice_sets[depth]:
+            child = game.copy()
+            below = walk(child, lost + rejected(child, combo), depth + 1)
+            if below is not None:
+                return (combo,) + below
+        return None
+
+    root = _PebbleGame(graph.n)
+    return walk(root, rejected(root, fixed), 0)
+
+
 def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> PersistenceReport:
     """Directed persistence via rigidity of all out-degree-d reductions.
 
     Every vertex with out-degree above d is trimmed to each d-subset of its
     out-edges; the orientation is persistent iff the underlying undirected
     graph of every such reduction is generically d-rigid.  The first failing
-    reduction is returned as a witness (as 1-based tail->head pairs), and no
-    reduction after it is ranked; ``reductions_checked`` is the size of the
-    whole enumeration either way.  An enumeration above ``REDUCTION_CAP``
-    is not ranked and yields "indeterminate".  Raises ValueError unless d
-    is 2 or 3 and ``seed`` a non-negative integer, whatever the
-    enumeration's size.
+    reduction in ``itertools.product`` order is returned as a witness (as
+    1-based tail->head pairs); ``reductions_checked`` is the size of the
+    whole enumeration either way.
+
+    In the plane the reductions are decided exactly and with no draw, by
+    one pebble-game walk of the enumeration (:func:`_first_flexible_in_plane`),
+    and only the witness is ranked by ``is_generically_rigid`` at the
+    seeded draws: a cross-check of the exact verdict by the sampled one.
+    Should the two disagree, the verdict is "indeterminate", with the
+    disagreement in ``detail``.  In R^3 each reduction is ranked by
+    ``is_generically_rigid`` in turn, and no reduction after the witness
+    is ranked.  An enumeration above ``REDUCTION_CAP`` is not walked and
+    yields "indeterminate".  Raises ValueError unless d is 2 or 3 and
+    ``seed`` a non-negative integer, whatever the enumeration's size.
     """
     if _require_count("dimension", d, 1) not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
@@ -404,14 +458,31 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
     choice_sets = [
         tuple(combinations(orientation.out_edges(v), d)) for v in heavy
     ]
-    for chosen in product(*choice_sets):
-        kept = sorted(fixed + [k for combo in chosen for k in combo])
-        if not is_generically_rigid(graph, d, seed, edges=kept):
-            labels = orientation.directed_labels
-            return PersistenceReport(
-                verdict="not persistent",
-                reductions_checked=total,
-                witness=tuple(labels[k] for k in kept),
-                detail="witness reduction is not generically rigid",
-            )
-    return PersistenceReport(verdict="persistent", reductions_checked=total)
+
+    def kept(chosen) -> list[int]:
+        return sorted(fixed + [k for combo in chosen for k in combo])
+
+    if d == 2:
+        chosen = _first_flexible_in_plane(graph, fixed, choice_sets)
+    else:
+        chosen = next((c for c in product(*choice_sets)
+                       if not is_generically_rigid(graph, d, seed, edges=kept(c))), None)
+    if chosen is None:
+        return PersistenceReport(verdict="persistent", reductions_checked=total)
+    edges = kept(chosen)
+    labels = orientation.directed_labels
+    # the exact plane verdict is cross-checked by the sampled one; R^3 took it already
+    if d == 2 and is_generically_rigid(graph, d, seed, edges=edges):
+        reduction = ", ".join(f"{labels[k][0]}->{labels[k][1]}" for k in edges)
+        return PersistenceReport(
+            verdict="indeterminate",
+            reductions_checked=total,
+            detail=(f"the pebble game finds reduction {reduction} flexible, but its "
+                    f"rank at the draws of seed {seed} is full"),
+        )
+    return PersistenceReport(
+        verdict="not persistent",
+        reductions_checked=total,
+        witness=tuple(labels[k] for k in edges),
+        detail="witness reduction is not generically rigid",
+    )

@@ -31,6 +31,11 @@ is needed (the generic-rank draws, :func:`is_regular_point`,
 :func:`_regular_rank`): max_generic_rank when the Cholesky certificate
 below proves it, else the SVD rule.
 
+In the plane, generic rank is also decided exactly, with no draw, by the
+(2,3) pebble game (:class:`_PebbleGame`), one edge at a time; the
+persistence test walks its reductions with it.  :func:`generic_rank` and
+:func:`is_generically_rigid` keep their seeded draws.
+
 Each SVD helper answers one question.  :func:`_svd` and
 :func:`_regular_svd` always return the thin factors and the rank,
 (U, s, Vt, r), for what needs a basis; :func:`_regular_singular_values`
@@ -192,9 +197,11 @@ def _require_finite(name: str, a: np.ndarray, limit: float = np.inf) -> None:
         raise ValueError(f"{name} has an entry of magnitude {limit:g} or more")
 
 
-def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank with the toolkit-wide relative SVD cutoff; m must be a
-    finite 2-D matrix."""
+def matrix_rank(m) -> int:
+    """Numerical rank with the toolkit-wide relative SVD cutoff; m, an
+    ndarray or any array-like (such as nested lists), must be a finite 2-D
+    matrix."""
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"m must be a 2-D matrix, got {m.ndim} dimensions")
     _require_finite("m", m)
@@ -408,8 +415,8 @@ def max_generic_rank(n: int, d: int) -> int:
 def _edge_subset(graph: Graph, edges) -> np.ndarray:
     """``edges`` as an index array, when its entries are strictly increasing
     integers in 0..|E|-1; otherwise ValueError.  A plain loop, which costs
-    less than array checks on the short list persistence_check passes per
-    reduction."""
+    less than array checks on the short lists persistence_check passes: one
+    per reduction in R^3, and in the plane the one witness it confirms."""
     last, top = -1, graph.num_edges
     for k in edges:
         if not (type(k) is int or isinstance(k, np.integer)) or not last < k < top:
@@ -446,6 +453,73 @@ def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> boo
         graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
     rows = _edge_subset(graph, edges)
     return rows.size >= full and any(matrix_rank(R[rows]) == full for R in graph._draw_memo[key])
+
+
+class _PebbleGame:
+    """The (2,3) pebble game of Jacobs and Hendrickson (*J. Comput. Phys.*
+    137, 1997) on n vertices, played one edge at a time.
+
+    :meth:`insert` accepts an edge exactly when it is independent of the
+    edges accepted before it in the generic rigidity matroid of the plane
+    (Laman 1970), so the number accepted is the generic rank in R^2 of the
+    edges offered, in whatever order they come, with no configuration drawn.
+    Each vertex starts with two pebbles; every accepted edge holds one
+    pebble of the vertex it points out of.  :meth:`copy` is a cheap copy of
+    the state, so callers that extend one edge set in several ways share
+    the work of its common part."""
+
+    __slots__ = ("pebbles", "out")
+
+    def __init__(self, n: int):
+        self.pebbles = [2] * n
+        self.out = [[] for _ in range(n)]
+
+    def copy(self) -> _PebbleGame:
+        game = _PebbleGame.__new__(_PebbleGame)
+        game.pebbles = self.pebbles.copy()
+        game.out = [heads.copy() for heads in self.out]
+        return game
+
+    def _fetch(self, root: int, other: int) -> bool:
+        """Move a free pebble to ``root`` from a vertex its accepted edges
+        lead to, never through ``other``, by reversing the path to it;
+        False when no such vertex holds one."""
+        pebbles, out = self.pebbles, self.out
+        parent = {root: root, other: other}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if pebbles[y]:
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
+                    while y != root:
+                        x = parent[y]
+                        out[x].remove(y)
+                        out[y].append(x)
+                        y = x
+                    return True
+                stack.append(y)
+        return False
+
+    def insert(self, u: int, v: int) -> bool:
+        """Offer the edge {u, v} of 0-based vertices u != v: accept it, and
+        return True, when four pebbles gather on u and v.  Filling u first
+        loses nothing: once no pebble is reachable from u, the paths that v's
+        searches reverse stay outside what u reaches, so none appears."""
+        pebbles = self.pebbles
+        while pebbles[u] < 2 and self._fetch(u, v):
+            pass
+        while pebbles[v] < 2 and self._fetch(v, u):
+            pass
+        if pebbles[u] + pebbles[v] < 4:
+            return False
+        pebbles[u] -= 1
+        self.out[u].append(v)
+        return True
 
 
 def is_regular_point(graph: Graph, p: Configuration, seed: int = 0) -> bool:

@@ -606,6 +606,102 @@ def test_persistence_matches_reference_random(seed):
             _assert_persistence_matches_reference(o, d, seed)
 
 
+def _layered_orientation(degrees, gadget_at=None, seed=0):
+    # Vertex 1 senses vertex 0, vertex 2 both, and each later vertex the next
+    # entry of ``degrees`` earlier vertices, so every out-degree-2 reduction
+    # is a Henneberg construction: persistent.  A gadget at ``gadget_at``
+    # adds three vertices that each sense a common anchor, one other earlier
+    # vertex and the next of the three in a cycle; the reduction in which
+    # all three keep the anchor and the cycle hangs a K4 on the rest by the
+    # anchor alone, so the orientation is not persistent.
+    rng = np.random.default_rng(seed)
+    arcs, queue, n = [(1, 0), (2, 0), (2, 1)], list(degrees), 3
+    while queue or n == gadget_at:
+        if n == gadget_at:
+            a, b, c, d = sorted(rng.choice(n, size=4, replace=False).tolist())
+            arcs += [(n, a), (n, b), (n, n + 1), (n + 1, a), (n + 1, c), (n + 1, n + 2),
+                     (n + 2, a), (n + 2, d), (n + 2, n)]
+            n += 3
+        else:
+            arcs += [(n, int(h)) for h in rng.choice(n, size=queue.pop(0), replace=False)]
+            n += 1
+    labels = [(t + 1, h + 1) for t, h in arcs]
+    return orient(build_graph(n, labels), labels)
+
+
+def _product_position(orientation, d, witness):
+    # the 0-based place of the witness reduction in itertools.product order
+    graph = orientation.graph
+    heavy = [v for v in range(graph.n) if len(orientation.out_edges(v)) > d]
+    fixed = [k for k in range(graph.num_edges) if orientation.tails[k] not in heavy]
+    choices = [tuple(combinations(orientation.out_edges(v), d)) for v in heavy]
+    labels = orientation.directed_labels
+    for at, chosen in enumerate(product(*choices)):
+        kept = sorted(fixed + [k for combo in chosen for k in combo])
+        if tuple(labels[k] for k in kept) == witness:
+            return at
+    return None
+
+
+@pytest.mark.parametrize("degrees, gadget_at, reductions, verdict", [
+    ((3, 4, 5, 4), None, 1080, "persistent"),
+    ((3, 4, 4, 4, 3), None, 1944, "persistent"),
+    ((3, 4, 4, 3), 7, 8748, "not persistent"),
+    ((3, 4, 4, 3, 2), 4, 8748, "not persistent"),
+], ids=["persistent-1080", "persistent-1944", "shallow-witness", "deep-witness"])
+def test_plane_walk_matches_the_reference(degrees, gadget_at, reductions, verdict):
+    # the pebble-game walk against one Graph and one seeded rank per reduction
+    orientation = _layered_orientation(degrees, gadget_at)
+    rep = persistence_check(orientation, 2, seed=5)
+    assert (rep.verdict, rep.reductions_checked) == (verdict, reductions)
+    assert (rep.verdict, rep.reductions_checked, rep.witness) == _reference_persistence(
+        orientation, 2, 5)
+    if gadget_at == 4:
+        # the gadget's 27 choices follow vertex 3's first, and the witness
+        # waits for 13 of them, each over the 108 reductions after them
+        assert _product_position(orientation, 2, rep.witness) == 13 * 108
+
+
+def test_persistent_plane_check_takes_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rep = persistence_check(_layered_orientation((3, 4, 5, 4)), 2, seed=7)
+    assert (rep.verdict, rep.reductions_checked, rep.witness) == ("persistent", 1080, None)
+
+
+def test_nonpersistent_plane_check_ranks_the_witness_alone(monkeypatch):
+    orientation = _layered_orientation((3, 4, 4, 3, 2), 4)
+    calls = []
+    real = certificates_mod.is_generically_rigid
+
+    def counting(graph, d, seed=0, edges=None):
+        calls.append((graph, d, seed, tuple(edges)))
+        return real(graph, d, seed, edges=edges)
+
+    monkeypatch.setattr(certificates_mod, "is_generically_rigid", counting)
+    rep = persistence_check(orientation, 2, seed=3)
+    assert rep.verdict == "not persistent"
+    assert len(calls) == 1 and calls[0][:3] == (orientation.graph, 2, 3)
+    labels = orientation.directed_labels
+    assert tuple(labels[k] for k in calls[0][3]) == rep.witness
+
+
+def test_plane_walk_and_draws_that_disagree_give_indeterminate(monkeypatch):
+    # a sampled rank that calls the pebble game's witness rigid is reported
+    # by name, not taken as either verdict
+    scn = builtin_scenario("fig4-nonpersistent")
+    witness = persistence_check(scn.orientation, 2).witness
+    monkeypatch.setattr(certificates_mod, "is_generically_rigid",
+                        lambda graph, d, seed=0, edges=None: True)
+    rep = persistence_check(scn.orientation, 2, seed=4)
+    assert (rep.verdict, rep.reductions_checked, rep.witness) == ("indeterminate", 9, None)
+    reduction = ", ".join(f"{t}->{h}" for t, h in witness)
+    assert rep.detail == (f"the pebble game finds reduction {reduction} flexible, but its "
+                          "rank at the draws of seed 4 is full")
+
+
 def test_persistence_rejects_bad_dimension(w5_arrows):
     with pytest.raises(ValueError):
         persistence_check(w5_arrows, 1)

@@ -502,3 +502,52 @@ def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
         index, D = rigidity_mod._edge_vectors(graph, p)
         assert (rigidity_mod._certify_full_rank(index, D, p) is not None) == certified
         assert is_regular_point(graph, p)
+
+
+def test_matrix_rank_takes_nested_lists():
+    # an array-like ranks like the array it converts to, and a flat list is
+    # named as the wrong shape, not failed on a missing attribute
+    assert matrix_rank([[1.0, 0.0], [0.0, 1.0]]) == 2
+    with pytest.raises(ValueError, match="m must be a 2-D matrix, got 1 dimensions"):
+        matrix_rank([1.0, 2.0])
+
+
+@st.composite
+def _plane_graphs(draw):
+    """(a simple graph on 2..10 vertices, its edges in a drawn order, a seed)."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    order = draw(st.permutations(edges))
+    return Graph(n, tuple(sorted(edges))), order, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plane_graphs())
+def test_pebble_game_counts_the_generic_rank_in_the_plane(drawn):
+    # the exact count of Laman independent edges against the SVD rule at a
+    # random point and the seeded generic-rank estimate, in any edge order
+    graph, order, seed = drawn
+    game = rigidity_mod._PebbleGame(graph.n)
+    accepted = sum(game.insert(i, j) for i, j in order)
+    p = Configuration(2, np.random.default_rng(seed).uniform(-1.0, 1.0, size=(graph.n, 2)))
+    assert accepted == matrix_rank(rigidity_matrix(graph, p)) == generic_rank(graph, 2)
+    canonical = rigidity_mod._PebbleGame(graph.n)
+    assert sum(canonical.insert(i, j) for i, j in graph.edges) == accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plane_graphs())
+def test_pebble_game_copy_shares_no_state(drawn):
+    # a copy taken partway goes on like the original, and inserting into
+    # the copy leaves the original as it was
+    graph, order, _ = drawn
+    half = len(order) // 2
+    game = rigidity_mod._PebbleGame(graph.n)
+    head = sum(game.insert(i, j) for i, j in order[:half])
+    pebbles, out = list(game.pebbles), [list(heads) for heads in game.out]
+    copy = game.copy()
+    tail = sum(copy.insert(i, j) for i, j in order[half:])
+    assert (game.pebbles, game.out) == (pebbles, out)
+    assert sum(game.insert(i, j) for i, j in order[half:]) == tail
+    assert head + tail == generic_rank(graph, 2)
