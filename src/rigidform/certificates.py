@@ -5,13 +5,16 @@ response matrix eta to the achievable edge velocities at the target: with P
 an orthonormal basis of Im R(p*), the restricted operator is A = P^T eta P
 and the linearized edge-error flow is e' = -A e.
 
-The basis is P = U_r from the SVD R = U diag(s) V^T that also decides
-regularity, and A comes in closed form from the factors of that one SVD;
-the |E| x |E| eta of :func:`~rigidform.controllers.eta_matrix` is never
-built:
+The basis is P = U_r from the SVD R = U diag(s) V^T, and A comes in
+closed form from its factors; the |E| x |E| eta of
+:func:`~rigidform.controllers.eta_matrix` is never built:
 
 * gradient: eta = 2 R R^T, so A = diag(2 s_r^2), from the singular values
-  alone and with no eigensolve;
+  alone.  Where the Cholesky certificate of :mod:`rigidform.rigidity`
+  proves rank r = dn - k, from d*n = ``rigidity._GRAM_EIGENSOLVE_MIN_SIZE``
+  on, they are the r largest eigenvalues of 2 R^T R, descending: one
+  symmetric eigensolve of the R^T R that the certificate's own scatter
+  builds, with no R and no SVD;
 * model:    eta = P P^T, so A = I_r, from the rank r alone;
 * directed: eta = 2 R Rdir^T, so A = XY with X = 2 diag(s_r) V_r^T and
   Y = Rdir^T U_r.  Its spectrum comes from the dn x dn matrix
@@ -36,13 +39,30 @@ gives its r eigenvalues and forms no matrix: all that admissibility reads.
 Where they need r alone (model and directed), the regularity decision and r
 come from :func:`rigidform.rigidity._regular_rank`, which takes them from
 the Cholesky certificate where :mod:`rigidform.rigidity` issues it, with no
-SVD and no generic-rank draw; the gradient A reads the singular values
-themselves.  :func:`_linearization` gives A itself with its eigenvalues,
-for :func:`linearized_edge_matrix` and for the directed certificate's
-symmetric part; only there are the directed A, and the full SVD's U and V
-it is built from, formed.  The gradient and model A are diagonal, so the
-certificate takes their symmetric part's eigenvalues as the sorted
-spectrum and forms no r x r matrix.
+SVD and no generic-rank draw; the gradient A reads the squared singular
+values, from the certificate's eigensolve as above.  :func:`_linearization`
+gives A itself in the basis U_r, with its eigenvalues, for
+:func:`linearized_edge_matrix`; only there are the directed A, and the
+full SVD's U and V it is built from, formed.  The gradient and model A are
+diagonal, so the certificate takes their symmetric part's eigenvalues as
+the sorted spectrum and forms no r x r matrix.  The directed certificate
+reads only the eigenvalues of the symmetric part
+(1/2) P^T (eta + eta^T) P, which are the same in every orthonormal basis
+P of Im R.  Where the Cholesky certificate is issued, P is the Q factor of
+a Householder QR of R Q_perp, with Q_perp the orthonormal complement of
+the rigid motions (``rigidity._certified_image_basis``), and the
+symmetric part is X^T Y + Y^T X with X = R^T P and Y = Rdir^T P: one QR
+and no SVD.
+
+An SVD of R is still taken, and gives the same results as before, bit for
+bit, wherever the certificate is not issued: below d*n = 36, near rank
+loss, on flexible graphs and collinear frames, and for d outside
+{1, 2, 3}, where only the SVD rule decides the rank.  It is also taken for
+the gradient spectrum below d*n = 100, where it costs less than the
+certificate and eigensolve, and wherever a matrix in the basis U_r is
+returned: the directed :func:`linearized_edge_matrix` here, and
+``tangent_basis``, ``projector``, ``eta_matrix`` and ``field_gain``
+elsewhere.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -82,15 +102,17 @@ from rigidform.controllers import ControllerSpec, _require_controller
 from rigidform.graphs import Configuration, Graph, Orientation, _require_count
 from rigidform.rigidity import (
     RankDeficiencyError,
+    _certified_image_basis,
     _edge_vectors,
     _PebbleGame,
     _regular_rank,
-    _regular_singular_values,
+    _regular_squared_singular_values,
     _regular_svd,
     _tail_blocks,
     directed_rigidity_matrix,
     is_generically_rigid,
     max_generic_rank,
+    rigidity_matrix,
 )
 
 TOL_PD = 1e-8
@@ -160,7 +182,9 @@ class PersistenceReport:
 
 
 def _sorted_spectrum(eigs: np.ndarray) -> tuple[complex, ...]:
-    return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
+    """``eigs`` as Python complex numbers, by real part and then imaginary
+    part; a stable sort, so ties (-0.0 with 0.0 among them) keep their order."""
+    return tuple(eigs[np.lexsort((eigs.imag, eigs.real))].astype(complex).tolist())
 
 
 def _directed_spectrum(orientation: Orientation, p: Configuration, r: int) -> np.ndarray:
@@ -192,11 +216,14 @@ def _spectrum(
     graph: Graph, kind: str, orientation: Orientation | None, p: Configuration, seed: int
 ) -> np.ndarray:
     """The r eigenvalues of A = P^T eta P at p, in the closed forms of the
-    module docstring, with no A, U or V formed.  ``orientation`` is read
-    only by the directed controller.  Raises off regular points."""
+    module docstring, with no A, U or V formed: for the gradient the 2 s_r^2
+    in descending order, from one eigensolve of 2 R^T R where the
+    certificate is issued from d*n = ``rigidity._GRAM_EIGENSOLVE_MIN_SIZE``
+    on and from the singular values of R elsewhere.  ``orientation`` is
+    read only by the directed controller.  Raises off regular points."""
     if kind == "gradient":
-        s, r = _regular_singular_values(graph, p, seed)
-        return 2.0 * s[:r] ** 2  # P^T R R^T P = diag(s_r^2)
+        # P^T R R^T P = diag(s_r^2)
+        return 2.0 * _regular_squared_singular_values(graph, p, seed)
     r = _regular_rank(graph, p, seed)
     # the model's eta is the projector P P^T
     return _directed_spectrum(orientation, p, r) if kind == "directed" else np.ones(r)
@@ -217,24 +244,43 @@ def _linearization(
     return 2.0 * s[:r, None] * (RdirV.T @ U[:, :r]), _directed_spectrum(spec.orientation, p, r)
 
 
+def _directed_sym_spectrum(
+    spec: ControllerSpec, p: Configuration, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the ascending eigenvalues of the symmetric part of the directed
+    controller's A, the eigenvalues of A) at p.  Where the certificate is
+    issued, the symmetric part (1/2) P^T (eta + eta^T) P = X^T Y + Y^T X,
+    X = R^T P and Y = Rdir^T P, is taken in the basis P of
+    :func:`~rigidform.rigidity._certified_image_basis`, with no SVD;
+    otherwise from A of :func:`_linearization`.  Raises off regular points."""
+    P = _certified_image_basis(spec.graph, p, seed)
+    if P is None:
+        A, eigs = _linearization(spec, p, seed)
+        return np.linalg.eigvalsh(0.5 * (A + A.T)), eigs
+    X = rigidity_matrix(spec.graph, p).T @ P
+    S = X.T @ (directed_rigidity_matrix(spec.orientation, p).T @ P)
+    return np.linalg.eigvalsh(S + S.T), _directed_spectrum(spec.orientation, p, P.shape[1])
+
+
 def restricted_sym_form(
     spec: ControllerSpec, p_star: Configuration, seed: int = 0
 ) -> CertificateReport:
     """Positive-definiteness certificate of the controller at a target.
 
-    Restricts the symmetric part of eta at p* to the orthonormal basis P of
-    Im R(p*), in the closed forms of the module docstring (for the gradient
-    and model controllers A is diagonal, so no eigensolve is needed), and
-    passes iff the smallest eigenvalue exceeds ``TOL_PD`` times the spectral
-    norm of the restricted symmetric matrix.
+    Restricts the symmetric part of eta at p* to an orthonormal basis P of
+    Im R(p*), in the closed forms of the module docstring, and passes iff
+    the smallest eigenvalue exceeds ``TOL_PD`` times the spectral norm of
+    the restricted symmetric matrix.  For the gradient and model
+    controllers A is diagonal, so it is its own symmetric part.  For the
+    directed one, P is the QR basis of the module docstring where the
+    Cholesky certificate is issued, with no SVD, and U_r elsewhere.
     A target where R drops below the generic rank, or that is not finite,
     yields "indeterminate" with the cause in ``detail``.
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
         if spec.kind == "directed":
-            A, eigs = _linearization(spec, p_star, seed)
-            sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+            sym_eigs, eigs = _directed_sym_spectrum(spec, p_star, seed)
         else:  # A is diagonal, so it is its own symmetric part
             eigs = _spectrum(spec.graph, spec.kind, None, p_star, seed)
             sym_eigs = np.sort(eigs)

@@ -38,9 +38,14 @@ persistence test walks its reductions with it.  :func:`generic_rank` and
 
 Each SVD helper answers one question.  :func:`_svd` and
 :func:`_regular_svd` always return the thin factors and the rank,
-(U, s, Vt, r), for what needs a basis; :func:`_regular_singular_values`
+(U, s, Vt, r), for what needs the basis U_r; :func:`_regular_singular_values`
 returns (s, r) and forms no U or V, for what reads the singular values
-alone (the model's field gain, the gradient spectrum).  Minimum-norm
+alone (the model's field gain).  Two helpers take no SVD where the
+certificate below is issued: :func:`_regular_squared_singular_values`,
+for the gradient spectrum, gives the r nonzero s_i^2 as the r largest
+eigenvalues of R^T R, from d*n = ``_GRAM_EIGENSOLVE_MIN_SIZE`` on, and
+:func:`_certified_image_basis` gives an orthonormal basis of Im R that is
+not U_r, for what reads only basis-free quantities.  Minimum-norm
 lifts R^+ b come from one LAPACK least-squares call
 (:func:`_min_norm_solve`) whose singular values also give the rank under
 the same cutoff, so no U or V factor is formed there either.
@@ -78,13 +83,27 @@ sigma_g / sigma_1 >= ((|E| + k + dn + 3) eps)^(1/2), about 4e-7 at
 n = 150 in the plane, which is above the cutoff max(|E|, dn) * SVD_RTOL
 for any R with fewer than 2e8 rows and columns, while the other k
 singular values are of the size of R's rounding.  So wherever the
-certificate decides, ranks, verdicts and outputs are those of the SVD.  A
+certificate decides, ranks and verdicts are those of the SVD, and so are
+outputs, save those of the two readers below, which agree to rounding.  A
 Cholesky that fails decides nothing, and the SVD or least-squares path
 runs as before: near rank loss, on flexible graphs, on collinear frames,
 or for d outside {1, 2, 3}.  The certificate assumes coordinates below
 ``COORD_LIMIT``, checked by the gather of D, so that no product overflows,
 and it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
 below delta.
+
+Two readers of a certified R take no SVD.  The symmetric eigensolve of
+R^T R, built from the certificate's own scatter, returns each eigenvalue
+to within about dn eps tr(R^T R): the rounding of the scatter and the
+eigensolver's backward error, by Weyl's bound.  The k eigenvalues that
+Ker R gives are of that size, and the other r are at least
+sigma_g^2 >= 3 delta / 4 >= 3 (|E| + dn) eps tr(R^T R) / 2, above it, so
+the r largest are the squared singular values, in the SVD's descending
+order and equal to its squares to that rounding.  And K is positive
+definite, so no nonzero vector of Ker R is orthogonal to the motion frame
+Q: R Q_perp, with Q_perp an orthonormal complement of Q, is injective, and
+the Q factor of its Householder QR is an orthonormal basis of Im R.
+R Q_perp is a gather of Q_perp's rows at the edges' endpoints.
 
 Where the certificate is issued, the model field's lift takes R^+ b from
 it (:func:`_certified_solve`).  The
@@ -172,6 +191,18 @@ COORD_LIMIT = SQUARE_LIMIT**0.5
 # measured here, and at d*n = 40 it took 116 us against 118 before (best of
 # thirty interleaved 100-call trials, one formation), so the constant stays.
 _CERTIFIED_MIN_SIZE = 36
+
+# d*n from which the squared singular values of R are the eigenvalues of
+# R^T R where the certificate is issued (_regular_squared_singular_values),
+# not those of an SVD: where the eigensolve wins in every d.  Per call on
+# Henneberg formations with n/2 chords (bench.inputs.rigid_formation in the
+# plane; one BLAS thread, median over three formations of the best of
+# fifteen interleaved trials), SVD vs certificate and eigensolve: d = 1,
+# d*n = 36, 83 vs 99 us; 48, 150 vs 142; 80, 440 vs 334.  d = 2: 40, 94 vs
+# 122; 56, 191 vs 192; 64, 244 vs 227; 80, 386 vs 357.  d = 3, where the
+# motion frame costs more: 36, 67 vs 132; 72, 260 vs 318; 90, 452 vs 466;
+# 102, 597 vs 595; 108, 698 vs 643; 120, 905 vs 748.
+_GRAM_EIGENSOLVE_MIN_SIZE = 100
 
 
 class RankDeficiencyError(RuntimeError):
@@ -578,6 +609,24 @@ def _regular_singular_values(graph: Graph, p: Configuration, seed: int) -> tuple
     return s, r
 
 
+def _regular_squared_singular_values(graph: Graph, p: Configuration, seed: int) -> np.ndarray:
+    """The r nonzero squared singular values of R(p), descending, where
+    r, their count, is its rank, checked by :func:`_require_regular`.  From
+    d*n = ``_GRAM_EIGENSOLVE_MIN_SIZE`` on, where the certificate is issued,
+    they are the r largest eigenvalues of R^T R from one symmetric
+    eigensolve, with R^T R built from the certificate's own scatter and no
+    R or SVD formed; otherwise the squares of :func:`_regular_singular_values`."""
+    index, D = _edge_vectors(graph, p)
+    if index.size >= _GRAM_EIGENSOLVE_MIN_SIZE:
+        certificate = _certify_full_rank(index, D, p)
+        if certificate is not None:
+            r = max_generic_rank(p.n, p.d)
+            _require_regular(graph, p.d, r, seed)
+            return np.linalg.eigvalsh(certificate.gram())[::-1][:r]
+    s, r = _regular_singular_values(graph, p, seed)
+    return s[:r] ** 2
+
+
 def _regular_rank(graph: Graph, p: Configuration, seed: int) -> int:
     """The rank r of R(p) by :func:`_rank`, checked by
     :func:`_require_regular`: where the certificate is issued, with no SVD
@@ -600,15 +649,14 @@ def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _motion_frame(p: Configuration) -> np.ndarray:
     """Orthonormal columns spanning the rigid motions at the centred points
-    of p, for d in {1, 2, 3}.  For d <= 2 in closed form: the d unit
-    translations over sqrt(n) and, for d = 2, the normalized rotation
-    (-y, x) of the centred points, orthogonal to both because the points
-    are centred.  For d = 3, the Q of a QR.  Some two points of p must
-    differ, so that the rotation is not zero."""
+    of p, for d in {1, 2, 3}: the d unit translations over sqrt(n), and
+    the rotations of the centred points, orthogonal to the translations
+    because the points are centred.  For d = 2 the one rotation (-y, x) is
+    normalized; for d = 3 the three, e_a x (x, y, z) for each axis a, are
+    the Q of a QR of their own.  Some two points of p must differ, so that
+    the rotation is not zero."""
     d, n = p.d, p.n
     centred = p.points - p.points.sum(axis=0) / n
-    if d == 3:
-        return np.linalg.qr(rigid_motion_basis(Configuration(d, centred)))[0]
     frame = np.zeros((n, d, d * (d + 1) // 2))
     for a in range(d):
         frame[:, a, a] = 1.0 / math.sqrt(n)
@@ -617,6 +665,13 @@ def _motion_frame(p: Configuration) -> np.ndarray:
         rotation[:, 0] = -centred[:, 1]
         rotation[:, 1] = centred[:, 0]
         rotation /= np.linalg.norm(rotation)
+    elif d == 3:
+        x, y, z = centred.T
+        rotations = np.zeros((n, 3, 3))
+        rotations[:, 1, 0], rotations[:, 2, 0] = -z, y
+        rotations[:, 0, 1], rotations[:, 2, 1] = z, -x
+        rotations[:, 0, 2], rotations[:, 1, 2] = -y, x
+        frame[:, :, 3:] = np.linalg.qr(rotations.reshape(3 * n, 3))[0].reshape(n, 3, 3)
     return frame.reshape(d * n, -1)
 
 
@@ -655,12 +710,23 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Certificate:
     """A successful certificate: the stiffness matrix ``K`` it certifies,
-    the Cholesky factor ``L`` of K - ``delta`` I, and ``delta``.
-    :meth:`solve` solves with K."""
+    the Cholesky factor ``L`` of K - ``delta`` I, ``delta``, and what K is
+    built from: the motion frame ``Q`` and the entries ``sums`` of R^T R
+    at the flat positions ``touched``.  :meth:`solve` solves with K, and
+    :meth:`gram` forms R^T R."""
 
     K: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
     delta: float
+    Q: np.ndarray = field(repr=False)
+    touched: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
+
+    def gram(self) -> np.ndarray:
+        """R^T R, from the stiffness scatter that K was built with."""
+        G = np.zeros(self.K.size)
+        G[self.touched] = self.sums
+        return G.reshape(self.K.shape)
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -743,7 +809,7 @@ def _certify_full_rank(
     except np.linalg.LinAlgError:
         return None
     K.flat[:: size + 1] = diagonal
-    return _Certificate(K, L, delta)
+    return _Certificate(K, L, delta, Q, touched, sums)
 
 
 def _certified_solve(
@@ -765,6 +831,27 @@ def _certified_solve(
     x = certificate.solve(_transpose_apply(index, D, b))
     residual = b - _rowdot(D, x[index.first] - x[index.second])
     return x + certificate.solve(_transpose_apply(index, D, residual))
+
+
+def _certified_image_basis(graph: Graph, p: Configuration, seed: int) -> np.ndarray | None:
+    """An orthonormal basis of Im R(p) where :func:`_certify_full_rank`
+    proves that R has rank r = max_generic_rank(n, d), so that p is
+    regular; otherwise None, and nothing is decided.  Raises ValueError
+    unless ``seed`` is a non-negative integer, as :func:`_require_regular`.
+
+    The basis is the Q factor of a Householder QR of R Q_perp, with Q_perp
+    the orthonormal complement of the certificate's motion frame Q; the
+    module docstring shows that R Q_perp has rank r.  R Q_perp is a gather
+    of Q_perp's rows at the edges' endpoints, and R itself is not formed."""
+    index, D = _edge_vectors(graph, p)
+    certificate = _certify_full_rank(index, D, p)
+    if certificate is None:
+        return None
+    Q = certificate.Q
+    _require_regular(graph, p.d, max_generic_rank(p.n, p.d), seed)
+    complement = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+    RQ = np.einsum("ka,kar->kr", D, complement[index.first] - complement[index.second])
+    return np.linalg.qr(RQ)[0]
 
 
 def _regular_lift(

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -34,8 +34,13 @@ from rigidform import (
     rigidity_matrix,
     tangent_basis,
 )
-from rigidform.certificates import _directed_spectrum, reduction_count
-from rigidform.rigidity import _edge_vectors, _tail_blocks
+from rigidform.certificates import (
+    _directed_spectrum,
+    _sorted_spectrum,
+    _spectrum,
+    reduction_count,
+)
+from rigidform.rigidity import _edge_vectors, _tail_blocks, max_generic_rank
 from rigidform.scenarios import builtin_names, builtin_scenario
 
 from conftest import random_instance, random_orientation
@@ -176,10 +181,227 @@ def test_closed_forms_match_the_definition_random(seed):
         _assert_matches_reference(spec, p)
 
 
+def _henneberg(d, n, rng):
+    """(graph, p): a Henneberg graph in R^d, each vertex after the first d
+    joined to d earlier ones, plus n // 2 random chords, at points uniform
+    in [-1, 1]^d: generically rigid, so the certificate is issued at
+    almost every draw."""
+    edges = {(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)}
+    for v in range(d + 1, n + 1):
+        edges.update((int(h) + 1, v) for h in rng.choice(v - 1, size=d, replace=False))
+    for _ in range(n // 2):
+        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
+        edges.add((int(i), int(j)))
+    return build_graph(n, sorted(edges)), Configuration(d, rng.uniform(-1.0, 1.0, size=(n, d)))
+
+
+def _certified(graph, p):
+    return rigidity_mod._certify_full_rank(*_edge_vectors(graph, p), p) is not None
+
+
+@pytest.mark.parametrize("d, n", [(2, 18), (2, 30), (2, 60), (3, 12), (3, 24), (3, 40)])
+def test_certified_routes_match_the_definition(monkeypatch, d, n):
+    # d*n from 36 to 120, where the certificate is issued: the gradient A
+    # from the eigenvalues of R^T R (at every size here, not only from
+    # _GRAM_EIGENSOLVE_MIN_SIZE on) and the directed symmetric part in the
+    # QR basis of Im R, against A = U_r^T eta U_r
+    monkeypatch.setattr(rigidity_mod, "_GRAM_EIGENSOLVE_MIN_SIZE", 0)
+    rng = np.random.default_rng(100 * d + n)
+    graph, p = _henneberg(d, n, rng)
+    assert _certified(graph, p)
+    m_star = distance_map(graph, p)
+    for spec in (
+        ControllerSpec(graph, "gradient", m_star),
+        ControllerSpec(graph, "model", m_star),
+        ControllerSpec(graph, "directed", m_star, random_orientation(rng, graph)),
+    ):
+        _assert_matches_reference(spec, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=36, max_value=90),
+       st.sampled_from([None, 2, 4, 6, 8]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_gram_eigenvalues_are_the_squared_singular_values(d, size, near, seed):
+    # wherever the certificate is issued, in d = 1, 2, 3 and also with the
+    # last vertex 10^-near from the first, the gradient spectrum from one
+    # eigensolve of R^T R is 2 s_r^2 of the SVD, and no SVD is taken
+    rng = np.random.default_rng(seed)
+    graph, p = _henneberg(d, -(-size // d), rng)
+    if near is not None:
+        pts = p.points.copy()
+        pts[-1] = pts[0] + 10.0**-near * rng.standard_normal(d)
+        p = Configuration(d, pts)
+    assume(_certified(graph, p))
+    s = np.linalg.svd(rigidity_matrix(graph, p), compute_uv=False)
+    want = 2.0 * s[: max_generic_rank(graph.n, d)] ** 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity_mod, "_GRAM_EIGENSOLVE_MIN_SIZE", 0)
+        mp.setattr(np.linalg, "svd", refuse)
+        got = _spectrum(graph, "gradient", None, p, 0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * want[0]
+
+
+def test_certified_gradient_and_directed_tests_take_no_svd(monkeypatch):
+    # at d*n = 120, from _GRAM_EIGENSOLVE_MIN_SIZE on, with the certificate
+    # issued: the gradient spectrum, its restriction, the directed
+    # symmetric part and gradient admissibility run no SVD, and each call
+    # takes the certificate once
+    rng = np.random.default_rng(60)
+    graph, p = _henneberg(2, 60, rng)
+    assert _certified(graph, p)
+    orientation = random_orientation(rng, graph)
+    certified, real_certify = [], rigidity_mod._certify_full_rank
+
+    def certify(*args, **kwargs):
+        certificate = real_certify(*args, **kwargs)
+        certified.append(certificate is not None)
+        return certificate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(rigidity_mod, "_certify_full_rank", certify)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    m_star = distance_map(graph, p)
+    for spec in (ControllerSpec(graph, "gradient", m_star),
+                 ControllerSpec(graph, "directed", m_star, orientation)):
+        assert restricted_sym_form(spec, p).rank_r == 117
+    assert linearized_edge_matrix(ControllerSpec(graph, "gradient", m_star), p).rank_r == 117
+    dyn, _ = admissibility(graph, "gradient", None, 2, samples=2)
+    assert [len(sample.spectrum) for sample in dyn.per_sample] == [117, 117]
+    assert certified == [True] * 5
+    # the seed is named on the certified routes too
+    for spec in (ControllerSpec(graph, "gradient", m_star),
+                 ControllerSpec(graph, "directed", m_star, orientation)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            restricted_sym_form(spec, p, seed=-1)
+
+
+def _svd_path(spec, p):
+    """The gradient spectrum and the directed (A, symmetric part's
+    eigenvalues) as the SVD of R gives them, step for step."""
+    R = rigidity_matrix(spec.graph, p)
+    if spec.kind == "gradient":
+        s = np.linalg.svd(R, compute_uv=False)
+        return 2.0 * s[: matrix_rank(R)] ** 2
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    r = matrix_rank(R)
+    RdirV = rigidity_mod.directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
+    A = 2.0 * s[:r, None] * (RdirV.T @ U[:, :r])
+    return A, np.linalg.eigvalsh(0.5 * (A + A.T))
+
+
+def _near_rank_loss(n, t, seed):
+    """(graph, p, orientation): a Henneberg plane formation on n - 1
+    vertices and a last vertex joined to vertices 1 and 2 alone, placed
+    10^-7 off the line through them at parameter t: R has full rank, with
+    sigma_min / sigma_max about 1e-8, too small for the certificate."""
+    rng = np.random.default_rng(seed)
+    graph, p = _henneberg(2, n - 1, rng)
+    a, b = p.points[0], p.points[1]
+    off = a + t * (b - a) + 1e-7 * np.array([a[1] - b[1], b[0] - a[0]])
+    graph = build_graph(n, list(graph.edge_labels) + [(1, n), (2, n)])
+    p = Configuration(2, np.vstack([p.points, off]))
+    return graph, p, random_orientation(rng, graph)
+
+
+@pytest.mark.parametrize("n, t", [(60, 0.5), (60, 2.0), (19, 0.3)])
+def test_failed_certificate_keeps_the_svd_path(n, t):
+    # near rank loss the Cholesky fails: the gradient spectrum, its
+    # restriction and the directed symmetric part are those of the SVD, bit
+    # for bit, and the verdicts and ranks with them
+    graph, p, orientation = _near_rank_loss(n, t, seed=n)
+    R = rigidity_matrix(graph, p)
+    assert matrix_rank(R) == max_generic_rank(n, 2) and not _certified(graph, p)
+    m_star = distance_map(graph, p)
+    gradient = ControllerSpec(graph, "gradient", m_star)
+    want = _svd_path(gradient, p)
+    assert np.array_equal(_spectrum(graph, "gradient", None, p, 0), want)
+    rep = restricted_sym_form(gradient, p)
+    assert rep.spectrum == tuple(complex(z) for z in np.sort(want))
+    assert rep.min_sym_eigenvalue == float(np.sort(want)[0])
+    assert rep.spectral_norm == float(want.max())
+    directed = ControllerSpec(graph, "directed", m_star, orientation)
+    A, sym = _svd_path(directed, p)
+    rep = restricted_sym_form(directed, p)
+    assert rep.min_sym_eigenvalue == float(sym[0])
+    assert rep.spectral_norm == float(np.abs(sym).max())
+    assert rep.spectrum == linearized_edge_matrix(directed, p).spectrum
+    assert np.array_equal(linearized_edge_matrix(directed, p).matrix, A)
+
+
+@pytest.mark.parametrize("kind", ["gradient", "directed"])
+def test_collinear_plane_frame_raises_as_the_svd_path(kind):
+    # collinear points in the plane, d*n = 120: no certificate, and the
+    # same rank and named error as the SVD rule gives
+    n = 60
+    rng = np.random.default_rng(7)
+    graph, _ = _henneberg(2, n, rng)
+    p = Configuration(2, np.outer(rng.uniform(-1.0, 1.0, n), [0.6, 0.8]))
+    assert not _certified(graph, p)
+    r = matrix_rank(rigidity_matrix(graph, p))
+    message = f"not a regular point: rank {r} != generic rank {max_generic_rank(n, 2)}"
+    orientation = random_orientation(rng, graph) if kind == "directed" else None
+    with pytest.raises(RankDeficiencyError, match=message) as info:
+        _spectrum(graph, kind, orientation, p, 0)
+    assert info.value.rank == r
+    rep = restricted_sym_form(ControllerSpec(graph, kind, distance_map(graph, p), orientation), p)
+    assert (rep.verdict, rep.rank_r, rep.detail) == ("indeterminate", r, f"target: {message}")
+
+
+def test_admissibility_without_certificates_keeps_the_svd_spectra(monkeypatch):
+    # with every Cholesky failing, each gradient sample's spectrum is the
+    # SVD's 2 s_r^2 at that sample, bit for bit
+    n, seed, samples = 60, 3, 3
+    graph, _ = _henneberg(2, n, np.random.default_rng(n))
+    monkeypatch.setattr(rigidity_mod, "_certify_full_rank", lambda *args, **kwargs: None)
+    dyn, alg = admissibility(graph, "gradient", None, 2, samples, seed)
+    for i, (d_sample, a_sample) in enumerate(zip(dyn.per_sample, alg.per_sample)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        p = Configuration(2, rng.uniform(-1.0, 1.0, size=(n, 2)))
+        want = _svd_path(ControllerSpec(graph, "gradient", distance_map(graph, p)), p)
+        assert d_sample.spectrum == a_sample.spectrum == _sorted_spectrum(want)
+        assert d_sample.spectral_norm == float(np.abs(want).max())
+        assert d_sample.margin == float(np.abs(want).min())
+
+
+def _key_sorted_spectrum(eigs):
+    # the sort that _sorted_spectrum replaced
+    return tuple(sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag)))
+
+
+def _bits(spectrum):
+    return [(z.real, np.signbit(z.real), z.imag, np.signbit(z.imag)) for z in spectrum]
+
+
+_TIES = [-1.5, -0.0, 0.0, 0.5, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TIES), st.sampled_from(_TIES)), max_size=12),
+       st.booleans())
+def test_sorted_spectrum_is_the_key_order(pairs, real):
+    # ties in the real part, in both parts, and -0.0 beside 0.0: the same
+    # tuple, sign bits included, for real and for complex arrays
+    if real:
+        eigs = np.array([a for a, _ in pairs], dtype=float)
+    else:
+        eigs = np.array([complex(a, b) for a, b in pairs], dtype=complex)
+    got = _sorted_spectrum(eigs)
+    assert all(type(z) is complex for z in got)
+    assert _bits(got) == _bits(_key_sorted_spectrum(eigs))
+
+
 @pytest.mark.parametrize("kind", ["gradient", "model", "directed"])
 def test_eigensolves_per_certificate(monkeypatch, kind):
-    # gradient and model restrictions are diagonal, read off the singular
-    # values; only the directed one needs eigensolves
+    # on the wheel (d*n = 10) the gradient and model restrictions are
+    # diagonal, read off the singular values; only the directed one needs
+    # eigensolves
     calls = []
     for name in ("eigvals", "eigvalsh"):
         real = getattr(np.linalg, name)
