@@ -92,6 +92,9 @@ ROOT = Path(__file__).resolve().parent.parent
 STUDIES = ROOT / "scripts" / "run_studies.py"
 sys.path.insert(0, str(ROOT / "bench"))
 from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
+# (out-degrees of the plain vertices from vertex 3 on, gadget position): the
+# shapes of the certify workload's persistence tests
+from workloads import PERSISTENCE_GRAPHS  # noqa: E402
 
 FORMATION_SIZES = (20, 60, 150)
 # the formations whose SVD readers are digested; n = 150 would add only time
@@ -99,19 +102,6 @@ SVD_READER_SIZES = (20, 60)
 # lambda_min(K) / delta is about 711, 3.9 and 1.45 at the first three
 # starts, and the last is issued no certificate (module docstring)
 LIFT_SEEDS = (0, 50, 192, 3)
-# (out-degrees of the plain vertices from vertex 3 on, gadget position): the
-# shapes of the certify workload's persistence tests (bench/workloads.py)
-PERSISTENCE_GRAPHS = (
-    ((3, 4, 4), None),
-    ((3, 3, 3, 3, 3), None),
-    ((3, 4, 4, 4), None),
-    ((3, 3, 2, 2, 2), 5),
-    ((3, 3, 3, 2, 2), 4),
-    ((3, 4, 3, 2), 7),
-    ((3, 4, 4, 3), 7),
-    ((3, 4, 4, 3, 2), 4),
-)
-
 
 def _digest(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()

@@ -23,7 +23,9 @@ proof and the accuracy argument of both.  :func:`field_gain` gives the
 operator norm of the edge-to-node map.  The gather raises
 :class:`~rigidform.rigidity.RankDeficiencyError` at coordinates that are
 not finite or reach ``COORD_LIMIT``, so every field, :func:`field_gain`
-and :func:`eta_matrix` do.
+and :func:`eta_matrix` do.  Each field takes its edge error m* - m from
+one helper, ``_edge_error``, which names a target with other than one
+entry per edge by the ValueError of :class:`ControllerSpec`.
 
 The fields do not compute the edge velocity v = 2 R(p) u: that is
 eta (m* - m), from :func:`eta_matrix`, whose restriction to the achievable
@@ -88,10 +90,18 @@ class ControllerSpec:
         _require_target(self.m_star, self.graph.num_edges)
 
 
+def _edge_error(m_star: Measurement, D: np.ndarray) -> np.ndarray:
+    """m* - m at the gathered edge vectors D, one row per edge; ValueError
+    by :func:`_require_target` unless the target has one entry per row."""
+    if m_star.values.shape[0] != D.shape[0]:
+        _require_target(m_star, D.shape[0])
+    return m_star.values - _rowdot(D, D)
+
+
 def gradient_field(graph: Graph, p: Configuration, m_star: Measurement) -> np.ndarray:
     """Distributed gradient-descent field of the squared-length error."""
     index, D = _edge_vectors(graph, p)
-    return _transpose_apply(index, D, m_star.values - _rowdot(D, D))
+    return _transpose_apply(index, D, _edge_error(m_star, D))
 
 
 def model_field(
@@ -104,7 +114,7 @@ def model_field(
     set and integration should abort.
     """
     index, D = _edge_vectors(graph, p)
-    return 0.5 * _regular_lift(graph, index, D, p, m_star.values - _rowdot(D, D), seed)
+    return 0.5 * _regular_lift(graph, index, D, p, _edge_error(m_star, D), seed)
 
 
 def directed_field(
@@ -113,7 +123,7 @@ def directed_field(
     """One-way variant of the gradient field: per edge, only the tail moves."""
     # D_k = p_tail - p_head is +-(p_i - p_j), so its squared norm is exact
     index, D = _edge_vectors(orientation.graph, p, orientation)
-    return _tail_apply(index, D, m_star.values - _rowdot(D, D))
+    return _tail_apply(index, D, _edge_error(m_star, D))
 
 
 def evaluate_field(spec: ControllerSpec, p: Configuration, seed: int = 0) -> np.ndarray:

@@ -63,7 +63,9 @@ LAPACK, which may not return on a non-finite matrix.
 
 The certificate (:func:`_certify_full_rank`).  With Q an orthonormal
 basis of the k = d(d+1)/2 rigid motions at p (of the centred points,
-:func:`_motion_frame`) and s = tr(R^T R) / dn, let K = R^T R + s Q Q^T.
+:func:`_motion_frame`, whose columns come from :func:`_rigid_motions`,
+the one builder of the rigid motions that :func:`rigid_motion_basis`
+also calls) and s = tr(R^T R) / dn, let K = R^T R + s Q Q^T.
 Forming K, shifting its diagonal and factoring it perturb it in the 2-norm
 by at most (|E| + k + dn + 3) u tr(K), u = eps / 2 (Demmel 1989; Rump,
 *BIT* 46, 2006), that is by delta_0 / 4 with
@@ -647,31 +649,43 @@ def _min_norm_solve(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return x, _rank_from_singular_values(s, R.shape)
 
 
-def _motion_frame(p: Configuration) -> np.ndarray:
-    """Orthonormal columns spanning the rigid motions at the centred points
-    of p, for d in {1, 2, 3}: the d unit translations over sqrt(n), and
-    the rotations of the centred points, orthogonal to the translations
-    because the points are centred.  For d = 2 the one rotation (-y, x) is
-    normalized; for d = 3 the three, e_a x (x, y, z) for each axis a, are
-    the Q of a QR of their own.  Some two points of p must differ, so that
-    the rotation is not zero."""
-    d, n = p.d, p.n
-    centred = p.points - p.points.sum(axis=0) / n
+def _rigid_motions(points: np.ndarray, translation: float = 1.0) -> np.ndarray:
+    """The infinitesimal rigid motions at ``points``, an (n, d) array with
+    d in {1, 2, 3}, as an (n, d, d(d+1)/2) array whose last axis indexes
+    the motions: first the d translations, each entry ``translation``,
+    then the rotations written by component, (-y, x) for d = 2 and
+    e_a x (x, y, z) for each axis a for d = 3.  Each translation entry is
+    written once, so a scaled one costs no second pass."""
+    n, d = points.shape
     frame = np.zeros((n, d, d * (d + 1) // 2))
     for a in range(d):
-        frame[:, a, a] = 1.0 / math.sqrt(n)
+        frame[:, a, a] = translation
+    if d == 2:
+        frame[:, 0, 2], frame[:, 1, 2] = -points[:, 1], points[:, 0]
+    elif d == 3:
+        x, y, z = points.T
+        frame[:, 1, 3], frame[:, 2, 3] = -z, y
+        frame[:, 0, 4], frame[:, 2, 4] = z, -x
+        frame[:, 0, 5], frame[:, 1, 5] = -y, x
+    return frame
+
+
+def _motion_frame(p: Configuration) -> np.ndarray:
+    """Orthonormal columns spanning the rigid motions at the centred points
+    of p, for d in {1, 2, 3}: :func:`_rigid_motions` of the centred points
+    with translations 1/sqrt(n), so that each is a unit vector, and the
+    rotations orthogonal to them because the points are centred.  For
+    d = 2 the one rotation is normalized; for d = 3 the three are the Q of
+    a QR of their own.  Some two points of p must differ, so that the
+    rotation is not zero."""
+    d, n = p.d, p.n
+    centred = p.points - p.points.sum(axis=0) / n
+    frame = _rigid_motions(centred, 1.0 / math.sqrt(n))
     if d == 2:
         rotation = frame[:, :, 2]
-        rotation[:, 0] = -centred[:, 1]
-        rotation[:, 1] = centred[:, 0]
         rotation /= np.linalg.norm(rotation)
     elif d == 3:
-        x, y, z = centred.T
-        rotations = np.zeros((n, 3, 3))
-        rotations[:, 1, 0], rotations[:, 2, 0] = -z, y
-        rotations[:, 0, 1], rotations[:, 2, 1] = z, -x
-        rotations[:, 0, 2], rotations[:, 1, 2] = -y, x
-        frame[:, :, 3:] = np.linalg.qr(rotations.reshape(3 * n, 3))[0].reshape(n, 3, 3)
+        frame[:, :, 3:] = np.linalg.qr(frame[:, :, 3:].reshape(3 * n, 3))[0].reshape(n, 3, 3)
     return frame.reshape(d * n, -1)
 
 
@@ -859,13 +873,16 @@ def _regular_lift(
 ) -> np.ndarray:
     """R^+ b for the rigidity matrix R at a regular point p, given by its
     edge index and edge vectors D: from :func:`_certified_solve` where the
-    certificate is issued, otherwise from :func:`_min_norm_solve`, whose
-    rank :func:`_require_regular` checks (raising
-    :class:`RankDeficiencyError` off regular points)."""
+    certificate is issued, otherwise from :func:`_min_norm_solve`.  Both
+    routes end in :func:`_require_regular` on the rank they found, so
+    either raises :class:`RankDeficiencyError` off regular points and
+    ValueError on a seed that is not a non-negative integer."""
     x = _certified_solve(index, D, p, b)
     if x is None:
         x, r = _min_norm_solve(_put_blocks(index, D, -D), b)
-        _require_regular(graph, p.d, r, seed)
+    else:
+        r = max_generic_rank(p.n, p.d)
+    _require_regular(graph, p.d, r, seed)
     return x
 
 
@@ -921,26 +938,13 @@ def rigid_motion_basis(p: Configuration) -> np.ndarray:
     """Columns spanning the infinitesimal rigid motions at p.
 
     d translations plus d(d-1)/2 rotations, stacked as a (d*n, d(d+1)/2)
-    matrix; every column is annihilated by any rigidity matrix at p.
-    Supported for d in {1, 2, 3}.
+    matrix; every column is annihilated by any rigidity matrix at p.  The
+    columns are :func:`_rigid_motions` at p: unit translations and the
+    rotations of the uncentred points.  Supported for d in {1, 2, 3}.
     """
-    d, n, pts = p.d, p.n, p.points
-    if d not in (1, 2, 3):
+    if p.d not in (1, 2, 3):
         raise ValueError("rigid motions implemented for dimensions 1, 2, 3 only")
-    cols = []
-    for k in range(d):
-        t = np.zeros((n, d))
-        t[:, k] = 1.0
-        cols.append(t.reshape(-1))
-    if d == 2:
-        rot = np.stack([-pts[:, 1], pts[:, 0]], axis=1)
-        cols.append(rot.reshape(-1))
-    elif d == 3:
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = 1.0
-            cols.append(np.cross(e, pts).reshape(-1))
-    return np.stack(cols, axis=1)
+    return _rigid_motions(p.points).reshape(p.d * p.n, -1)
 
 
 def congruence_check(

@@ -206,7 +206,10 @@ def integrate(
     finite; a later state past that bound ends the run "aborted".  A field
     that needs a regular point and has none at p0 raises
     :class:`RankDeficiencyError` with the field's own message and ``rank``.
+    ``seed`` must be a non-negative integer for every controller, although
+    only the model field draws with it.
     """
+    seed = _require_count("seed", seed, 0)
     graph, d = spec.graph, p0.d
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:

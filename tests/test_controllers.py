@@ -97,6 +97,19 @@ def test_potentials_name_a_target_of_another_length(w5, p_star):
         edge_potential(Measurement([1.0, 2.0]), Measurement([1.0]))
 
 
+@pytest.mark.parametrize("entries", [1, 9], ids=["one-entry", "one-extra"])
+def test_fields_name_a_target_of_another_length(w5, p_star, w5_arrows, entries):
+    # a 1-entry target would broadcast over every edge, and |E| + 1 entries
+    # would fail inside NumPy: both are named as the spec names them
+    m_star = Measurement(np.ones(entries))
+    message = f"target has {entries} entries, graph has 8 edges"
+    for call in (lambda: gradient_field(w5, p_star, m_star),
+                 lambda: model_field(w5, p_star, m_star),
+                 lambda: directed_field(w5_arrows, p_star, m_star)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_spec_validation(w5, p_star, w5_arrows):
     m = distance_map(w5, p_star)
     with pytest.raises(ValueError):
@@ -246,6 +259,24 @@ def _rigid_formation(n: int, rng: np.random.Generator):
         edges.add((int(i), int(j)))
     start = target + 0.05 * rng.standard_normal(target.shape)
     return build_graph(n, sorted(edges)), Configuration(2, target), Configuration(2, start)
+
+
+@pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"), (True, "True")],
+                         ids=["negative", "fractional", "bool"])
+def test_model_field_names_a_bad_seed_on_both_routes(w5, p_star, seed, shown):
+    # d*n = 40 takes the certified lift, which draws no generic rank, and
+    # w5 (d*n = 10) the least-squares one: both name the seed
+    graph, target, p = _rigid_formation(20, np.random.default_rng(1))
+    index, D = _edge_vectors(graph, p)
+    assert _certified_solve(index, D, p, np.zeros(graph.num_edges)) is not None
+    message = f"seed must be a non-negative integer, got {shown}"
+    m_star = distance_map(graph, target)
+    with pytest.raises(ValueError, match=message):
+        model_field(graph, p, m_star, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        evaluate_field(ControllerSpec(graph, "model", m_star), p, seed)
+    with pytest.raises(ValueError, match=message):
+        model_field(w5, p_star, distance_map(w5, p_star), seed=seed)
 
 
 @pytest.mark.parametrize("n", [20, 60])

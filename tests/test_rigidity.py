@@ -203,6 +203,38 @@ def test_rigid_motion_basis_spans_kernel(w5, p_star):
     assert R.shape[1] - matrix_rank(R) == 3
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rigid_motions_span_the_kernel_in_every_dimension(d):
+    # at a random point of the complete graph on d + 3 vertices, generically
+    # rigid in R^d, the public basis spans Ker R, and the certificate's
+    # motion frame is an orthonormal basis of the rigid motions at the
+    # centred points
+    n, k = d + 3, d * (d + 1) // 2
+    graph = build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    p = Configuration(d, np.random.default_rng(d).standard_normal((n, d)))
+    R = rigidity_matrix(graph, p)
+    B = rigid_motion_basis(p)
+    assert B.shape == (d * n, k)
+    assert np.allclose(R @ B, 0.0, atol=1e-12)
+    assert matrix_rank(B) == k
+    assert matrix_rank(R) == d * n - k
+    # unit translations, then the rotations by their definitions
+    pts, columns = p.points, B.reshape(n, d, k)
+    assert np.array_equal(columns[:, :, :d], np.broadcast_to(np.eye(d), (n, d, d)))
+    if d == 2:
+        assert np.array_equal(columns[:, :, 2], np.stack([-pts[:, 1], pts[:, 0]], axis=1))
+    elif d == 3:
+        for a, axis in enumerate(np.eye(3)):
+            assert np.array_equal(columns[:, :, 3 + a], np.cross(axis, pts))
+    Q = rigidity_mod._motion_frame(p)
+    centred = Configuration(d, pts - pts.mean(axis=0))
+    B_centred = rigid_motion_basis(centred)
+    assert Q.shape == (d * n, k)
+    assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-12)
+    assert np.allclose(Q @ (Q.T @ B_centred), B_centred, atol=1e-12)
+    assert np.allclose(rigidity_matrix(graph, centred) @ Q, 0.0, atol=1e-12)
+
+
 def test_tangent_basis_and_projector(w5, p_star):
     basis = tangent_basis(w5, p_star)
     assert basis.rank == 7

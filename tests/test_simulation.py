@@ -21,6 +21,7 @@ from rigidform import (
     eta_matrix,
     integrate,
     linearized_edge_matrix,
+    orient,
 )
 from rigidform.scenarios import ScenarioError, builtin_scenario, scenario_from_dict
 
@@ -287,6 +288,16 @@ def test_diverged_rk4_run_terminates_aborted():
     assert traj.termination == "aborted"
     assert traj.termination_time == traj.times[-1] < 30.0
     assert np.isfinite(traj.positions).all() and np.isfinite(traj.edge_error).all()
+
+
+@pytest.mark.parametrize("kind", ["gradient", "directed"])
+@pytest.mark.parametrize("seed, shown", [(-1, "-1"), (True, "True")], ids=["negative", "bool"])
+def test_bad_seed_is_named_for_every_controller(kind, seed, shown):
+    # only the model field draws with the seed; the others are named too
+    orientation = orient(PAIR, [(1, 2)]) if kind == "directed" else None
+    spec = ControllerSpec(PAIR, kind, Measurement([4.0]), orientation)
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {shown}"):
+        integrate(spec, Configuration(1, [[0.0], [1.0]]), seed=seed)
 
 
 def test_non_finite_start_is_an_input_error():
