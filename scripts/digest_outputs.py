@@ -27,10 +27,12 @@ pebble-game walk and the per-reduction ranking in R^3.  Then
 ``model_field`` at d*n = 300 once per path its lift can take, each from a
 perturbed start of
 ``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
-the certificate's factor converges quickly; s = 50, where it converges
-slowly; s = 192, where it stalls and both solves fall back to LU; and s = 3,
-where no certificate is issued and least squares decides.  An exception is
-digested as its type and message.
+the banded certificate's block factor converges quickly; s = 50, where it
+converges slowly; s = 192, where it stalls and both solves fall back to LU;
+and s = 3, where no certificate is issued and least squares decides; and
+once at d*n = 1000, from ``rigid_formation(500, 250, default_rng(0))``,
+where the banded factor pays most.  An exception is digested as its type
+and message.
 
 Last come the public readers of R's SVD, at every built-in's target and at
 the n = 20 and n = 60 formations: ``tangent_basis``, ``projector`` and
@@ -99,8 +101,9 @@ from workloads import PERSISTENCE_GRAPHS  # noqa: E402
 FORMATION_SIZES = (20, 60, 150)
 # the formations whose SVD readers are digested; n = 150 would add only time
 SVD_READER_SIZES = (20, 60)
-# lambda_min(K) / delta is about 711, 3.9 and 1.45 at the first three
-# starts, and the last is issued no certificate (module docstring)
+# lambda_min(K_P) / delta of the banded certificate is about 539, 3.8 and
+# 1.4 at the first three starts, and the last is issued no certificate
+# (rigidity module docstring)
 LIFT_SEEDS = (0, 50, 192, 3)
 
 def _digest(data) -> str:
@@ -198,14 +201,15 @@ def _formations() -> None:
 
 def _lift_regimes() -> None:
     """Digest ``model_field`` at one perturbed start of each ``LIFT_SEEDS``
-    formation, toward the formation's own target."""
-    for s in LIFT_SEEDS:
+    formation at n = 150, and of the seed-0 formation at n = 500, toward the
+    formation's own target."""
+    for n, s in [(150, s) for s in LIFT_SEEDS] + [(500, 0)]:
         rng = np.random.default_rng(s)
-        pts, edges, _ = rigid_formation(150, 75, rng)
+        pts, edges, _ = rigid_formation(n, n // 2, rng)
         start = pts + 0.05 * rng.standard_normal(pts.shape)
-        graph = Graph(150, edges)
+        graph = Graph(n, edges)
         m_star = distance_map(graph, Configuration(2, pts))
-        _value(f"model lift n=150 seed={s}",
+        _value(f"model lift n={n} seed={s}",
                lambda: model_field(graph, Configuration(2, start), m_star, 0))
 
 

@@ -123,6 +123,12 @@ REDUCTION_CAP = 10**6
 
 _RESAMPLE_CAP = 50
 
+# the most samples admissibility takes, so that no --samples makes it
+# endless: a sample costs about 0.27 ms on the wheel and 3.7 ms at n = 150,
+# so a run at the budget takes about 30 s there and 6 min at n = 150; the
+# CLI's default, the benchmark and the digest script take 3 to 5
+_SAMPLE_BUDGET = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
@@ -340,12 +346,15 @@ def admissibility(
     relative to the spectral norm.  Raises ValueError unless ``kind`` names
     a controller that ``orientation`` pairs with (only "directed" reads it)
     and ``d``, ``samples`` are positive integers, ``seed`` a non-negative one,
-    and :class:`RankDeficiencyError` when ``_RESAMPLE_CAP`` draws of one
-    sample are all off regular points.
+    or ``samples`` is above ``_SAMPLE_BUDGET``, and
+    :class:`RankDeficiencyError` when ``_RESAMPLE_CAP`` draws of one sample
+    are all off regular points.
     """
     _require_controller(graph, kind, orientation if kind == "directed" else None)
     d = _require_count("dimension", d, 1)
     samples = _require_count("samples", samples, 1)
+    if samples > _SAMPLE_BUDGET:
+        raise ValueError(f"samples must be at most {_SAMPLE_BUDGET}, got {samples}")
     seed = _require_count("seed", seed, 0)
     tests = (("dynamic", TOL_HYP), ("algebraic", TOL_INV))
     per_sample = ([], [])

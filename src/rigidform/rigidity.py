@@ -95,57 +95,86 @@ and it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
 below delta.
 
 Two readers of a certified R take no SVD.  The symmetric eigensolve of
-R^T R, built from the certificate's own scatter, returns each eigenvalue
+R^T R, built by the certificate's stiffness scatter, returns each eigenvalue
 to within about dn eps tr(R^T R): the rounding of the scatter and the
 eigensolver's backward error, by Weyl's bound.  The k eigenvalues that
 Ker R gives are of that size, and the other r are at least
 sigma_g^2 >= 3 delta / 4 >= 3 (|E| + dn) eps tr(R^T R) / 2, above it, so
 the r largest are the squared singular values, in the SVD's descending
-order and equal to its squares to that rounding.  And K is positive
-definite, so no nonzero vector of Ker R is orthogonal to the motion frame
-Q: R Q_perp, with Q_perp an orthonormal complement of Q, is injective, and
+order and equal to its squares to that rounding.  And R has rank dn - k,
+so Ker R is the span of the motion frame Q and no nonzero vector of it is
+orthogonal to Q: R Q_perp, with Q_perp an orthonormal complement of Q, is
+injective, and
 the Q factor of its Householder QR is an orthonormal basis of Im R.
 R Q_perp is a gather of Q_perp's rows at the edges' endpoints.
 
 Where the certificate is issued, the model field's lift takes R^+ b from
-it (:func:`_certified_solve`).  The
-sqrt(eps) floor of its shift makes lambda_min(K) >= 3 delta / 4 >=
-(3/4) sqrt(eps) tr(K), which bounds cond(R)^2 by 4 / (3 sqrt(eps)), so the
-normal-equation solution with one corrected semi-normal step (Bjorck,
-*Numerical Methods for Least Squares Problems*, 1996, 2.2), both solves
-with K backward stable, is as accurate as the least-squares solve.
+it (:func:`_certified_solve`).  The sqrt(eps) floor of its shift makes
+lambda_min(K) >= 3 delta / 4 >= (3/4) sqrt(eps) tr(K), which bounds
+cond(R)^2 by 4 / (3 sqrt(eps)), so the normal-equation solution with one
+corrected semi-normal step (Bjorck, *Numerical Methods for Least Squares
+Problems*, 1996, 2.2), both solves with K backward stable, is as accurate
+as the least-squares solve.  The dense certificate (:class:`_Certificate`)
+keeps K itself: the shift is taken in place for the Cholesky and undone by
+writing K's saved diagonal back, exactly, and both solves are LU solves
+with K.
 
-Factor once (:class:`_Certificate`).  The certificate keeps K itself:
-the shift is taken in place for the Cholesky and undone by writing K's
-saved diagonal back, exactly, so the K it holds is the K it certified and
-no second dn x dn matrix is formed.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
-on, both solves with K run on the certificate's own factor L of
-M = K - delta I, and the certified lift takes that one factorization and no
-LU, least-squares or SVD.  A solve of K y = c starts from y = M^-1 c and
-refines, y <- y + M^-1 (c - K y), with M^-1 applied as L^-T L^-1: L^-1 is
-formed once per certificate, its diagonal blocks by one batched inverse and
-the rest block row by block row with matrix products
-(:func:`_lower_inverse`).  The iteration matrix is -delta M^-1, which
-contracts by delta / (lambda_min(K) - delta) per step.  Each step is checked
-a posteriori: with the residual rho computed as fl(c - K y), its rounding
-is at most beta = (dn + 2) eps (|c| + nu |y|), nu = ||K||_F >= || |K| ||_2
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5), so y
-solves (K + E) y = c with ||E||_2 <= (|rho| + beta) / |y| (Rigal and
-Gaches 1967), and ||y - K^-1 c|| <= (4 / (3 delta)) (|rho| + beta).  y is
-taken once |rho| + beta <= 4 (dn + 2) eps nu |y|: E is then within the
-normwise backward error of the LU or Cholesky solve it replaces (Higham
-2002, 9.3 and 10.1), which is all the semi-normal argument above needs.  A
-residual that fails to halve before that (lambda_min(K) < 3 delta, or so
-near it that the steps stall) hands the solve to LU with K, which the same
-argument covers; a least-squares solve there would cost several times
-more.  Below ``_FACTORED_SOLVE_MIN_SIZE`` both solves are such LU solves:
-there forming L^-1 costs more than the two solves it replaces.  Per
-model_field call on d = 2 formations of
+The banded certificate (:func:`_certify_banded`).  From d*n =
+``_BANDED_MIN_SIZE`` on, on a graph with a band layout
+(``_EdgeIndex.band``), the certificate is first tried on
+K_P = R^T R + s Q_P Q_P^T.  The vertices go in reverse Cuthill-McKee order
+(:func:`_band_order`), kept on the edge index and so freed with the graph;
+in it R^T R is block tridiagonal, with blocks w = d b wide for a vertex
+bandwidth b.  Q_P is the motion frame of the vertices of blocks 0 and 1,
+the patch, and zero elsewhere, so s Q_P Q_P^T lies inside the first two
+diagonal blocks and the block between them, and K_P is block tridiagonal
+too: its Cholesky factor is block bidiagonal and costs O(dn w^2), not
+O((dn)^3).  The proof above carries over.
+tr(K_P) = tr(K), so delta is the same.  s Q_P Q_P^T is positive
+semidefinite of rank k, so by interlacing a Cholesky of K_P - delta I that
+succeeds proves rank R = dn - k as one of K - delta I does.  The factor is
+taken by Choleskys of two-block windows (:func:`_certify_banded`): each
+entry of L is still a Cholesky inner product of at most dn terms, summed in
+another order, so the rounding bound above, and delta_0, hold unchanged.
+Where K_P is positive definite, v^T K_P v = s |Q_P^T v|^2 > 0 for every
+nonzero v in Ker R = span Q, so Q_P^T Q is nonsingular: K_P x = R^T b has
+the one solution R^+ b + Q c with Q_P^T Q c = -Q_P^T R^+ b, a rigid motion
+added to the lift, and R^+ b = x - Q Q^T x with the global motion frame Q.
+Adding a rigid motion leaves R x as it is, so the semi-normal step reads
+the same residual, and the floor bounds cond(K_P) as it bounds cond(K).
+The patch keeps the rigid motions weighted by s sigma_min(Q_J)^2, with Q_J
+the rows of Q at the patch, about s times the patch's share of the
+vertices; k pinned coordinates, whose rows Q_J are few, keep far less.  A
+patch that a rigid motion leaves fixed (its points coincide in d = 2, or
+are collinear in d = 3) makes K_P singular, so its Cholesky fails, and the
+dense certificate decides.  On the 40 model starts at n = 150 of the
+benchmark's large-formation workload for seeds 1 to 10, lambda_min(K_P) /
+delta is 0.29 to 0.92 times lambda_min(K) / delta, and never below 17; a
+patch of block 0 alone gave 0.12 to 0.99, and down to 10.
+
+Solves with K_P (:meth:`_BandedCertificate.solve`).  A solve of
+K_P y = c starts from y = M^-1 c, M = K_P - delta I, and refines,
+y <- y + M^-1 (c - K_P y), with M^-1 applied as one block sweep down L and
+one up L^T on the inverses of L's diagonal blocks (formed once per
+certificate by :func:`_triangular_inverses`).  The iteration matrix is
+-delta M^-1, which contracts by delta / (lambda_min(K_P) - delta) per
+step.  Each step is checked a posteriori: with the residual rho computed
+as fl(c - K_P y), its rounding is at most beta = (dn + 2) eps (|c| + nu
+|y|), nu = ||K_P||_F >= || |K_P| ||_2 (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, 3.5), so y solves (K_P + E) y = c with
+||E||_2 <= (|rho| + beta) / |y| (Rigal and Gaches 1967), and
+||y - K_P^-1 c|| <= (4 / (3 delta)) (|rho| + beta).  y is taken once
+|rho| + beta <= 4 (dn + 2) eps nu |y|: E is then within the normwise
+backward error of the LU or Cholesky solve it replaces (Higham 2002, 9.3
+and 10.1), which is all the semi-normal argument needs.  A residual that
+fails to halve before that (lambda_min(K_P) < 3 delta, or so near it that
+the steps stall) hands the solve to LU with K_P, which the same argument
+covers.  Per model_field call on d = 2 formations of
 bench.inputs.rigid_formation(n, n // 2) (one BLAS thread, median over
-three formations of the best of fifteen interleaved trials), LU vs
-refinement on L: d*n = 40, 125 vs 229 us; 80, 446 vs 661; 120, 476
-vs 569; 150, 1045 vs 1025; 160, 2046 vs 1843; 200, 3387 vs 2630; 240,
-4772 vs 3613; 300, 5348 vs 3511.
+three formations of the best of fifteen interleaved 5-call trials), dense
+vs banded: d*n = 40, 110 us, no band layout; 80, 222 vs 468; 120, 385 vs
+632; 140, 526 vs 748; 160, 776 vs 800; 200, 1366 vs 944; 240, 2068 vs
+1078; 300, 3462 vs 1298; 500, 11148 vs 2501; 1000, 62191 vs 7189.
 """
 
 from __future__ import annotations
@@ -188,10 +217,10 @@ COORD_LIMIT = SQUARE_LIMIT**0.5
 # singular values of R vs certificate, both from p: d*n = 24, 48 vs 52 us;
 # 28, 58 vs 52; 36, 83 vs 56; 40, 93 vs 57; 120, 1053 vs 158; 300, 11204
 # vs 1843.  The built-ins have d*n <= 12, persistence reductions d*n <= 22.
-# The lift column stands with the factored solve: below
-# _FACTORED_SOLVE_MIN_SIZE the certified lift is bit-identical to the one
-# measured here, and at d*n = 40 it took 116 us against 118 before (best of
-# thirty interleaved 100-call trials, one formation), so the constant stays.
+# The lift column stands: below _BANDED_MIN_SIZE the certified lift is
+# bit-identical to the one measured here, and at d*n = 40 it took 116 us
+# against 118 before (best of thirty interleaved 100-call trials, one
+# formation), so the constant stays.
 _CERTIFIED_MIN_SIZE = 36
 
 # d*n from which the squared singular values of R are the eigenvalues of
@@ -205,6 +234,11 @@ _CERTIFIED_MIN_SIZE = 36
 # motion frame costs more: 36, 67 vs 132; 72, 260 vs 318; 90, 452 vs 466;
 # 102, 597 vs 595; 108, 698 vs 643; 120, 905 vs 748.
 _GRAM_EIGENSOLVE_MIN_SIZE = 100
+
+# d*n from which the certificate is first tried banded (_certify_banded),
+# on graphs with a band layout: where the banded lift stops costing more
+# than the dense one (table in the module docstring)
+_BANDED_MIN_SIZE = 160
 
 
 class RankDeficiencyError(RuntimeError):
@@ -276,6 +310,106 @@ class _EdgeIndex:
         for a in plan:
             a.setflags(write=False)
         return plan
+
+    @cached_property
+    def band(self) -> _Band | None:
+        """The block-tridiagonal layout of R^T R in the vertex order of
+        :func:`_band_order`, with blocks of as many vertices as its
+        bandwidth, so that each meets only the next; None where that gives
+        fewer than four blocks, whose two-block Choleskys would cost about
+        as much as one of the whole matrix."""
+        d = self.first.shape[1]
+        n = self.size // d
+        order = _band_order(n, self.first[:, 0] // d, self.second[:, 0] // d)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        ends = rank[np.stack((self.first[:, 0], self.second[:, 0])) // d]
+        per_block = max(1, int(np.abs(ends[0] - ends[1]).max(initial=0)))
+        count = -(-n // per_block)
+        if count < 4:
+            return None
+        width = d * per_block
+        at = (d * rank[:, None] + np.arange(d)).reshape(-1)
+        ends = at[np.stack((self.first, self.second))]
+        row, col = ends[:, None, :, :, None], ends[None, :, :, None, :]
+        row_block, col_block = row // width, col // width
+        within = (row % width) * width + col % width
+        # diagonal blocks first, then the blocks below them; an entry above
+        # the diagonal blocks goes to one last bin, which is dropped
+        slot = np.where(row_block == col_block, row_block * width**2 + within,
+                        np.where(row_block == col_block + 1,
+                                 (count + col_block) * width**2 + within,
+                                 (2 * count - 1) * width**2))
+        for a in (order, at, slot):
+            a.setflags(write=False)
+        return _Band(order, at, slot, count, width)
+
+
+@dataclass(frozen=True, eq=False)
+class _Band:
+    """R^T R, for the R of one graph in R^d, as a symmetric block-
+    tridiagonal matrix: its rows and columns in the vertex order ``order``,
+    padded at the end to ``count`` blocks of ``width`` = d * (vertices per
+    block).  ``at`` (dn,) holds the position in that layout of each entry
+    of vec(p), and ``slot`` (2, 2, |E|, d, d) the flat position, in the
+    ``count`` diagonal blocks followed by the ``count`` - 1 blocks below
+    them, of each entry of the edges' stiffness blocks, in the order of
+    ``_EdgeIndex.stiffness``."""
+
+    order: np.ndarray
+    at: np.ndarray
+    slot: np.ndarray
+    count: int
+    width: int
+
+
+def _band_order(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The n vertices of the edges (first[k], second[k]) in reverse
+    Cuthill-McKee order (Cuthill and McKee 1969; George and Liu, *Computer
+    Solution of Large Sparse Positive Definite Systems*, 1981), or in their
+    own order when that has no larger bandwidth.  Each component is walked
+    breadth first, neighbours by increasing degree, from a pseudo-peripheral
+    root: from a vertex of least degree, the root moves to the least-degree
+    vertex of the walk's last level for as long as that deepens the walk."""
+    neighbours = [[] for _ in range(n)]
+    for i, j in zip(first.tolist(), second.tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    degree = [len(a) for a in neighbours]
+    for a in neighbours:
+        a.sort(key=degree.__getitem__)
+
+    def walk(root):
+        level = {root: 0}
+        order = [root]
+        for v in order:
+            for u in neighbours[v]:
+                if u not in level:
+                    level[u] = level[v] + 1
+                    order.append(u)
+        return order, level
+
+    order = []
+    placed = set()
+    for root in sorted(range(n), key=degree.__getitem__):
+        if root in placed:
+            continue
+        path, level = walk(root)
+        while True:
+            depth = level[path[-1]]
+            far = min((v for v in path if level[v] == depth), key=degree.__getitem__)
+            far_path, far_level = walk(far)
+            if far_level[far_path[-1]] <= depth:
+                break
+            path, level = far_path, far_level
+        order += path
+        placed.update(path)
+    order = np.array(order[::-1], dtype=np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    if np.abs(rank[first] - rank[second]).max(initial=0) >= np.abs(first - second).max(initial=0):
+        return np.arange(n)
+    return order
 
 
 def _edge_index(graph: Graph, d: int, orientation: Orientation | None = None) -> _EdgeIndex:
@@ -616,7 +750,7 @@ def _regular_squared_singular_values(graph: Graph, p: Configuration, seed: int) 
     r, their count, is its rank, checked by :func:`_require_regular`.  From
     d*n = ``_GRAM_EIGENSOLVE_MIN_SIZE`` on, where the certificate is issued,
     they are the r largest eigenvalues of R^T R from one symmetric
-    eigensolve, with R^T R built from the certificate's own scatter and no
+    eigensolve, with R^T R built by the certificate's stiffness scatter and no
     R or SVD formed; otherwise the squares of :func:`_regular_singular_values`."""
     index, D = _edge_vectors(graph, p)
     if index.size >= _GRAM_EIGENSOLVE_MIN_SIZE:
@@ -670,16 +804,16 @@ def _rigid_motions(points: np.ndarray, translation: float = 1.0) -> np.ndarray:
     return frame
 
 
-def _motion_frame(p: Configuration) -> np.ndarray:
-    """Orthonormal columns spanning the rigid motions at the centred points
-    of p, for d in {1, 2, 3}: :func:`_rigid_motions` of the centred points
-    with translations 1/sqrt(n), so that each is a unit vector, and the
-    rotations orthogonal to them because the points are centred.  For
-    d = 2 the one rotation is normalized; for d = 3 the three are the Q of
-    a QR of their own.  Some two points of p must differ, so that the
-    rotation is not zero."""
-    d, n = p.d, p.n
-    centred = p.points - p.points.sum(axis=0) / n
+def _motion_frame(points: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the rigid motions at the centred
+    ``points``, an (n, d) array with d in {1, 2, 3}: :func:`_rigid_motions`
+    of the centred points with translations 1/sqrt(n), so that each is a
+    unit vector, and the rotations orthogonal to them because the points
+    are centred.  For d = 2 the one rotation is normalized; for d = 3 the
+    three are the Q of a QR of their own.  Some two points must differ, so
+    that the rotation is not zero."""
+    n, d = points.shape
+    centred = points - points.sum(axis=0) / n
     frame = _rigid_motions(centred, 1.0 / math.sqrt(n))
     if d == 2:
         rotation = frame[:, :, 2]
@@ -691,104 +825,198 @@ def _motion_frame(p: Configuration) -> np.ndarray:
 
 _STIFFNESS_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-# the widest diagonal block of L that _lower_inverse inverts directly
-_INVERSE_BLOCK = 32
-
-# d*n from which _Certificate.solve refines on L instead of solving with K
-# by LU: about where the two cost the same (table in the module docstring)
-_FACTORED_SOLVE_MIN_SIZE = 160
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 for a lower-triangular L, block row by block row: the diagonal
-    blocks, at most ``_INVERSE_BLOCK`` wide, from one batched inverse (the
-    last padded with the identity), and left of block (i, i)
-    -L_ii^-1 L_i,<i (L^-1)_<i,<i."""
-    size = L.shape[0]
-    count = -(-size // _INVERSE_BLOCK)
-    width = -(-size // count)
-    spans = [(start, min(start + width, size)) for start in range(0, size, width)]
-    stack = np.zeros((count, width, width))
-    stack[:, np.arange(width), np.arange(width)] = 1.0
-    for block, (start, stop) in zip(stack, spans):
-        block[: stop - start, : stop - start] = L[start:stop, start:stop]
-    X = np.zeros_like(L)
-    for inverse, (start, stop) in zip(np.linalg.inv(stack), spans):
-        diagonal = inverse[: stop - start, : stop - start]
-        X[start:stop, start:stop] = diagonal
-        if start:
-            X[start:stop, :start] = -(diagonal @ (L[start:stop, :start] @ X[:start, :start]))
-    return X
-
 
 @dataclass(frozen=True, eq=False)
 class _Certificate:
-    """A successful certificate: the stiffness matrix ``K`` it certifies,
-    the Cholesky factor ``L`` of K - ``delta`` I, ``delta``, and what K is
-    built from: the motion frame ``Q`` and the entries ``sums`` of R^T R
-    at the flat positions ``touched``.  :meth:`solve` solves with K, and
+    """A successful certificate of the stiffness matrix ``K`` =
+    R^T R + s Q Q^T, dense and in vertex order: the shift ``delta`` of its
+    Cholesky, the motion frame ``Q`` and the edge index and edge vectors
+    ``D`` of the R it certifies.  :meth:`solve` solves with K, and
     :meth:`gram` forms R^T R."""
 
-    K: np.ndarray = field(repr=False)
-    L: np.ndarray = field(repr=False)
     delta: float
     Q: np.ndarray = field(repr=False)
-    touched: np.ndarray = field(repr=False)
-    sums: np.ndarray = field(repr=False)
+    index: _EdgeIndex = field(repr=False)
+    D: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
 
     def gram(self) -> np.ndarray:
-        """R^T R, from the stiffness scatter that K was built with."""
-        G = np.zeros(self.K.size)
-        G[self.touched] = self.sums
-        return G.reshape(self.K.shape)
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        return _lower_inverse(self.L)
-
-    @cached_property
-    def _scale(self) -> float:
-        """||K||_F, at least ||K||_2 and || |K| ||_2."""
-        return float(np.linalg.norm(self.K))
-
-    def substitute(self, c: np.ndarray) -> np.ndarray:
-        """(K - delta I)^-1 c, as L^-T (L^-1 c)."""
-        X = self._inverse
-        return X.T @ (X @ c)
+        """R^T R, from the stiffness scatter of ``index``."""
+        touched, slot, _ = self.index.stiffness
+        G = np.zeros(self.index.size**2)
+        G[touched] = _scatter_outer(slot, self.D, _STIFFNESS_SIGNS, touched.size)[1]
+        return G.reshape(self.index.size, -1)
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        """K^-1 c, backward stable.  From d*n = ``_FACTORED_SOLVE_MIN_SIZE``
-        on, refined from :meth:`substitute` until the module docstring's
-        a-posteriori test shows it backward stable, as long as each step at
-        least halves the residual; otherwise, and below that size, by LU
-        with K."""
-        K = self.K
-        if K.shape[0] >= _FACTORED_SOLVE_MIN_SIZE:
-            scale = self._scale
-            rounding = (K.shape[0] + 2) * _EPS
-            c_norm = math.sqrt(c @ c)
-            y = self.substitute(c)
-            last = math.inf
-            while True:
-                residual = c - K @ y
-                r_norm, y_norm = math.sqrt(residual @ residual), math.sqrt(y @ y)
-                if r_norm + rounding * (c_norm + scale * y_norm) <= 4.0 * rounding * scale * y_norm:
-                    return y
-                if not r_norm <= 0.5 * last:
-                    break
-                last = r_norm
-                y += self.substitute(residual)
-        return np.linalg.solve(K, c)
+        """K^-1 c, by LU with K."""
+        return np.linalg.solve(self.K, c)
+
+
+@dataclass(frozen=True, eq=False)
+class _BandedCertificate(_Certificate):
+    """A successful banded certificate (module docstring) of K_P =
+    R^T R + s Q_P Q_P^T in the order and layout of ``index.band``: ``K``
+    holds K_P's m diagonal blocks, w x w, and ``lower`` the m - 1 blocks
+    below them; ``inverse`` the inverses of the diagonal blocks of the
+    block-bidiagonal Cholesky factor L of K_P - delta I, and ``forward``
+    and ``backward`` its blocks below them, multiplied by those inverses
+    so that each step of a sweep is one product; ``scale`` is ||K_P||_F."""
+
+    lower: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
+    forward: np.ndarray = field(repr=False)
+    backward: np.ndarray = field(repr=False)
+    scale: float
+
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        """K_P y, for y in the band layout, (m, w)."""
+        out = (self.K @ y[:, :, None])[:, :, 0]
+        out[1:] += (self.lower @ y[:-1, :, None])[:, :, 0]
+        out[:-1] += (y[1:, None, :] @ self.lower)[:, 0]
+        return out
+
+    def _substitute(self, c: np.ndarray) -> np.ndarray:
+        """(K_P - delta I)^-1 c, for c in the band layout, by one sweep
+        down L and one up L^T."""
+        z = (self.inverse @ c[:, :, None])[:, :, 0]
+        for t, step in enumerate(self.forward, 1):
+            z[t] -= step @ z[t - 1]
+        y = (z[:, None, :] @ self.inverse)[:, 0]
+        for t in range(len(y) - 2, -1, -1):
+            y[t] -= self.backward[t] @ y[t + 1]
+        return y
+
+    def _dense(self) -> np.ndarray:
+        """K_P in the band layout as one dense matrix."""
+        m, w, _ = self.K.shape
+        full = np.zeros((m, w, m, w))
+        for t in range(m):
+            full[t, :, t] = self.K[t]
+        for t, block in enumerate(self.lower):
+            full[t + 1, :, t] = block
+            full[t, :, t + 1] = block.T
+        return full.reshape(m * w, m * w)
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """K^-1 c for c in Im R^T, backward stable: y = K_P^-1 c, refined
+        from :meth:`_substitute` until the module docstring's a-posteriori
+        test shows it backward stable, as long as each step at least
+        halves the residual, otherwise by LU with K_P; then y less its
+        component along the rigid motions, y - Q Q^T y."""
+        m, w, _ = self.K.shape
+        at, size = self.index.band.at, self.index.size
+        c_band = np.zeros(m * w)
+        c_band[at] = c
+        c_band = c_band.reshape(m, w)
+        scale, rounding = self.scale, (size + 2) * _EPS
+        c_norm = math.sqrt(c @ c)
+        y = self._substitute(c_band)
+        last = math.inf
+        while True:
+            residual = (c_band - self._apply(y)).reshape(-1)
+            r_norm, y_norm = math.sqrt(residual @ residual), math.sqrt(np.vdot(y, y))
+            if r_norm + rounding * (c_norm + scale * y_norm) <= 4.0 * rounding * scale * y_norm:
+                break
+            if not r_norm <= 0.5 * last:
+                y = np.linalg.solve(self._dense(), c_band.reshape(-1))
+                break
+            last = r_norm
+            y += self._substitute(residual.reshape(m, w))
+        x = y.reshape(-1)[at]
+        return x - self.Q @ (self.Q.T @ x)
+
+
+def _triangular_inverses(L: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of lower-triangular matrices, (m, w, w):
+    their 8-wide diagonal blocks, the last padded with the identity, from
+    one batched inverse, and left of block (i, i), block row by block row,
+    -X_ii L_i,<i X_<i,<i.  LAPACK's inverse of a whole block costs several
+    times more from w = 12 on."""
+    m, w, _ = L.shape
+    q = -(-w // 8)
+    padded = np.zeros((m, 8 * q, 8 * q))
+    padded[:, :w, :w] = L
+    padded[:, np.arange(w, 8 * q), np.arange(w, 8 * q)] = 1.0
+    leaves = np.linalg.inv(np.diagonal(padded.reshape(m, q, 8, q, 8), axis1=1, axis2=3)
+                           .transpose(0, 3, 1, 2))
+    X = np.zeros_like(padded)
+    for i in range(q):
+        a, b = 8 * i, 8 * i + 8
+        X[:, a:b, a:b] = leaves[:, i]
+        if a:
+            X[:, a:b, :a] = -(leaves[:, i] @ (padded[:, a:b, :a] @ X[:, :a, :a]))
+    return X[:, :w, :w]
+
+
+def _certify_banded(
+    index: _EdgeIndex, D: np.ndarray, p: Configuration, floor: float
+) -> _BandedCertificate | None:
+    """The banded certificate of :func:`_certify_full_rank` for the R at p
+    that ``index`` and D give: K_P = R^T R + s Q_P Q_P^T in the layout of
+    ``index.band``, with s = tr(R^T R) / dn and Q_P the motion frame of the
+    vertices of blocks 0 and 1, the patch, and zero elsewhere; None when
+    tr(R^T R) is not above 1 / SQUARE_LIMIT, the patch's points coincide,
+    or the Cholesky of a window of K_P - delta I fails.
+
+    R^T R is one scatter over ``band.slot``, which sums each entry as the
+    dense route does.  The factor is taken two blocks at a time: the
+    Cholesky of the window [[S_t, K_t+1,t^T], [K_t+1,t, K_t+1,t+1 -
+    delta I]], with S_0 = K_00 - delta I, gives L_tt, the panel
+    L_t+1,t below it and the factor of the next block; the next window
+    starts from S_t+1 = K_t+1,t+1 - delta I - L_t+1,t L_t+1,t^T.  So every
+    entry of L comes from LAPACK's Cholesky, and its panels from its own
+    triangular solves, which NumPy does not offer alone.  The last
+    block's padding is a diagonal of s, which stays apart from the rest."""
+    band = index.band
+    m, w, size = band.count, band.width, index.size
+    _, flat = _scatter_outer(band.slot, D, _STIFFNESS_SIGNS, (2 * m - 1) * w * w + 1)
+    K = flat[: m * w * w].reshape(m, w, w)
+    lower = flat[m * w * w: -1].reshape(m - 1, w, w)
+    trace = float(np.einsum("tii->", K))
+    patch = p.points[band.order[: 2 * w // p.d]]
+    if not trace > 1.0 / SQUARE_LIMIT or p.d > 1 and not np.ptp(patch, axis=0).any():
+        return None
+    Q = _motion_frame(p.points)
+    W = math.sqrt(trace / size) * _motion_frame(patch)
+    WW = W @ W.T
+    K[0] += WW[:w, :w]
+    K[1] += WW[w:, w:]
+    lower[0] += WW[w:, :w]
+    total = float(np.einsum("tii->", K))
+    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * total
+    scale = math.sqrt(np.vdot(K, K) + 2.0 * np.vdot(lower, lower))
+    pad = np.arange(size - (m - 1) * w, w)
+    K[-1, pad, pad] = trace / size
+    window = np.empty((2 * w, 2 * w))
+    shift = delta * np.eye(w)
+    schur = K[0] - shift
+    factor = np.empty_like(K)
+    panels = np.empty_like(lower)
+    try:
+        for t, below in enumerate(lower):
+            window[:w, :w], window[w:, :w] = schur, below
+            window[:w, w:], window[w:, w:] = below.T, K[t + 1] - shift
+            F = np.linalg.cholesky(window)
+            factor[t], panels[t], factor[t + 1] = F[:w, :w], F[w:, :w], F[w:, w:]
+            schur = window[w:, w:] - panels[t] @ panels[t].T
+    except np.linalg.LinAlgError:
+        return None
+    inverse = _triangular_inverses(factor)
+    forward = inverse[1:] @ panels
+    backward = np.swapaxes(panels @ inverse[:-1], 1, 2)
+    return _BandedCertificate(delta, Q, index, D, K, lower, inverse, forward, backward, scale)
 
 
 def _certify_full_rank(
     index: _EdgeIndex, D: np.ndarray, p: Configuration, floor: float = 0.0
 ) -> _Certificate | None:
     """The certificate that the rigidity matrix R at p, given by its edge
-    index and edge vectors D, has rank max_generic_rank(n, d): the
-    :class:`_Certificate` of K = R^T R + s Q Q^T when d*n is at least
-    ``_CERTIFIED_MIN_SIZE`` and a Cholesky of K - delta I succeeds;
-    otherwise None, and nothing is decided.
+    index and edge vectors D, has rank max_generic_rank(n, d), when d*n is
+    at least ``_CERTIFIED_MIN_SIZE``; otherwise None, and nothing is
+    decided.  From d*n = ``_BANDED_MIN_SIZE`` on, on a graph with a band
+    layout, the :class:`_BandedCertificate` of :func:`_certify_banded`
+    where it is issued; otherwise the :class:`_Certificate` of
+    K = R^T R + s Q Q^T when a Cholesky of K - delta I succeeds.
 
     delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K): a rank
     decision takes the rounding term alone, and the model lift of
@@ -806,12 +1034,16 @@ def _certify_full_rank(
     if (size < _CERTIFIED_MIN_SIZE or d not in (1, 2, 3) or n < d
             or D.shape[0] < max_generic_rank(n, d)):
         return None
+    if size >= _BANDED_MIN_SIZE and index.band is not None:
+        certificate = _certify_banded(index, D, p, floor)
+        if certificate is not None:
+            return certificate
     touched, slot, diagonal = index.stiffness
     _, sums = _scatter_outer(slot, D, _STIFFNESS_SIGNS, touched.size)
     trace = float(sums[diagonal].sum())
     if not trace > 1.0 / SQUARE_LIMIT:
         return None
-    Q = _motion_frame(p)
+    Q = _motion_frame(p.points)
     W = np.sqrt(trace / size) * Q
     K = W @ W.T
     K.reshape(-1)[touched] += sums
@@ -819,11 +1051,11 @@ def _certify_full_rank(
     diagonal = K.diagonal().copy()
     K.flat[:: size + 1] -= delta
     try:
-        L = np.linalg.cholesky(K)
+        np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
     K.flat[:: size + 1] = diagonal
-    return _Certificate(K, L, delta, Q, touched, sums)
+    return _Certificate(delta, Q, index, D, K)
 
 
 def _certified_solve(
@@ -835,9 +1067,8 @@ def _certified_solve(
     and nothing is decided.
 
     The lift is the normal-equation solution with one corrected
-    semi-normal step, both solves with K taken by
-    :meth:`_Certificate.solve`: R x is a gather and R^T w is
-    :func:`_transpose_apply`.
+    semi-normal step, both solves with K taken by the certificate's
+    ``solve``: R x is a gather and R^T w is :func:`_transpose_apply`.
     """
     certificate = _certify_full_rank(index, D, p, math.sqrt(_EPS))
     if certificate is None:

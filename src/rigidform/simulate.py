@@ -20,12 +20,13 @@ of four ways:
 * ``horizon``             reached t_max;
 * ``aborted``             the controller hit a rank-deficient configuration
                           (only the minimum-norm controller can), the
-                          adaptive stepper failed, or the run diverged: a
-                          state or its field value is not finite (NaN or
-                          infinite), or a state has a coordinate of
-                          ``COORD_LIMIT`` or more, which every field
-                          rejects.  The trajectory then ends at the last
-                          sample recorded before, which is finite.
+                          adaptive stepper failed, the run took
+                          ``_STEP_BUDGET`` accepted steps without ending,
+                          or it diverged: a state or its field value is not
+                          finite (NaN or infinite), or a state has a
+                          coordinate of ``COORD_LIMIT`` or more, which
+                          every field rejects.  The trajectory then ends at
+                          the last sample recorded before, which is finite.
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
 and final states), so CSV output is deterministic for a given run.  A
@@ -54,6 +55,14 @@ from rigidform.rigidity import congruence_check, distance_map
 
 # least relative tolerance: a tighter error test would ask for rounding noise
 RTOL_MIN = 100 * np.finfo(float).eps
+
+# accepted steps after which a run that has not ended is "aborted", so that
+# no input (a dt or dt_max of 1e-300, say) makes a run endless.  The longest
+# run of the digest script (the CLI on every built-in, and the studies)
+# takes 1243 steps, and the longest of the test suite 4000; a step of the
+# model field on the wheel, sampled every step, costs about 0.45 ms, so
+# the budget ends such a runaway run in under a minute.
+_STEP_BUDGET = 100_000
 
 
 def _require_real_fields(config) -> None:
@@ -251,6 +260,9 @@ def integrate(
                     if verdict is not None:
                         termination = verdict
                         break
+                if k == _STEP_BUDGET and not last:
+                    termination = "aborted"
+                    break
         except (RankDeficiencyError, _StepFailed):
             termination = "aborted"
     return _finish(spec, rows, termination)
@@ -385,7 +397,8 @@ def decay_rate(traj: Trajectory) -> float:
     Least-squares slope of log(edge error) against time over the last half
     of the k samples (from index k // 2), sign-flipped so decay is positive.
     Raises ValueError when fewer than two positive-error samples remain
-    (e.g. a run that started at the equilibrium).
+    (e.g. a run that started at the equilibrium), or when their times are
+    so near 0 that their squares underflow (a run of steps of 1e-300).
     """
     start = len(traj.times) // 2
     t = traj.times[start:]
@@ -393,6 +406,9 @@ def decay_rate(traj: Trajectory) -> float:
     keep = e > 0.0
     if keep.sum() < 2:
         raise ValueError("fit window has fewer than two positive edge-error samples")
+    # the fit scales its time column by its norm, which must not underflow
+    if not float(t[keep] @ t[keep]) >= np.finfo(float).tiny:
+        raise ValueError("fit window ends too near t = 0 to fit a rate")
     slope = np.polyfit(t[keep], np.log(e[keep]), 1)[0]
     return float(-slope)
 

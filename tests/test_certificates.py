@@ -685,6 +685,17 @@ def test_admissibility_redraws_a_refused_sample(monkeypatch, w5):
     assert dyn.per_sample[0].spectrum != first_only[0].per_sample[0].spectrum
 
 
+def test_admissibility_sample_budget_is_a_named_error(monkeypatch, w5):
+    # up to the budget the samples are taken; above it, none is drawn
+    drawn = _refuse_spectrum_draws(monkeypatch, refused=0)
+    monkeypatch.setattr(certificates_mod, "_SAMPLE_BUDGET", 2)
+    dyn, _ = admissibility(w5, "gradient", None, 2, samples=2)
+    assert dyn.samples == 2 and len(drawn) == 2
+    with pytest.raises(ValueError, match="samples must be at most 2, got 3"):
+        admissibility(w5, "gradient", None, 2, samples=3)
+    assert len(drawn) == 2
+
+
 @pytest.mark.parametrize("samples", [3, 10**5])
 def test_admissibility_resample_cap_is_a_named_error(monkeypatch, w5, samples):
     # the first sample's stream is made as it is drawn, not all of them up

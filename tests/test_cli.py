@@ -9,6 +9,7 @@ import pytest
 
 import rigidform.certificates as certificates_mod
 import rigidform.cli as cli_mod
+import rigidform.simulate as simulate_mod
 from rigidform.cli import main
 from rigidform.rigidity import RankDeficiencyError
 from rigidform.scenarios import builtin_path
@@ -468,6 +469,33 @@ def test_admissibility_resample_cap_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "admissibility", "--builtin", "triangle-cyclic")
     assert code == 3
     assert err == "error: failed to sample a regular configuration in 50 tries\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissibility", "--builtin", "w5-undirected", "--samples", "5"],
+    ["analyze", "w5-undirected", "--samples", "5"],
+])
+def test_admissibility_sample_budget_exits_3(capsys, monkeypatch, argv):
+    # a sample count above the budget is named before any sample is drawn
+    monkeypatch.setattr(certificates_mod, "_SAMPLE_BUDGET", 4)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "error: samples must be at most 4, got 5\n"
+    assert "admissibility" not in out
+
+
+def test_step_budget_ends_an_endless_run_aborted(capsys, monkeypatch, tmp_path):
+    # dt_max = 1e-300 asks for about 1e300 steps; the step budget ends the
+    # run "aborted" after its last accepted step, and simulate exits 3
+    doc = json.loads(builtin_path("w5-undirected").read_text())
+    doc["integrator"]["dt_max"] = 1e-300
+    path = tmp_path / "tiny-steps.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(simulate_mod, "_STEP_BUDGET", 40)
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == 3 and err == ""
+    assert "termination: aborted at t=4e-299 (41 samples)" in out
+    assert "fitted decay rate: n/a" in out
 
 
 @pytest.mark.parametrize("command", ["admissibility", "persistence"])

@@ -1,5 +1,7 @@
 """Controller fields: hand-computed examples and structural invariants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,17 +446,26 @@ def test_edge_index_sums_equal_add_at(case):
 
 @st.composite
 def near_degenerate_frameworks(draw):
-    """(graph, p, target) in d in {1, 2, 3} with n <= 8: a complete
-    (rigid) or sparse (often flexible) graph, and points that are generic
-    or a distance 10^-j, j in 3..12, from collinear or from two coinciding."""
+    """(graph, p, target) in d in {1, 2, 3}: a complete (rigid) or sparse
+    (often flexible) graph with n <= 8, or a strip of 3d + 1 to 16
+    vertices, each joined to the d before it (rigid, and of bandwidth d, so
+    that it has a band layout of four blocks or more); and points that are
+    generic or a distance 10^-j, j in 3..12, from collinear or from two
+    coinciding."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     d = draw(st.sampled_from([1, 2, 3]))
-    n = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["complete", "sparse", "strip"]))
+    if kind == "strip":
+        n = draw(st.integers(min_value=3 * d + 1, max_value=16))
+    else:
+        n = draw(st.integers(min_value=2, max_value=8))
     shape = draw(st.sampled_from(["generic", "collinear", "coincident"]))
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if draw(st.booleans()):
+    if kind == "complete":
         graph = build_graph(n, pairs)
+    elif kind == "strip":
+        graph = build_graph(n, [(i, j) for i, j in pairs if j - i <= d])
     else:
         graph = random_graph(rng, n_max=n)
     pts = rng.uniform(-1.0, 1.0, size=(graph.n, d))
@@ -481,15 +492,14 @@ def test_certified_lift_agrees_with_the_least_squares_rule(case):
 @settings(max_examples=200, deadline=None)
 @given(near_degenerate_frameworks())
 def test_factored_lift_agrees_with_the_least_squares_rule(case):
-    # the same with both solves with K refined on the certificate's factor,
-    # as from _FACTORED_SOLVE_MIN_SIZE on; where the refinement stalls,
-    # LU with K takes over
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigidity_mod, "_FACTORED_SOLVE_MIN_SIZE", 0)
-        _check_certified_lift(case)
+    # the same through the banded certificate, as from _BANDED_MIN_SIZE
+    # on: the block factor of K_P in band order, refined, with LU with K_P
+    # where the refinement stalls; where the banded Cholesky fails, the
+    # dense route decides
+    _check_certified_lift(case, banded=True)
 
 
-def _check_certified_lift(case):
+def _check_certified_lift(case, banded=False):
     graph, p, target = case
     R = rigidity_matrix(graph, p)
     m_star = distance_map(graph, target)
@@ -498,6 +508,8 @@ def _check_certified_lift(case):
     with pytest.MonkeyPatch.context() as mp:
         # every size tries the certificate, as from _CERTIFIED_MIN_SIZE on
         mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+        if banded:
+            mp.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 0)
         x = _certified_solve(*_edge_vectors(graph, p), p, e)
         if x is not None:
             top = max_generic_rank(graph.n, p.d)
@@ -524,16 +536,20 @@ def _check_certified_lift(case):
 def test_certified_full_rank_is_the_svd_rank(case):
     # wherever the certificate proves full rank with the rounding shift
     # alone, the SVD rule counts max_generic_rank too; so the rank decisions
-    # routed through it, here at every size, are those of the SVD alone
+    # routed through it, here at every size, dense and then banded where
+    # the graph has a band layout, are those of the SVD alone
     graph, p, _ = case
     R = rigidity_matrix(graph, p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
-        if _certify_full_rank(*_edge_vectors(graph, p), p) is not None:
-            assert matrix_rank(R) == max_generic_rank(graph.n, p.d)
-        routed = generic_rank(graph, p.d), is_regular_point(graph, p)
     svd_only = generic_rank(rigidity_mod.Graph(graph.n, graph.edges), p.d)
-    assert routed == (svd_only, matrix_rank(R) == svd_only)
+    for banded_from in (10**9, 0):
+        fresh = rigidity_mod.Graph(graph.n, graph.edges)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+            mp.setattr(rigidity_mod, "_BANDED_MIN_SIZE", banded_from)
+            if _certify_full_rank(*_edge_vectors(fresh, p), p) is not None:
+                assert matrix_rank(R) == max_generic_rank(graph.n, p.d)
+            routed = generic_rank(fresh, p.d), is_regular_point(fresh, p)
+        assert routed == (svd_only, matrix_rank(R) == svd_only)
 
 
 def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
@@ -552,11 +568,9 @@ def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
     assert rep.verdict == "pass" and rep.spectrum == (1.0,) * 117
 
 
-def _certified_lift_calls(monkeypatch, n):
-    """The np.linalg calls of one model_field call on a rigid formation of
-    n vertices, which must take no lstsq, SVD or generic-rank draw."""
-    graph, target, p = _rigid_formation(n, np.random.default_rng(n))
-    m_star = distance_map(graph, target)
+def _certified_lift_calls(monkeypatch, graph, p, m_star):
+    """The np.linalg calls of one model_field call, which must take no
+    lstsq, SVD or generic-rank draw."""
     calls = []
 
     def refuse(name):
@@ -577,50 +591,101 @@ def _certified_lift_calls(monkeypatch, n):
     monkeypatch.setattr(rigidity_mod, "generic_rank", refuse("generic_rank"))
     for name in ("cholesky", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, count(name))
-    assert model_field(graph, p, m_star).shape == (2 * n,)
+    assert model_field(graph, p, m_star).shape == (p.d * p.n,)
     return calls
 
 
+def _bench_formation(monkeypatch, n, seed):
+    """(graph, start, target measurement): the model lift digest's formation
+    ``rigid_formation(n, n // 2, default_rng(seed))`` of bench/inputs.py,
+    from its perturbed start."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from inputs import rigid_formation
+
+    rng = np.random.default_rng(seed)
+    pts, edges, _ = rigid_formation(n, n // 2, rng)
+    start = pts + 0.05 * rng.standard_normal(pts.shape)
+    graph = build_graph(n, [(i + 1, j + 1) for i, j in edges])
+    return graph, Configuration(2, start), distance_map(graph, Configuration(2, pts))
+
+
 def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
-    # below _FACTORED_SOLVE_MIN_SIZE both solves with K are LU solves
-    assert 120 < rigidity_mod._FACTORED_SOLVE_MIN_SIZE
-    assert _certified_lift_calls(monkeypatch, 60) == ["cholesky", "solve", "solve"]
+    # below _BANDED_MIN_SIZE both solves with K are LU solves
+    assert 120 < rigidity_mod._BANDED_MIN_SIZE
+    graph, target, p = _rigid_formation(60, np.random.default_rng(60))
+    calls = _certified_lift_calls(monkeypatch, graph, p, distance_map(graph, target))
+    assert calls == ["cholesky", "solve", "solve"]
 
 
 def test_certified_lift_at_n150_factors_once(monkeypatch):
-    # one Cholesky, one batched inverse of its diagonal blocks, no dense solve
-    assert 300 >= rigidity_mod._FACTORED_SOLVE_MIN_SIZE
-    assert _certified_lift_calls(monkeypatch, 150) == ["cholesky", "inv"]
+    # the banded route: one Cholesky per window of two blocks, one batched
+    # inverse of the factor's 8-wide diagonal leaves, no dense solve
+    graph, p, m_star = _bench_formation(monkeypatch, 150, 0)
+    band = rigidity_mod._edge_index(graph, 2).band
+    assert 300 >= rigidity_mod._BANDED_MIN_SIZE and band.count >= 4
+    calls = _certified_lift_calls(monkeypatch, graph, p, m_star)
+    assert calls == ["cholesky"] * (band.count - 1) + ["inv"]
 
 
 def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
-    # a flat triangle, certified, with lambda_min(K) / delta between 1 and 2:
-    # the refinement's iteration matrix -delta M^-1 has spectral radius
-    # delta / (lambda_min - delta) > 1, so the residual grows, both solves
-    # with K fall to LU, and the lift is bit for bit the LU-only one
-    graph = build_graph(3, [(1, 2), (1, 3), (2, 3)])
-    p = Configuration(2, [[0.0, 0.0], [1.0, 0.0], [0.5, 2e-4]])
-    m_star = Measurement([1.0, 1.0, 1.0])
-    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+    # the digest's n = 150 formation of seed 192, certified banded with
+    # lambda_min(K_P) / delta between 1 and 2: the refinement's iteration
+    # matrix -delta M^-1 has spectral radius delta / (lambda_min - delta)
+    # > 1, so the residual grows, both solves with K_P fall to LU, and the
+    # lift is still the least-squares one
+    graph, p, m_star = _bench_formation(monkeypatch, 150, 192)
     index, D = _edge_vectors(graph, p)
     certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
-    assert certificate is not None
-    ratio = np.linalg.eigvalsh(certificate.K)[0] / certificate.delta
+    assert isinstance(certificate, rigidity_mod._BandedCertificate)
+    ratio = np.linalg.eigvalsh(certificate._dense())[0] / certificate.delta
     assert 1.0 < ratio < 2.0
     e = m_star.values - distance_map(graph, p).values
-    lu_only = _certified_solve(index, D, p, e)
-    monkeypatch.setattr(rigidity_mod, "_FACTORED_SOLVE_MIN_SIZE", 0)
     solves, substitutions = [], []
-    real_solve, real_substitute = np.linalg.solve, rigidity_mod._Certificate.substitute
+    real_solve, real_substitute = np.linalg.solve, rigidity_mod._BandedCertificate._substitute
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
-    monkeypatch.setattr(rigidity_mod._Certificate, "substitute",
+    monkeypatch.setattr(rigidity_mod._BandedCertificate, "_substitute",
                         lambda self, c: substitutions.append(1) or real_substitute(self, c))
     x = _certified_solve(index, D, p, e)
     assert len(solves) == 2 and len(substitutions) >= 2
-    assert np.array_equal(x, lu_only)
     assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
     ref, r = _min_norm_solve(rigidity_matrix(graph, p), e)
-    assert r == 3 and np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert r == 297 and np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_degenerate_patch_falls_back_to_the_dense_route(monkeypatch, d):
+    # a strip of bandwidth d + 1 whose first two band blocks, the patch,
+    # are coincident (d = 2, where their motion frame has no rotation) or
+    # collinear (d = 3, where the rotation about the line vanishes on them):
+    # the banded certificate declines and the dense route decides, as it
+    # does with the banded route off
+    n = 16
+    graph = build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                            if j - i <= d + 1])
+    pts = np.random.default_rng(d).uniform(-1.0, 1.0, size=(n, d))
+    band = rigidity_mod._edge_index(graph, d).band
+    patch = band.order[: 2 * band.width // d]
+    steps = np.linspace(0.0, 1.0, patch.size)[:, None] * (d == 3)
+    pts[patch] = pts[patch[0]] + steps * np.array([0.3, -0.2, 0.5])[:d]
+    p, target = Configuration(d, pts), Configuration(d, pts + 0.1)
+    m_star = distance_map(graph, target)
+    index, D = _edge_vectors(graph, p)
+    floor = np.sqrt(np.finfo(float).eps)
+    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+
+    def outcome():
+        try:
+            return model_field(graph, p, m_star)
+        except RankDeficiencyError as exc:
+            return exc.rank
+
+    monkeypatch.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 10**9)
+    dense = _certify_full_rank(index, D, p, floor), outcome()
+    monkeypatch.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 0)
+    assert rigidity_mod._certify_banded(index, D, p, floor) is None
+    routed = _certify_full_rank(index, D, p, floor), outcome()
+    assert type(routed[0]) is type(dense[0])
+    assert np.array_equal(routed[1], dense[1])
 
 
 def test_one_size_rule_routes_rank_and_lift_through_the_certificate(monkeypatch, w5, p_star):

@@ -226,7 +226,7 @@ def test_rigid_motions_span_the_kernel_in_every_dimension(d):
     elif d == 3:
         for a, axis in enumerate(np.eye(3)):
             assert np.array_equal(columns[:, :, 3 + a], np.cross(axis, pts))
-    Q = rigidity_mod._motion_frame(p)
+    Q = rigidity_mod._motion_frame(p.points)
     centred = Configuration(d, pts - pts.mean(axis=0))
     B_centred = rigid_motion_basis(centred)
     assert Q.shape == (d * n, k)
@@ -534,6 +534,29 @@ def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
         index, D = rigidity_mod._edge_vectors(graph, p)
         assert (rigidity_mod._certify_full_rank(index, D, p) is not None) == certified
         assert is_regular_point(graph, p)
+
+
+def test_band_order_is_no_wider_than_the_vertex_order(monkeypatch):
+    # on the bench formations the reverse Cuthill-McKee order has a vertex
+    # bandwidth no larger than the vertex order's, and the band layout
+    # holds every edge in a diagonal block or the one below it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from inputs import rigid_formation
+
+    for n in (20, 60, 150, 500):
+        _, edges, _ = rigid_formation(n, n // 2, np.random.default_rng(n))
+        first, second = np.array(edges).T
+        order = rigidity_mod._band_order(n, first, second)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        rank = np.argsort(order)
+        width = np.abs(rank[first] - rank[second]).max()
+        assert width <= np.abs(first - second).max()
+        band = rigidity_mod._edge_index(Graph(n, edges), 2).band
+        if n >= 60:
+            assert band is not None and band.width == 2 * width
+            blocks = rank // width
+            assert np.all(np.abs(blocks[first] - blocks[second]) <= 1)
+            assert np.array_equal(band.at.reshape(n, 2)[:, 0], 2 * rank)
 
 
 def test_matrix_rank_takes_nested_lists():

@@ -419,3 +419,23 @@ def test_scenario_integrator_string_names_its_key():
     doc["integrator"]["t_max"] = "1"
     with pytest.raises(ScenarioError, match="^scenario[.]integrator: t_max must be a real number, got '1'$"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_step_budget_aborts_a_run_that_cannot_end(monkeypatch, method):
+    # a step of 1e-300 never reaches t_max (rk4 stops advancing t once
+    # t + dt == t); the run ends "aborted" at its budget, with every
+    # accepted state up to it sampled, and a run whose last step is the
+    # budget's ends at its horizon as before
+    spec = _pair_spec()
+    p0 = Configuration(1, [[0.0], [1.0]])
+    monkeypatch.setattr(simulate_mod, "_STEP_BUDGET", 30)
+    tiny = IntegratorConfig(method=method, dt=1e-300, dt_max=1e-300, t_max=1.0)
+    traj = integrate(spec, p0, tiny)
+    assert traj.termination == "aborted" and len(traj.times) == 31
+    assert np.all(np.diff(traj.times) >= 0.0) and traj.times[-1] < 1e-290
+    with pytest.raises(ValueError, match="too near t = 0"):
+        decay_rate(traj)
+    exact = IntegratorConfig(method="rk4", dt=0.05, t_max=1.5)
+    traj = integrate(spec, p0, exact, TerminationCriteria(tol_edge=1e-300))
+    assert traj.termination == "horizon" and len(traj.times) == 31
