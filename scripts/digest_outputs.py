@@ -20,7 +20,10 @@ checkout): ``rigid_formation(n, n // 2, default_rng(n))`` at n = 20, 60
 and 150.  Per formation and controller it digests ``restricted_sym_form``,
 ``linearized_edge_matrix`` (A's bytes, spectrum and rank), three-sample
 ``admissibility`` and a two-step RK4 ``integrate`` from one perturbed start
-(every recorded array's bytes); then ``persistence_check`` in d = 2 and in
+(every recorded array's bytes), and at n = 60 also ``linearized_edge_matrix``
+and then ``restricted_sym_form`` on a fresh spec, the reverse order, so that
+a restriction kept across calls or orders moves a line; then
+``persistence_check`` in d = 2 and in
 d = 3 on the eight ``persistence_graph`` shapes of the certify workload,
 three persistent and five not, so that one diff covers the plane's
 pebble-game walk and the per-reduction ranking in R^3.  Then
@@ -99,6 +102,8 @@ from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
 from workloads import PERSISTENCE_GRAPHS  # noqa: E402
 
 FORMATION_SIZES = (20, 60, 150)
+# the formation whose two restriction readers are also digested in reverse
+REVERSED_READERS_SIZE = 60
 # the formations whose SVD readers are digested; n = 150 would add only time
 SVD_READER_SIZES = (20, 60)
 # lambda_min(K_P) / delta of the banded certificate is about 539, 3.8 and
@@ -171,6 +176,13 @@ def _recorded(traj) -> tuple:
             traj.speed, traj.energy, traj.termination)
 
 
+def _reversed_readers(graph, kind, orientation, target) -> tuple:
+    """``linearized_edge_matrix`` and then ``restricted_sym_form`` at
+    ``target``, on a spec that no call has seen."""
+    spec = ControllerSpec(graph, kind, distance_map(graph, target), orientation)
+    return linearized_edge_matrix(spec, target), restricted_sym_form(spec, target)
+
+
 def _formations() -> None:
     for n in FORMATION_SIZES:
         rng = np.random.default_rng(n)
@@ -190,6 +202,9 @@ def _formations() -> None:
             _value(f"{label} admissibility", lambda: admissibility(graph, kind, o, 2, 3))
             _value(f"{label} integrate",
                    lambda: _recorded(integrate(spec, start, rk4, TerminationCriteria())))
+            if n == REVERSED_READERS_SIZE:
+                _value(f"{label} linearized_edge_matrix then restricted_sym_form",
+                       lambda: _reversed_readers(graph, kind, o, target))
     for degrees, gadget_at in PERSISTENCE_GRAPHS:
         n, arcs, _ = persistence_graph(degrees, np.random.default_rng(0), gadget_at)
         labels = [(t + 1, h + 1) for t, h in arcs]

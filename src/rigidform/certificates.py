@@ -41,18 +41,21 @@ come from :func:`rigidform.rigidity._regular_rank`, which takes them from
 the Cholesky certificate where :mod:`rigidform.rigidity` issues it, with no
 SVD and no generic-rank draw; the gradient A reads the squared singular
 values, from the certificate's eigensolve as above.  :func:`_linearization`
-gives A itself in the basis U_r, with its eigenvalues, for
-:func:`linearized_edge_matrix`; only there are the directed A, and the
-full SVD's U and V it is built from, formed.  The gradient and model A are
-diagonal, so the certificate takes their symmetric part's eigenvalues as
-the sorted spectrum and forms no r x r matrix.  The directed certificate
-reads only the eigenvalues of the symmetric part
-(1/2) P^T (eta + eta^T) P, which are the same in every orthonormal basis
-P of Im R.  Where the Cholesky certificate is issued, P is the Q factor of
-a Householder QR of R Q_perp, with Q_perp the orthonormal complement of
-the rigid motions (``rigidity._certified_image_basis``), and the
-symmetric part is X^T Y + Y^T X with X = R^T P and Y = Rdir^T P: one QR
-and no SVD.
+gives the directed A itself in the basis U_r, with its eigenvalues; only
+there are the directed A, and the full SVD's U and V it is built from,
+formed.
+
+The two public readers of one target share one restriction
+(:func:`_restriction`): A's r eigenvalues, the ascending eigenvalues of
+its symmetric part (1/2) P^T (eta + eta^T) P, and for the directed
+controller A in the basis U_r.  The gradient and model A are diagonal, so
+their symmetric part's eigenvalues are the sorted spectrum and no r x r
+matrix is formed; the directed certificate reads the symmetric part of
+the U_r-basis A of :func:`_linearization`.  One module-level slot keeps
+the newest restriction, keyed by the spec object, the target and the
+seed, so :func:`restricted_sym_form` and :func:`linearized_edge_matrix`
+at one target take one restriction between them, in either order, and a
+new target, seed or spec replaces it.
 
 An SVD of R is still taken, and gives the same results as before, bit for
 bit, wherever the certificate is not issued: below d*n = 36, near rank
@@ -60,9 +63,8 @@ loss, on flexible graphs and collinear frames, and for d outside
 {1, 2, 3}, where only the SVD rule decides the rank.  It is also taken for
 the gradient spectrum below d*n = 100, where it costs less than the
 certificate and eigensolve, and wherever a matrix in the basis U_r is
-returned: the directed :func:`linearized_edge_matrix` here, and
-``tangent_basis``, ``projector``, ``eta_matrix`` and ``field_gain``
-elsewhere.
+needed: the directed restriction here, and ``tangent_basis``,
+``projector``, ``eta_matrix`` and ``field_gain`` elsewhere.
 
 * :func:`restricted_sym_form` decides positive definiteness of the symmetric
   part (1/2) P^T (eta + eta^T) P, a sufficient certificate for local
@@ -93,6 +95,7 @@ persistence walk, which is combinatorial.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -102,7 +105,6 @@ from rigidform.controllers import ControllerSpec, _require_controller
 from rigidform.graphs import Configuration, Graph, Orientation, _require_count
 from rigidform.rigidity import (
     RankDeficiencyError,
-    _certified_image_basis,
     _edge_vectors,
     _PebbleGame,
     _regular_rank,
@@ -112,7 +114,6 @@ from rigidform.rigidity import (
     directed_rigidity_matrix,
     is_generically_rigid,
     max_generic_rank,
-    rigidity_matrix,
 )
 
 TOL_PD = 1e-8
@@ -146,8 +147,8 @@ class CertificateReport:
 
 @dataclass(frozen=True, eq=False)
 class EdgeLinearization:
-    """Restricted operator A = P^T eta P and its eigenvalues; the linearized
-    edge-error flow matrix is -A."""
+    """Restricted operator A = P^T eta P, read-only, and its eigenvalues;
+    the linearized edge-error flow matrix is -A."""
 
     matrix: np.ndarray = field(repr=False)
     spectrum: tuple[complex, ...]
@@ -238,34 +239,57 @@ def _spectrum(
 def _linearization(
     spec: ControllerSpec, p: Configuration, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, its eigenvalues) for A = P^T eta P over the basis P = U_r of
-    Im R(p): diagonal for the gradient and model controllers, and for the
-    directed one 2 diag(s_r) V_r^T Rdir^T U_r from the full SVD of R.
-    Raises off regular points."""
-    if spec.kind != "directed":
-        eigs = _spectrum(spec.graph, spec.kind, None, p, seed)
-        return np.diag(eigs), eigs
+    """(A, its eigenvalues) for the directed controller's A = P^T eta P over
+    the basis P = U_r of Im R(p): 2 diag(s_r) V_r^T Rdir^T U_r from the full
+    SVD of R.  Raises off regular points."""
     U, s, Vt, r = _regular_svd(spec.graph, p, seed)
     RdirV = directed_rigidity_matrix(spec.orientation, p) @ Vt[:r].T
     return 2.0 * s[:r, None] * (RdirV.T @ U[:, :r]), _directed_spectrum(spec.orientation, p, r)
 
 
-def _directed_sym_spectrum(
+# the newest restriction: (a weak reference to its spec, its key, its
+# result, the (message, rank) of the RankDeficiencyError it met or None);
+# one slot, so that no restriction outlives the next one, and one tuple
+# replaced whole, so that a reader on another thread sees a key with its
+# own result
+_newest_restriction = None
+
+
+def _restriction(
     spec: ControllerSpec, p: Configuration, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(the ascending eigenvalues of the symmetric part of the directed
-    controller's A, the eigenvalues of A) at p.  Where the certificate is
-    issued, the symmetric part (1/2) P^T (eta + eta^T) P = X^T Y + Y^T X,
-    X = R^T P and Y = Rdir^T P, is taken in the basis P of
-    :func:`~rigidform.rigidity._certified_image_basis`, with no SVD;
-    otherwise from A of :func:`_linearization`.  Raises off regular points."""
-    P = _certified_image_basis(spec.graph, p, seed)
-    if P is None:
-        A, eigs = _linearization(spec, p, seed)
-        return np.linalg.eigvalsh(0.5 * (A + A.T)), eigs
-    X = rigidity_matrix(spec.graph, p).T @ P
-    S = X.T @ (directed_rigidity_matrix(spec.orientation, p).T @ P)
-    return np.linalg.eigvalsh(S + S.T), _directed_spectrum(spec.orientation, p, P.shape[1])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(the r eigenvalues of A = P^T eta P at p, the ascending eigenvalues
+    of its symmetric part, the directed controller's A over the basis U_r,
+    read-only, or None for the others, whose A is the diagonal of the
+    first), in the closed forms of the module docstring.  The newest
+    result is kept,
+    keyed by the spec object, p.d, p's bytes and the seed, so
+    :func:`restricted_sym_form` and :func:`linearized_edge_matrix` at one
+    target take one restriction between them.  Off regular points each
+    call raises a new :class:`RankDeficiencyError` with the first one's
+    message and ``rank``; ValueError, never kept, unless ``seed`` is a
+    non-negative integer."""
+    global _newest_restriction
+    key = (p.d, p.points.tobytes(), _require_count("seed", seed, 0))
+    slot = _newest_restriction
+    if slot is None or slot[0]() is not spec or slot[1] != key:
+        result, failure = None, None
+        try:
+            if spec.kind == "directed":
+                A, eigs = _linearization(spec, p, seed)
+                A.setflags(write=False)  # every linearization hands out this A
+                result = eigs, np.linalg.eigvalsh(0.5 * (A + A.T)), A
+            else:  # A is diagonal, so it is its own symmetric part
+                eigs = _spectrum(spec.graph, spec.kind, None, p, seed)
+                result = eigs, np.sort(eigs), None
+        except RankDeficiencyError as exc:
+            failure = str(exc), exc.rank
+        slot = _newest_restriction = weakref.ref(spec), key, result, failure
+    if slot[3] is not None:
+        error = RankDeficiencyError(slot[3][0])
+        error.rank = slot[3][1]
+        raise error
+    return slot[2]
 
 
 def restricted_sym_form(
@@ -273,23 +297,19 @@ def restricted_sym_form(
 ) -> CertificateReport:
     """Positive-definiteness certificate of the controller at a target.
 
-    Restricts the symmetric part of eta at p* to an orthonormal basis P of
+    Restricts the symmetric part of eta at p* to the basis P = U_r of
     Im R(p*), in the closed forms of the module docstring, and passes iff
     the smallest eigenvalue exceeds ``TOL_PD`` times the spectral norm of
     the restricted symmetric matrix.  For the gradient and model
-    controllers A is diagonal, so it is its own symmetric part.  For the
-    directed one, P is the QR basis of the module docstring where the
-    Cholesky certificate is issued, with no SVD, and U_r elsewhere.
-    A target where R drops below the generic rank, or that is not finite,
-    yields "indeterminate" with the cause in ``detail``.
+    controllers A is diagonal, so it is its own symmetric part; for the
+    directed one it is the A of :func:`linearized_edge_matrix`, from the
+    restriction the two share (:func:`_restriction`).  A target where R
+    drops below the generic rank, or that is not finite, yields
+    "indeterminate" with the cause in ``detail``.
     """
     kind = f"restricted-positive-definite[{spec.kind}]"
     try:
-        if spec.kind == "directed":
-            sym_eigs, eigs = _directed_sym_spectrum(spec, p_star, seed)
-        else:  # A is diagonal, so it is its own symmetric part
-            eigs = _spectrum(spec.graph, spec.kind, None, p_star, seed)
-            sym_eigs = np.sort(eigs)
+        eigs, sym_eigs, _ = _restriction(spec, p_star, seed)
     except RankDeficiencyError as exc:
         return CertificateReport(
             kind=kind,
@@ -318,12 +338,16 @@ def restricted_sym_form(
 def linearized_edge_matrix(
     spec: ControllerSpec, p_star: Configuration, seed: int = 0
 ) -> EdgeLinearization:
-    """Restriction A = P^T eta P of the edge-error response at a target.
+    """Restriction A = P^T eta P of the edge-error response at a target,
+    from the restriction that :func:`restricted_sym_form` shares.
 
     Raises :class:`RankDeficiencyError` at non-regular targets, where the
     restriction does not describe the local edge dynamics.
     """
-    A, eigs = _linearization(spec, p_star, seed)
+    eigs, _, A = _restriction(spec, p_star, seed)
+    if A is None:
+        A = np.diag(eigs)
+        A.setflags(write=False)
     return EdgeLinearization(A, _sorted_spectrum(eigs), eigs.size)
 
 

@@ -252,6 +252,8 @@ def cmd_simulate(args) -> int:
     print(f"scenario: {scn.name}  controller: {kind}  seed: {seed}")
     print(f"termination: {traj.termination} at t={traj.termination_time:.6g} "
           f"({len(traj.times)} samples)")
+    if traj.cause is not None:
+        print(f"cause: {traj.cause}")
     print(f"final edge error: {outcome.final_edge_error:.6g}   final speed: {outcome.final_speed:.6g}")
     print(f"edge-converged: {outcome.edge_converged}   node-converged: {outcome.node_converged}   "
           f"congruent: {outcome.congruent} (residual {outcome.congruence_residual:.6g})")

@@ -40,12 +40,10 @@ Each SVD helper answers one question.  :func:`_svd` and
 :func:`_regular_svd` always return the thin factors and the rank,
 (U, s, Vt, r), for what needs the basis U_r; :func:`_regular_singular_values`
 returns (s, r) and forms no U or V, for what reads the singular values
-alone (the model's field gain).  Two helpers take no SVD where the
+alone (the model's field gain).  One helper takes no SVD where the
 certificate below is issued: :func:`_regular_squared_singular_values`,
 for the gradient spectrum, gives the r nonzero s_i^2 as the r largest
-eigenvalues of R^T R, from d*n = ``_GRAM_EIGENSOLVE_MIN_SIZE`` on, and
-:func:`_certified_image_basis` gives an orthonormal basis of Im R that is
-not U_r, for what reads only basis-free quantities.  Minimum-norm
+eigenvalues of R^T R, from d*n = ``_GRAM_EIGENSOLVE_MIN_SIZE`` on.  Minimum-norm
 lifts R^+ b come from one LAPACK least-squares call
 (:func:`_min_norm_solve`) whose singular values also give the rank under
 the same cutoff, so no U or V factor is formed there either.
@@ -86,7 +84,8 @@ n = 150 in the plane, which is above the cutoff max(|E|, dn) * SVD_RTOL
 for any R with fewer than 2e8 rows and columns, while the other k
 singular values are of the size of R's rounding.  So wherever the
 certificate decides, ranks and verdicts are those of the SVD, and so are
-outputs, save those of the two readers below, which agree to rounding.  A
+outputs, save those of the reader below and of the model lift after
+it, which agree to rounding.  A
 Cholesky that fails decides nothing, and the SVD or least-squares path
 runs as before: near rank loss, on flexible graphs, on collinear frames,
 or for d outside {1, 2, 3}.  The certificate assumes coordinates below
@@ -94,19 +93,14 @@ or for d outside {1, 2, 3}.  The certificate assumes coordinates below
 and it needs tr(R^T R) above 1 / SQUARE_LIMIT, so that underflow stays far
 below delta.
 
-Two readers of a certified R take no SVD.  The symmetric eigensolve of
+One reader of a certified R takes no SVD.  The symmetric eigensolve of
 R^T R, built by the certificate's stiffness scatter, returns each eigenvalue
 to within about dn eps tr(R^T R): the rounding of the scatter and the
 eigensolver's backward error, by Weyl's bound.  The k eigenvalues that
 Ker R gives are of that size, and the other r are at least
 sigma_g^2 >= 3 delta / 4 >= 3 (|E| + dn) eps tr(R^T R) / 2, above it, so
 the r largest are the squared singular values, in the SVD's descending
-order and equal to its squares to that rounding.  And R has rank dn - k,
-so Ker R is the span of the motion frame Q and no nonzero vector of it is
-orthogonal to Q: R Q_perp, with Q_perp an orthonormal complement of Q, is
-injective, and
-the Q factor of its Householder QR is an orthonormal basis of Im R.
-R Q_perp is a gather of Q_perp's rows at the edges' endpoints.
+order and equal to its squares to that rounding.
 
 Where the certificate is issued, the model field's lift takes R^+ b from
 it (:func:`_certified_solve`).  The sqrt(eps) floor of its shift makes
@@ -316,8 +310,21 @@ class _EdgeIndex:
         """The block-tridiagonal layout of R^T R in the vertex order of
         :func:`_band_order`, with blocks of as many vertices as its
         bandwidth, so that each meets only the next; None where that gives
-        fewer than four blocks, whose two-block Choleskys would cost about
-        as much as one of the whole matrix."""
+        fewer than four blocks.  Two blocks are no layout that the two-block
+        windows of :func:`_certify_banded` take, and with three the dense
+        route is faster.  ``model_field`` on the three-block formations
+        ``_rigid_formation(150, default_rng(seed))`` of the tests, where both
+        certificates are issued, in ms (best of 20 in two alternating runs,
+        one BLAS thread, 2 shared CPUs):
+
+        ====  =====  =====  ======
+        seed  width  dense  banded
+        ====  =====  =====  ======
+        150   142    3.23   5.41
+        151   138    3.25   5.12
+        153   148    3.19   6.05
+        ====  =====  =====  ======
+        """
         d = self.first.shape[1]
         n = self.size // d
         order = _band_order(n, self.first[:, 0] // d, self.second[:, 0] // d)
@@ -1076,27 +1083,6 @@ def _certified_solve(
     x = certificate.solve(_transpose_apply(index, D, b))
     residual = b - _rowdot(D, x[index.first] - x[index.second])
     return x + certificate.solve(_transpose_apply(index, D, residual))
-
-
-def _certified_image_basis(graph: Graph, p: Configuration, seed: int) -> np.ndarray | None:
-    """An orthonormal basis of Im R(p) where :func:`_certify_full_rank`
-    proves that R has rank r = max_generic_rank(n, d), so that p is
-    regular; otherwise None, and nothing is decided.  Raises ValueError
-    unless ``seed`` is a non-negative integer, as :func:`_require_regular`.
-
-    The basis is the Q factor of a Householder QR of R Q_perp, with Q_perp
-    the orthonormal complement of the certificate's motion frame Q; the
-    module docstring shows that R Q_perp has rank r.  R Q_perp is a gather
-    of Q_perp's rows at the edges' endpoints, and R itself is not formed."""
-    index, D = _edge_vectors(graph, p)
-    certificate = _certify_full_rank(index, D, p)
-    if certificate is None:
-        return None
-    Q = certificate.Q
-    _require_regular(graph, p.d, max_generic_rank(p.n, p.d), seed)
-    complement = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
-    RQ = np.einsum("ka,kar->kr", D, complement[index.first] - complement[index.second])
-    return np.linalg.qr(RQ)[0]
 
 
 def _regular_lift(

@@ -26,7 +26,8 @@ of four ways:
                           finite (NaN or infinite), or a state has a
                           coordinate of ``COORD_LIMIT`` or more, which
                           every field rejects.  The trajectory then ends at
-                          the last sample recorded before, which is finite.
+                          the last sample recorded before, which is finite,
+                          and its ``cause`` says which of these ended it.
 
 Samples are taken every ``sample_every`` accepted steps (plus the initial
 and final states), so CSV output is deterministic for a given run.  A
@@ -144,6 +145,9 @@ class Trajectory:
     All arrays share the leading sample axis: times (k,), positions
     (k, n, d), measurements (k, |E|), edge_error / speed / energy (k,).
     ``energy`` is the running integral of the squared node speed.
+    ``cause`` says why an "aborted" run ended ("rank loss", "diverged",
+    "step failed" or "step budget", with the detail), and is None for
+    every other run.
     """
 
     spec: ControllerSpec = field(repr=False)
@@ -154,6 +158,7 @@ class Trajectory:
     speed: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)
     termination: str
+    cause: str | None = None
 
     @property
     def termination_time(self) -> float:
@@ -193,12 +198,15 @@ def _verdict(rows: list[tuple], criteria: TerminationCriteria) -> str | None:
     return None
 
 
-def _finish(spec: ControllerSpec, rows: list[tuple], termination: str) -> Trajectory:
+def _finish(
+    spec: ControllerSpec, rows: list[tuple], termination: str, cause: str | None
+) -> Trajectory:
     times, positions, measurements, edge_error, speed = map(np.asarray, zip(*rows))
     power = speed**2
     # the trapezoid rule, summed in order from 0
     energy = np.concatenate(([0.0], np.cumsum(np.diff(times) * (power[1:] + power[:-1]) / 2.0)))
-    return Trajectory(spec, times, positions, measurements, edge_error, speed, energy, termination)
+    return Trajectory(spec, times, positions, measurements, edge_error, speed, energy,
+                      termination, cause)
 
 
 def integrate(
@@ -245,11 +253,12 @@ def integrate(
 
         # the start is state 0, sampled and judged before the first step is taken
         rows = []
-        termination = "horizon"
+        termination, cause = "horizon", None
         try:
             for k, (t, x, u, last) in enumerate(chain([(0.0, x0, u0, False)], steps)):
                 if not (np.isfinite(x).all() and np.isfinite(u).all()):
-                    termination = "aborted"  # diverged
+                    termination = "aborted"
+                    cause = "diverged: a state or its field value is not finite"
                     break
                 if k % integrator.sample_every == 0 or last:
                     p = Configuration.from_vector(d, x)
@@ -262,10 +271,16 @@ def integrate(
                         break
                 if k == _STEP_BUDGET and not last:
                     termination = "aborted"
+                    cause = f"step budget: {k} accepted steps, the cap of {_STEP_BUDGET}"
                     break
-        except (RankDeficiencyError, _StepFailed):
+        except RankDeficiencyError as exc:
+            # the gather's coordinate check, the one error without a rank,
+            # rejects a state that has run off to infinity
             termination = "aborted"
-    return _finish(spec, rows, termination)
+            cause = f"{'diverged' if exc.rank is None else 'rank loss'}: {exc}"
+        except _StepFailed as exc:
+            termination, cause = "aborted", f"step failed: {exc}"
+    return _finish(spec, rows, termination, cause)
 
 
 class _StepFailed(Exception):
@@ -329,7 +344,7 @@ def _rk45_steps(rhs, x0, u0, cfg: IntegratorConfig):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise _StepFailed("step size fell below the spacing of floats at t")
+                raise _StepFailed(f"step size fell below the spacing of floats at t={t:.6g}")
             t_new = min(t + h_abs, cfg.t_max)
             h = h_abs = t_new - t
             K[0] = u

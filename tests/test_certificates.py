@@ -203,8 +203,7 @@ def _certified(graph, p):
 def test_certified_routes_match_the_definition(monkeypatch, d, n):
     # d*n from 36 to 120, where the certificate is issued: the gradient A
     # from the eigenvalues of R^T R (at every size here, not only from
-    # _GRAM_EIGENSOLVE_MIN_SIZE on) and the directed symmetric part in the
-    # QR basis of Im R, against A = U_r^T eta U_r
+    # _GRAM_EIGENSOLVE_MIN_SIZE on) against A = U_r^T eta U_r
     monkeypatch.setattr(rigidity_mod, "_GRAM_EIGENSOLVE_MIN_SIZE", 0)
     rng = np.random.default_rng(100 * d + n)
     graph, p = _henneberg(d, n, rng)
@@ -246,38 +245,43 @@ def test_gram_eigenvalues_are_the_squared_singular_values(d, size, near, seed):
     assert np.abs(got - want).max() <= 1e-10 * want[0]
 
 
-def test_certified_gradient_and_directed_tests_take_no_svd(monkeypatch):
+def test_certified_gradient_takes_no_svd_and_directed_one(monkeypatch):
     # at d*n = 120, from _GRAM_EIGENSOLVE_MIN_SIZE on, with the certificate
-    # issued: the gradient spectrum, its restriction, the directed
-    # symmetric part and gradient admissibility run no SVD, and each call
-    # takes the certificate once
+    # issued: the gradient certificate and linearization share one
+    # certificate and run no SVD, and so does each gradient admissibility
+    # sample; the directed pair shares the one full SVD that A in the basis
+    # U_r is built from
     rng = np.random.default_rng(60)
     graph, p = _henneberg(2, 60, rng)
     assert _certified(graph, p)
     orientation = random_orientation(rng, graph)
     certified, real_certify = [], rigidity_mod._certify_full_rank
+    svds, real_svd = [], np.linalg.svd
 
     def certify(*args, **kwargs):
         certificate = real_certify(*args, **kwargs)
         certified.append(certificate is not None)
         return certificate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("svd called")
+    def svd(*args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(rigidity_mod, "_certify_full_rank", certify)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     m_star = distance_map(graph, p)
-    for spec in (ControllerSpec(graph, "gradient", m_star),
-                 ControllerSpec(graph, "directed", m_star, orientation)):
-        assert restricted_sym_form(spec, p).rank_r == 117
-    assert linearized_edge_matrix(ControllerSpec(graph, "gradient", m_star), p).rank_r == 117
+    gradient = ControllerSpec(graph, "gradient", m_star)
+    assert restricted_sym_form(gradient, p).rank_r == 117
+    assert linearized_edge_matrix(gradient, p).rank_r == 117
     dyn, _ = admissibility(graph, "gradient", None, 2, samples=2)
     assert [len(sample.spectrum) for sample in dyn.per_sample] == [117, 117]
-    assert certified == [True] * 5
+    assert (certified, svds) == ([True] * 3, [])
+    directed = ControllerSpec(graph, "directed", m_star, orientation)
+    assert restricted_sym_form(directed, p).rank_r == 117
+    assert linearized_edge_matrix(directed, p).rank_r == 117
+    assert (certified, svds) == ([True] * 3, [True])
     # the seed is named on the certified routes too
-    for spec in (ControllerSpec(graph, "gradient", m_star),
-                 ControllerSpec(graph, "directed", m_star, orientation)):
+    for spec in (gradient, directed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             restricted_sym_form(spec, p, seed=-1)
 
@@ -401,7 +405,9 @@ def test_sorted_spectrum_is_the_key_order(pairs, real):
 def test_eigensolves_per_certificate(monkeypatch, kind):
     # on the wheel (d*n = 10) the gradient and model restrictions are
     # diagonal, read off the singular values; only the directed one needs
-    # eigensolves
+    # eigensolves, and the certificate and linearization share one
+    # restriction: one eigvals of M's larger component for the pair, one
+    # for each admissibility sample, and the eigvalsh of A's symmetric part
     calls = []
     for name in ("eigvals", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -417,9 +423,154 @@ def test_eigensolves_per_certificate(monkeypatch, kind):
     linearized_edge_matrix(spec, scn.target)
     dynamic_admissibility(scn.graph, kind, spec.orientation, 2, samples=2)
     if kind == "directed":
-        assert sorted(calls) == ["eigvals"] * 4 + ["eigvalsh"]
+        assert sorted(calls) == ["eigvals"] * 3 + ["eigvalsh"]
     else:
         assert calls == []
+
+
+# ------------------------------------------------ one restriction per target
+
+_KINDS = ("gradient", "model", "directed")
+# what one restriction at d*n = 120 takes: the directed full SVD, or the
+# gradient's certificate and eigensolve of 2 R^T R, or the model's certificate
+_ONE_RESTRICTION = {"gradient": ["_certify_full_rank", "eigvalsh"],
+                    "model": ["_certify_full_rank"],
+                    "directed": ["_regular_svd"]}
+
+
+def _slot_case(kind, collinear=False):
+    """(a spec maker, target) on a Henneberg plane formation at d*n = 120,
+    where the gradient takes its eigensolve route; on collinear points the
+    target is off regular points."""
+    rng = np.random.default_rng(60)
+    graph, p = _henneberg(2, 60, rng)
+    orientation = random_orientation(rng, graph) if kind == "directed" else None
+    if collinear:
+        p = Configuration(2, np.outer(rng.uniform(-1.0, 1.0, graph.n), [0.6, 0.8]))
+    m_star = distance_map(graph, p)
+    return lambda: ControllerSpec(graph, kind, m_star, orientation), p
+
+
+def _count_restrictions(monkeypatch, kind):
+    """The list of the factorizations that restrictions of ``kind`` take
+    from now on, by name."""
+    calls = []
+    for module, name in ((certificates_mod, "_regular_svd"),
+                         (rigidity_mod, "_certify_full_rank"), (np.linalg, "eigvalsh")):
+        if name in _ONE_RESTRICTION[kind]:
+            def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _linearization_bits(lin):
+    return lin.matrix.tobytes(), _bits(lin.spectrum), lin.rank_r
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("certificate_first", [True, False])
+def test_certificate_and_linearization_share_one_restriction(monkeypatch, kind, certificate_first):
+    # in either order the pair takes one restriction, and gives bit for bit
+    # what calls on fresh specs give, each of which takes its own
+    make_spec, p = _slot_case(kind)
+    spec = make_spec()
+    calls = _count_restrictions(monkeypatch, kind)
+    if certificate_first:
+        rep = restricted_sym_form(spec, p, 3)
+        lin = linearized_edge_matrix(spec, p, 3)
+    else:
+        lin = linearized_edge_matrix(spec, p, 3)
+        rep = restricted_sym_form(spec, p, 3)
+    assert rep.verdict != "indeterminate" and lin.rank_r == rep.rank_r == 117
+    # no caller can edit the kept restriction through its matrix
+    bits = _linearization_bits(lin)
+    with pytest.raises(ValueError, match="read-only"):
+        lin.matrix[0, 0] = np.nan
+    assert _linearization_bits(linearized_edge_matrix(spec, p, 3)) == bits
+    assert calls == _ONE_RESTRICTION[kind]
+    calls.clear()
+    fresh_rep = restricted_sym_form(make_spec(), p, 3)
+    fresh_lin = linearized_edge_matrix(make_spec(), p, 3)
+    assert calls == _ONE_RESTRICTION[kind] * 2
+    assert repr(asdict(rep)) == repr(asdict(fresh_rep))
+    assert _linearization_bits(fresh_lin) == bits
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_a_new_target_seed_or_spec_takes_a_new_restriction(monkeypatch, kind):
+    make_spec, p = _slot_case(kind)
+    spec, other = make_spec(), make_spec()
+    moved = Configuration(2, p.points + 1e-3 * np.random.default_rng(1).standard_normal(p.points.shape))
+    calls = _count_restrictions(monkeypatch, kind)
+    restricted_sym_form(spec, p, 0)
+    for args in ((spec, moved, 0), (spec, p, 1), (other, p, 1)):
+        calls.clear()
+        linearized_edge_matrix(*args)
+        assert calls == _ONE_RESTRICTION[kind], args
+    # the target is keyed by its coordinates, not by its object
+    calls.clear()
+    restricted_sym_form(other, Configuration(2, p.points.copy()), 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("certificate_first", [True, False])
+def test_rank_loss_is_kept_and_raised_anew(monkeypatch, kind, certificate_first):
+    # collinear points: whichever reader comes first, the certificate is
+    # indeterminate with the cause and the linearization raises it, a new
+    # error each time with the same message and rank, from one restriction
+    make_spec, p = _slot_case(kind, collinear=True)
+    spec = make_spec()
+    r = matrix_rank(rigidity_matrix(spec.graph, p))
+    message = f"not a regular point: rank {r} != generic rank {max_generic_rank(spec.graph.n, 2)}"
+    calls = _count_restrictions(monkeypatch, kind)
+
+    def certificate():
+        rep = restricted_sym_form(spec, p)
+        assert (rep.verdict, rep.rank_r, rep.detail) == ("indeterminate", r, f"target: {message}")
+
+    def linearization():
+        with pytest.raises(RankDeficiencyError) as info:
+            linearized_edge_matrix(spec, p)
+        assert (str(info.value), info.value.rank) == (message, r)
+        raised.append(info.value)
+
+    raised = []
+    first, second = (certificate, linearization) if certificate_first else (linearization, certificate)
+    first()
+    taken = len(calls)
+    assert taken > 0
+    for call in (second, first, second):
+        call()
+    assert len(calls) == taken
+    assert len(raised) == 2 and raised[0] is not raised[1]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_a_bad_seed_or_failed_restriction_is_never_kept(monkeypatch, kind):
+    make_spec, p = _slot_case(kind)
+    spec = make_spec()
+    restricted_sym_form(spec, p, 0)
+    kept = certificates_mod._newest_restriction
+    calls = _count_restrictions(monkeypatch, kind)
+    for reader in (restricted_sym_form, linearized_edge_matrix) * 2:
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            reader(spec, p, -1)
+    assert certificates_mod._newest_restriction is kept and calls == []
+    # an error other than rank loss leaves the slot as it was, and the
+    # next call on that target restricts again
+    name = "_linearization" if kind == "directed" else "_spectrum"
+    real = getattr(certificates_mod, name)
+    monkeypatch.setattr(certificates_mod, name, lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        restricted_sym_form(spec, p, 1)
+    assert certificates_mod._newest_restriction is kept
+    monkeypatch.setattr(certificates_mod, name, real)
+    assert linearized_edge_matrix(spec, p, 1).rank_r == 117
+    assert calls == _ONE_RESTRICTION[kind]
 
 
 def _acyclic_henneberg(n, seed):

@@ -486,7 +486,8 @@ def test_admissibility_sample_budget_exits_3(capsys, monkeypatch, argv):
 
 def test_step_budget_ends_an_endless_run_aborted(capsys, monkeypatch, tmp_path):
     # dt_max = 1e-300 asks for about 1e300 steps; the step budget ends the
-    # run "aborted" after its last accepted step, and simulate exits 3
+    # run "aborted" after its last accepted step, says so on the line after
+    # the termination line, and simulate exits 3
     doc = json.loads(builtin_path("w5-undirected").read_text())
     doc["integrator"]["dt_max"] = 1e-300
     path = tmp_path / "tiny-steps.json"
@@ -494,7 +495,8 @@ def test_step_budget_ends_an_endless_run_aborted(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(simulate_mod, "_STEP_BUDGET", 40)
     code, out, err = run(capsys, "simulate", str(path))
     assert code == 3 and err == ""
-    assert "termination: aborted at t=4e-299 (41 samples)" in out
+    assert ("termination: aborted at t=4e-299 (41 samples)\n"
+            "cause: step budget: 40 accepted steps, the cap of 40\n") in out
     assert "fitted decay rate: n/a" in out
 
 

@@ -278,6 +278,48 @@ def test_failed_adaptive_step_terminates_aborted(monkeypatch):
     assert traj.termination_time == pytest.approx(0.5, abs=1e-6)
 
 
+def test_an_aborted_run_says_why(monkeypatch):
+    # each way to end "aborted" is named on the trajectory, with its detail;
+    # a run that ends any other way has no cause
+    scn = builtin_scenario("w5-undirected")
+    spec, p0 = scn.controller_spec(), scn.initial_configuration(8)
+    traj = integrate(spec, p0, scn.integrator, scn.termination)
+    assert (traj.termination, traj.cause) == ("converged", None)
+
+    real = simulate_mod.evaluate_field
+
+    def losing(spec_, p, seed=0):
+        losing.calls += 1
+        if losing.calls > 40:
+            exc = RankDeficiencyError("not a regular point: rank 6 != generic rank 7")
+            exc.rank = 6
+            raise exc
+        return real(spec_, p, seed)
+
+    losing.calls = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_mod, "evaluate_field", losing)
+        traj = integrate(spec, p0, scn.integrator, scn.termination)
+    assert traj.cause == "rank loss: not a regular point: rank 6 != generic rank 7"
+
+    fig4 = builtin_scenario("fig4-nonpersistent")
+    traj = integrate(fig4.controller_spec("gradient"), fig4.initial_configuration(2),
+                     IntegratorConfig(method="rk4", dt=0.03, t_max=30.0, sample_every=7),
+                     fig4.termination)
+    assert traj.termination == "aborted" and traj.cause.startswith("diverged: ")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_mod, "evaluate_field", lambda spec_, p, seed=0: p.vector**2)
+        traj = integrate(spec, Configuration(2, np.full((5, 2), 2.0)),
+                         IntegratorConfig(t_max=1.0), TerminationCriteria(window=10**6))
+    assert traj.cause.startswith("step failed: step size fell below the spacing of floats at t=0.5")
+
+    monkeypatch.setattr(simulate_mod, "_STEP_BUDGET", 30)
+    tiny = IntegratorConfig(method="rk4", dt=1e-300, t_max=1.0)
+    traj = integrate(spec, p0, tiny, scn.termination)
+    assert (traj.termination, traj.cause) == ("aborted", "step budget: 30 accepted steps, the cap of 30")
+
+
 def test_diverged_rk4_run_terminates_aborted():
     # dt = 0.03 is too long a step for this start: the state overflows to
     # NaN within the first seven steps, before the second sample
