@@ -26,7 +26,11 @@ a restriction kept across calls or orders moves a line; then
 ``persistence_check`` in d = 2 and in
 d = 3 on the eight ``persistence_graph`` shapes of the certify workload,
 three persistent and five not, so that one diff covers the plane's
-pebble-game walk and the per-reduction ranking in R^3.  Then
+pebble-game walk and the row-basis walk in R^3 (at most 64 reductions
+each in d = 3); then in d = 3 on two Henneberg orientations built
+here (:func:`_space_orientation`), a persistent one with 4096 reductions
+and a non-persistent one whose witness comes 160 reductions into the
+enumeration, so that the walk's pruning is covered too.  Then
 ``model_field`` at d*n = 300 once per path its lift can take, each from a
 perturbed start of
 ``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
@@ -101,6 +105,14 @@ from inputs import eta_step, persistence_graph, rigid_formation  # noqa: E402
 # shapes of the certify workload's persistence tests
 from workloads import PERSISTENCE_GRAPHS  # noqa: E402
 
+# (out-degrees of the plain vertices from vertex 4 on, gadget position) of
+# the two orientations of _space_orientation: six vertices of out-degree 4
+# give 4**6 = 4096 reductions, all rigid; with the gadget, 1024 reductions
+# of which the first flexible one is at place 160 of itertools.product order
+SPACE_SHAPES = (
+    ((4, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 3), None),
+    ((4, 4, 4, 3), 5),
+)
 FORMATION_SIZES = (20, 60, 150)
 # the formation whose two restriction readers are also digested in reverse
 REVERSED_READERS_SIZE = 60
@@ -214,6 +226,43 @@ def _formations() -> None:
                    lambda: persistence_check(sensing, d))
 
 
+def _space_orientation(degrees, gadget_at=None) -> Orientation:
+    """A 3-D sensing orientation whose persistence is known by construction.
+
+    Vertex 1 senses vertex 0, vertex 2 senses 0 and 1, vertex 3 senses 0, 1
+    and 2, and each later vertex the next entry of ``degrees`` (3 or more)
+    earlier vertices, drawn from ``default_rng(0)``; so every out-degree-3
+    reduction is a Henneberg construction in R^3, and the orientation is
+    persistent.  A gadget at ``gadget_at`` adds four vertices g0..g3 joined
+    as a K4 (g0 senses g1 and g2, g1 senses g2 and g3, g2 senses g3, g3
+    senses g0), each also sensing a common earlier anchor a and one other
+    earlier vertex.  In the reductions where g0 and g1 drop their other
+    vertex, the K4 and a form a K5 held to the rest by a and the two bars
+    of g2 and g3, five constraints where a rigid body needs six, so it
+    flexes: not persistent."""
+    rng = np.random.default_rng(0)
+    arcs, queue, n = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)], list(degrees), 4
+    while queue or n == gadget_at:
+        if n == gadget_at:
+            a, b, c, d, e = rng.choice(n, size=5, replace=False).tolist()
+            g0, g1, g2, g3 = range(n, n + 4)
+            arcs += [(g0, g1), (g0, g2), (g0, a), (g0, b), (g1, g2), (g1, g3), (g1, a),
+                     (g1, c), (g2, g3), (g2, a), (g2, d), (g3, g0), (g3, a), (g3, e)]
+            n += 4
+        else:
+            arcs += [(n, int(h)) for h in rng.choice(n, size=queue.pop(0), replace=False)]
+            n += 1
+    labels = [(t + 1, h + 1) for t, h in arcs]
+    return orient(build_graph(n, labels), labels)
+
+
+def _space_persistence() -> None:
+    for degrees, gadget_at in SPACE_SHAPES:
+        sensing = _space_orientation(degrees, gadget_at)
+        _value(f"persistence_check d=3 henneberg n={sensing.graph.n} "
+               f"reductions={reduction_count(sensing, 3)}", lambda: persistence_check(sensing, 3))
+
+
 def _lift_regimes() -> None:
     """Digest ``model_field`` at one perturbed start of each ``LIFT_SEEDS``
     formation at n = 150, and of the seed-0 formation at n = 500, toward the
@@ -269,6 +318,7 @@ def main() -> None:
              _cli("persistence", "--builtin", name, "--json", "{out}report.json"))
     _run("studies", _studies)
     _formations()
+    _space_persistence()
     _lift_regimes()
     _all_svd_readers()
 

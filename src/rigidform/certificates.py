@@ -77,14 +77,14 @@ needed: the directed restriction here, and ``tangent_basis``,
   its halves.
 * :func:`persistence_check` decides the classical directed-graph persistence
   property over all out-degree-d reductions; the enumeration is exponential
-  in the redundant out-edges, hence the cap.  In the plane one pebble-game
-  walk of the enumeration decides every reduction exactly, sharing the
+  in the redundant out-edges, hence the cap.  One walk of the enumeration
+  decides every reduction over an independence oracle, sharing the
   choices that reductions have in common and pruning each subtree that
-  holds no rigid reduction, and only the witness is ranked, as a
-  cross-check.  In R^3 each reduction up to the witness is ranked in turn.
-  A reduction is ranked as the row subset of the whole graph's R that it
-  keeps (``is_generically_rigid`` with ``edges``), so no reduction graph is
-  built.
+  holds no rigid reduction: the pebble game in the plane, and in R^3 an
+  orthonormal basis of R's rows at the first seeded draw, so an R^3
+  "persistent" verdict rests on that one draw, not on an SVD of every
+  reduction.  Only the witness is ranked, as its own graph, as a
+  cross-check.
 
 Verdicts are numerical: thresholds are relative to the spectral norm of the
 tested matrix, and randomized tests decide generic properties with
@@ -97,7 +97,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -107,6 +107,7 @@ from rigidform.rigidity import (
     RankDeficiencyError,
     _edge_vectors,
     _PebbleGame,
+    _RowBasis,
     _regular_rank,
     _regular_squared_singular_values,
     _regular_svd,
@@ -461,42 +462,44 @@ def reduction_count(orientation: Orientation, d: int) -> int:
     return count
 
 
-def _first_flexible_in_plane(
-    graph: Graph, fixed: list[int], choice_sets: list[tuple[tuple[int, ...], ...]]
+def _first_flexible(
+    graph: Graph,
+    fixed: list[int],
+    choice_sets: list[tuple[tuple[int, ...], ...]],
+    root: _PebbleGame | _RowBasis,
 ) -> tuple[tuple[int, ...], ...] | None:
     """The first reduction, in ``itertools.product`` order of
     ``choice_sets``, whose edges (``fixed`` and one subset from each choice
-    set) are not generically rigid in the plane, as its chosen subsets;
-    None when every reduction is rigid.
+    set) the independence oracle ``root`` finds not rigid in R^d, d =
+    ``root.d``, as its chosen subsets; None when every reduction is rigid.
 
     One walk of the reduction product, depth first and in product order,
-    decides every reduction exactly with the pebble game: ``fixed`` goes in
-    once, and each choice goes into a copy of its parent's game.  A
+    decides every reduction with the oracle: ``fixed`` goes into ``root``
+    once, and each choice goes into a copy of its parent's oracle.  A
     reduction keeps |kept| edges of which a rigid one has
-    max_generic_rank(n, 2) independent, so it is flexible exactly when the
-    game rejects more than the slack |kept| - max_generic_rank(n, 2).
+    max_generic_rank(n, d) independent, so it is flexible exactly when the
+    oracle rejects more than the slack |kept| - max_generic_rank(n, d).
     Rejections only grow down the tree, so a node past the slack has no
     rigid leaf below it, and every leaf before it passed: the first leaf of
     its subtree is the answer."""
     ends = graph.edges
-    slack = len(fixed) + sum(len(c[0]) for c in choice_sets) - max_generic_rank(graph.n, 2)
+    slack = len(fixed) + sum(len(c[0]) for c in choice_sets) - max_generic_rank(graph.n, root.d)
 
-    def rejected(game: _PebbleGame, edges) -> int:
-        return sum(not game.insert(*ends[k]) for k in edges)
+    def rejected(oracle, edges) -> int:
+        return sum(not oracle.insert(*ends[k]) for k in edges)
 
-    def walk(game: _PebbleGame, lost: int, depth: int):
+    def walk(oracle, lost: int, depth: int):
         if lost > slack:
             return tuple(c[0] for c in choice_sets[depth:])
         if depth == len(choice_sets):
             return None
         for combo in choice_sets[depth]:
-            child = game.copy()
+            child = oracle.copy()
             below = walk(child, lost + rejected(child, combo), depth + 1)
             if below is not None:
                 return (combo,) + below
         return None
 
-    root = _PebbleGame(graph.n)
     return walk(root, rejected(root, fixed), 0)
 
 
@@ -510,16 +513,18 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
     1-based tail->head pairs); ``reductions_checked`` is the size of the
     whole enumeration either way.
 
-    In the plane the reductions are decided exactly and with no draw, by
-    one pebble-game walk of the enumeration (:func:`_first_flexible_in_plane`),
-    and only the witness is ranked by ``is_generically_rigid`` at the
-    seeded draws: a cross-check of the exact verdict by the sampled one.
-    Should the two disagree, the verdict is "indeterminate", with the
-    disagreement in ``detail``.  In R^3 each reduction is ranked by
-    ``is_generically_rigid`` in turn, and no reduction after the witness
-    is ranked.  An enumeration above ``REDUCTION_CAP`` is not walked and
-    yields "indeterminate".  Raises ValueError unless d is 2 or 3 and
-    ``seed`` a non-negative integer, whatever the enumeration's size.
+    The reductions are decided by one walk of the enumeration
+    (:func:`_first_flexible`) over an independence oracle: in the plane the
+    pebble game, exactly and with no draw; in R^3 the orthonormal row basis
+    of R at the first of the seeded draws (``rigidity._RowBasis``).  So a
+    "persistent" verdict in R^3 rests on that one draw, not on an SVD of
+    every reduction.  Only the witness is ranked, as its own graph, by
+    ``is_generically_rigid`` at the seeded draws: a cross-check of the
+    oracle by the definition.  Should the two disagree, the verdict is
+    "indeterminate", with the disagreement in ``detail``.  An enumeration
+    above ``REDUCTION_CAP`` is not walked and yields "indeterminate".
+    Raises ValueError unless d is 2 or 3 and ``seed`` a non-negative
+    integer, whatever the enumeration's size.
     """
     if _require_count("dimension", d, 1) not in (2, 3):
         raise ValueError("persistence test supports d in {2, 3}")
@@ -534,29 +539,20 @@ def persistence_check(orientation: Orientation, d: int, seed: int = 0) -> Persis
         )
     heavy = [v for v in range(graph.n) if len(orientation.out_edges(v)) > d]
     fixed = [k for k, t in enumerate(orientation.tails) if len(orientation.out_edges(t)) <= d]
-    choice_sets = [
-        tuple(combinations(orientation.out_edges(v), d)) for v in heavy
-    ]
-
-    def kept(chosen) -> list[int]:
-        return sorted(fixed + [k for combo in chosen for k in combo])
-
-    if d == 2:
-        chosen = _first_flexible_in_plane(graph, fixed, choice_sets)
-    else:
-        chosen = next((c for c in product(*choice_sets)
-                       if not is_generically_rigid(graph, d, seed, edges=kept(c))), None)
+    choice_sets = [tuple(combinations(orientation.out_edges(v), d)) for v in heavy]
+    root = _PebbleGame(graph.n) if d == 2 else _RowBasis(graph, d, seed)
+    chosen = _first_flexible(graph, fixed, choice_sets, root)
     if chosen is None:
         return PersistenceReport(verdict="persistent", reductions_checked=total)
-    edges = kept(chosen)
+    edges = sorted(fixed + [k for combo in chosen for k in combo])
     labels = orientation.directed_labels
-    # the exact plane verdict is cross-checked by the sampled one; R^3 took it already
-    if d == 2 and is_generically_rigid(graph, d, seed, edges=edges):
+    if is_generically_rigid(Graph(graph.n, tuple(graph.edges[k] for k in edges)), d, seed):
         reduction = ", ".join(f"{labels[k][0]}->{labels[k][1]}" for k in edges)
+        oracle = "the pebble game" if d == 2 else f"the row basis at the first draw of seed {seed}"
         return PersistenceReport(
             verdict="indeterminate",
             reductions_checked=total,
-            detail=(f"the pebble game finds reduction {reduction} flexible, but its "
+            detail=(f"{oracle} finds reduction {reduction} flexible, but its "
                     f"rank at the draws of seed {seed} is full"),
         )
     return PersistenceReport(

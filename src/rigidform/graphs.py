@@ -109,13 +109,6 @@ class Graph:
         return {}
 
     @cached_property
-    def _draw_memo(self) -> dict[tuple[int, int], list[np.ndarray]]:
-        """Rigidity matrices at the generic-rank draws keyed by (d, seed), for
-        testing spanning subgraphs as row subsets; holds the newest (d, seed)
-        only and is freed with the graph."""
-        return {}
-
-    @cached_property
     def _index_memo(self) -> dict:
         """Edge-index records of this graph keyed by d; freed with the graph."""
         return {}

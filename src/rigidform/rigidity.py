@@ -32,9 +32,11 @@ is needed (the generic-rank draws, :func:`is_regular_point`,
 below proves it, else the SVD rule.
 
 In the plane, generic rank is also decided exactly, with no draw, by the
-(2,3) pebble game (:class:`_PebbleGame`), one edge at a time; the
-persistence test walks its reductions with it.  :func:`generic_rank` and
-:func:`is_generically_rigid` keep their seeded draws.
+(2,3) pebble game (:class:`_PebbleGame`), one edge at a time; in R^3, by
+an orthonormal basis of the accepted rows of R at the first seeded draw
+(:class:`_RowBasis`).  The persistence test walks its reductions with
+one of the two.  :func:`generic_rank` and :func:`is_generically_rigid`
+keep their seeded draws.
 
 Each SVD helper answers one question.  :func:`_svd` and
 :func:`_regular_svd` always return the thin factors and the rank,
@@ -173,6 +175,7 @@ vs banded: d*n = 40, 110 us, no band layout; 80, 222 vs 468; 120, 385 vs
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -586,47 +589,12 @@ def max_generic_rank(n: int, d: int) -> int:
     return n * (n - 1) // 2
 
 
-def _edge_subset(graph: Graph, edges) -> np.ndarray:
-    """``edges`` as an index array, when its entries are strictly increasing
-    integers in 0..|E|-1; otherwise ValueError.  A plain loop, which costs
-    less than array checks on the short lists persistence_check passes: one
-    per reduction in R^3, and in the plane the one witness it confirms."""
-    last, top = -1, graph.num_edges
-    for k in edges:
-        if not (type(k) is int or isinstance(k, np.integer)) or not last < k < top:
-            raise ValueError(f"edges must be strictly increasing integers in "
-                             f"0..{top - 1}, got {edges!r}")
-        last = k
-    return np.asarray(edges, dtype=np.intp)
-
-
-def is_generically_rigid(graph: Graph, d: int, seed: int = 0, edges=None) -> bool:
+def is_generically_rigid(graph: Graph, d: int, seed: int = 0) -> bool:
     """Whether generic frameworks of the graph in R^d admit only rigid
     motions: whether :func:`generic_rank` reaches max_generic_rank(n, d).
-
-    With ``edges``, a sequence of strictly increasing integer edge indices
-    in 0..|E|-1 (the canonical order :class:`Graph` keeps; empty is
-    allowed), the verdict is that of the spanning subgraph on those edges:
-    whether it has at least max_generic_rank(n, d) edges and the rows
-    ``edges`` of the graph's R reach that rank, by the SVD rule, at one of
-    the same draws.  Those R are built once per (d, seed) and kept on the
-    graph until a subgraph is tested at another (d, seed), so testing many
-    subgraphs builds no graph and no R of their own and the graph keeps one
-    set of draws at most; subgraph verdicts are not memoized.
-    Raises ValueError unless d is a positive integer, seed a non-negative
-    one and ``edges`` as above: a negative, fractional, repeated or
-    out-of-range index is never wrapped, truncated or counted.
+    Raises ValueError unless d is a positive integer and seed a non-negative one.
     """
-    d = _require_count("dimension", d, 1)
-    full = max_generic_rank(graph.n, d)
-    if edges is None:
-        return generic_rank(graph, d, seed) == full
-    key = (d, _require_count("seed", seed, 0))
-    if key not in graph._draw_memo:
-        graph._draw_memo.clear()
-        graph._draw_memo[key] = [rigidity_matrix(graph, p) for p in _draws(graph, d, seed)]
-    rows = _edge_subset(graph, edges)
-    return rows.size >= full and any(matrix_rank(R[rows]) == full for R in graph._draw_memo[key])
+    return generic_rank(graph, d, seed) == max_generic_rank(graph.n, d)
 
 
 class _PebbleGame:
@@ -643,6 +611,8 @@ class _PebbleGame:
     the work of its common part."""
 
     __slots__ = ("pebbles", "out")
+
+    d = 2  # the dimension whose generic rank it counts
 
     def __init__(self, n: int):
         self.pebbles = [2] * n
@@ -693,6 +663,56 @@ class _PebbleGame:
             return False
         pebbles[u] -= 1
         self.out[u].append(v)
+        return True
+
+
+class _RowBasis:
+    """An orthonormal basis of the rows of R(p) accepted so far, at p the
+    first of the seeded draws :func:`_draws` of ``graph`` in R^d, offered
+    one edge at a time: the independence oracle of the persistence walk in
+    R^3, where no pebble game is known.
+
+    :meth:`insert` builds the row of edge {u, v} from D = p_u - p_v (D at
+    u's block, -D at v's), takes its component orthogonal to the basis by
+    classical Gram-Schmidt run twice, which keeps the basis orthonormal to
+    working precision (Giraud, Langou and Rozloznik, *Comput. Math. Appl.*
+    50, 2005), and accepts the row when that residual exceeds
+    tau = max(|E|, dn) * SVD_RTOL of the row's norm: the factor of the SVD
+    rule that ranks R(graph) at the same p.  The residual is the last
+    diagonal entry of the triangular factor of the accepted rows and this
+    one, so a rejected row leaves them with a singular value of at most
+    tau |row| <= tau sigma_1, which the SVD rule at the factor tau does not
+    count either.  A row that depends on the basis at p leaves a residual
+    of the order of the basis size times eps of its norm, far below tau;
+    one that does not leaves its distance from the span, which at a
+    generic draw is far above it.  So the number accepted is the rank of
+    the rows offered at p, in whatever order they come, with the
+    probability-1 caveat of every generic-rank draw.  The basis grows by a
+    new array on each accepted row and is never written in place, so
+    :meth:`copy` shares it."""
+
+    def __init__(self, graph: Graph, d: int, seed: int):
+        self.d, self.points = d, next(_draws(graph, d, seed)).points
+        self.rows = np.empty((0, d * graph.n))
+        self.tol = max(graph.num_edges, d * graph.n) * SVD_RTOL
+
+    def copy(self) -> _RowBasis:
+        return copy.copy(self)
+
+    def insert(self, u: int, v: int) -> bool:
+        """Offer the row of the edge {u, v} of 0-based vertices u != v:
+        accept it, and return True, when it is independent of the basis."""
+        d, rows = self.d, self.rows
+        row = np.zeros(rows.shape[1])
+        row[d * u:d * u + d] = D = self.points[u] - self.points[v]
+        row[d * v:d * v + d] = -D
+        norm2 = row @ row
+        for _ in range(2):
+            row -= (rows @ row) @ rows
+        residual2 = row @ row
+        if residual2 <= self.tol**2 * norm2:
+            return False
+        self.rows = np.concatenate([rows, row[None] / math.sqrt(residual2)])
         return True
 
 

@@ -916,36 +916,60 @@ def test_persistence_leaves_no_reduction_graphs_alive():
     assert live_graphs() == before
 
 
-def test_persistence_keeps_one_set_of_draws_per_graph():
-    # the row-subset draws are kept for the newest (d, seed) only, so checks
-    # at many seeds hold one set of rigidity matrices, not one per seed
-    scn = builtin_scenario("fig4-nonpersistent")
+# a 3-D orientation, 1-based: a K4 on 1..4, vertex 5 sensing all four, and
+# a gadget on 6..9, a K4 whose vertices also sense the anchor 1 and one
+# other earlier vertex each.  Where 6 and 7 keep the anchor and the K4, the
+# gadget and 1 form a K5 held to the rest by vertex 1 and two bars, five
+# constraints where six are needed: the eleventh of 64 reductions flexes.
+SPACE_GADGET = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4),
+                (6, 7), (6, 8), (6, 1), (6, 2), (7, 8), (7, 9), (7, 1), (7, 3),
+                (8, 9), (8, 1), (8, 4), (9, 6), (9, 1), (9, 5)]
+
+
+def _space_gadget():
+    return orient(build_graph(9, SPACE_GADGET), SPACE_GADGET)
+
+
+def test_persistence_keeps_one_set_of_draws_per_graph(monkeypatch):
+    # an R^3 check draws one configuration for its whole walk, which every
+    # copy of the row basis shares, and the witness its own on its own
+    # graph; checks at many seeds keep no draw or rank on the orientation
+    orientation = _space_gadget()
+    drawn = []
+    real = rigidity_mod._draws
+
+    def counting(graph, d, seed):
+        drawn.append((graph, d, seed))
+        return real(graph, d, seed)
+
+    monkeypatch.setattr(rigidity_mod, "_draws", counting)
     for seed in range(50):
-        persistence_check(scn.orientation, 2, seed=seed)
-    assert list(scn.graph._draw_memo) == [(2, 49)]
+        assert persistence_check(orientation, 3, seed=seed).verdict == "not persistent"
+    graph = orientation.graph
+    walks = [(d, seed) for g, d, seed in drawn if g is graph]
+    assert walks == [(3, seed) for seed in range(50)] and len(drawn) == 100
+    assert graph._rank_memo == {}
 
 
-def test_persistence_ranks_each_reduction_up_to_the_witness(monkeypatch):
-    # one is_generically_rigid call per reduction ranked, each a row subset
-    # of the orientation's own graph, and none after the witness
-    import rigidform.certificates as certificates_mod
-
-    scn = builtin_scenario("fig4-nonpersistent")
+def test_nonpersistent_space_check_ranks_the_witness_alone(monkeypatch):
+    # the row-basis walk passes ten rigid reductions, and only the witness,
+    # the eleventh, is ranked: as a Graph of its own edges
+    orientation = _space_gadget()
     calls = []
     real = certificates_mod.is_generically_rigid
 
-    def counting(graph, d, seed=0, edges=None):
-        verdict = real(graph, d, seed, edges=edges)
-        calls.append((graph, tuple(edges), verdict))
+    def counting(graph, d, seed=0):
+        verdict = real(graph, d, seed)
+        calls.append((graph, d, seed, verdict))
         return verdict
 
     monkeypatch.setattr(certificates_mod, "is_generically_rigid", counting)
-    rep = persistence_check(scn.orientation, 2)
-    assert rep.verdict == "not persistent" and 1 <= len(calls) <= 9
-    assert all(g is scn.graph for g, _, _ in calls)
-    assert [v for _, _, v in calls] == [True] * (len(calls) - 1) + [False]
-    labels = scn.orientation.directed_labels
-    assert tuple(labels[k] for k in calls[-1][1]) == rep.witness
+    rep = persistence_check(orientation, 3, seed=3)
+    assert rep.verdict == "not persistent"
+    assert _product_position(orientation, 3, rep.witness) == 10
+    [(graph, d, seed, verdict)] = calls
+    assert (d, seed, verdict) == (3, 3, False)
+    assert graph.edges == tuple((min(t, h) - 1, max(t, h) - 1) for t, h in rep.witness)
 
 
 def _reference_persistence(orientation, d, seed):
@@ -982,10 +1006,12 @@ def test_persistence_matches_reference_on_builtins():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_persistence_matches_reference_random(seed):
+    # the plane on up to 7 vertices; R^3, whose walk rests on one draw, on
+    # up to 10
     rng = np.random.default_rng(seed)
-    graph, p = random_instance(rng, n_max=7)
-    o = random_orientation(rng, graph)
-    for d in (2, 3):
+    for d, n_max in ((2, 7), (3, 10)):
+        graph, p = random_instance(rng, n_max=n_max)
+        o = random_orientation(rng, graph)
         if reduction_count(o, d) <= 2000:
             _assert_persistence_matches_reference(o, d, seed)
 
@@ -1060,16 +1086,16 @@ def test_nonpersistent_plane_check_ranks_the_witness_alone(monkeypatch):
     calls = []
     real = certificates_mod.is_generically_rigid
 
-    def counting(graph, d, seed=0, edges=None):
-        calls.append((graph, d, seed, tuple(edges)))
-        return real(graph, d, seed, edges=edges)
+    def counting(graph, d, seed=0):
+        calls.append((graph, d, seed))
+        return real(graph, d, seed)
 
     monkeypatch.setattr(certificates_mod, "is_generically_rigid", counting)
     rep = persistence_check(orientation, 2, seed=3)
     assert rep.verdict == "not persistent"
-    assert len(calls) == 1 and calls[0][:3] == (orientation.graph, 2, 3)
-    labels = orientation.directed_labels
-    assert tuple(labels[k] for k in calls[0][3]) == rep.witness
+    [(graph, d, seed)] = calls
+    assert (d, seed) == (2, 3)
+    assert graph.edges == tuple((min(t, h) - 1, max(t, h) - 1) for t, h in rep.witness)
 
 
 def test_plane_walk_and_draws_that_disagree_give_indeterminate(monkeypatch):
@@ -1077,13 +1103,24 @@ def test_plane_walk_and_draws_that_disagree_give_indeterminate(monkeypatch):
     # by name, not taken as either verdict
     scn = builtin_scenario("fig4-nonpersistent")
     witness = persistence_check(scn.orientation, 2).witness
-    monkeypatch.setattr(certificates_mod, "is_generically_rigid",
-                        lambda graph, d, seed=0, edges=None: True)
+    monkeypatch.setattr(certificates_mod, "is_generically_rigid", lambda graph, d, seed=0: True)
     rep = persistence_check(scn.orientation, 2, seed=4)
     assert (rep.verdict, rep.reductions_checked, rep.witness) == ("indeterminate", 9, None)
     reduction = ", ".join(f"{t}->{h}" for t, h in witness)
     assert rep.detail == (f"the pebble game finds reduction {reduction} flexible, but its "
                           "rank at the draws of seed 4 is full")
+
+
+def test_space_walk_and_draws_that_disagree_give_indeterminate(monkeypatch):
+    # in R^3 the detail names the row basis and the draw it was built at
+    orientation = _space_gadget()
+    witness = persistence_check(orientation, 3, seed=6).witness
+    monkeypatch.setattr(certificates_mod, "is_generically_rigid", lambda graph, d, seed=0: True)
+    rep = persistence_check(orientation, 3, seed=6)
+    assert (rep.verdict, rep.reductions_checked, rep.witness) == ("indeterminate", 64, None)
+    reduction = ", ".join(f"{t}->{h}" for t, h in witness)
+    assert rep.detail == ("the row basis at the first draw of seed 6 finds reduction "
+                          f"{reduction} flexible, but its rank at the draws of seed 6 is full")
 
 
 def test_persistence_rejects_bad_dimension(w5_arrows):

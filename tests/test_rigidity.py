@@ -43,7 +43,6 @@ from conftest import random_instance, random_orientation
 
 # the unit square with one diagonal: 5 edges, minimally rigid in the plane
 BRACED_SQUARE = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
-SUBSET_MESSAGE = "edges must be strictly increasing integers in 0..4"
 
 # Squared target lengths of the wheel at the standard placement, by hand:
 # |p1-p2|^2 = .25+.25, |p1-p3|^2 = 1+1, |p1-p4|^2 = 4/9+1, |p1-p5|^2 = 1+1,
@@ -148,39 +147,41 @@ def test_generic_rank_below_the_ceiling_takes_every_draw(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_subgraph_rank_matches_its_own_graph(seed):
-    # the rows ``edges`` of R at the shared draws test the spanning
-    # subgraph's rigidity exactly as a Graph built from those edges does
+    # an oracle of the whole graph offered the edges a spanning subgraph
+    # keeps accepts as many as the subgraph's own generic rank: the pebble
+    # game in the plane, and in R^3 the row basis at the first draw, which
+    # depends on (n, d, seed) only and so is the subgraph's first draw too
     rng = np.random.default_rng(seed)
     graph, _ = random_instance(rng, n_max=7)
     kept = sorted(rng.choice(graph.num_edges, size=rng.integers(0, graph.num_edges + 1),
                              replace=False).tolist())
     sub = rigidity_mod.Graph(graph.n, tuple(graph.edges[k] for k in kept))
-    for d in (2, 3):
-        assert (is_generically_rigid(graph, d, seed, edges=kept)
-                == is_generically_rigid(sub, d, seed))
-        assert (is_generically_rigid(graph, d, seed, edges=tuple(kept))
-                == is_generically_rigid(sub, d, seed))
+    for oracle in (rigidity_mod._PebbleGame(graph.n), rigidity_mod._RowBasis(graph, 3, seed)):
+        accepted = sum(oracle.insert(*graph.edges[k]) for k in kept)
+        assert accepted == generic_rank(sub, oracle.d, seed)
 
 
 def test_subgraph_ranks_build_the_draws_once(monkeypatch, w5):
-    # R at the draws is built once per (d, seed) and kept on the graph;
-    # subgraph verdicts are not memoized, and the graph's own rank is
-    built = []
-    real = rigidity_mod.rigidity_matrix
+    # the row basis draws its configuration once; its copies share it and
+    # the basis built so far, and only an accepted row replaces the basis
+    drawn = []
+    real = rigidity_mod._draws
 
-    def counting(graph, p):
-        built.append(graph)
-        return real(graph, p)
+    def counting(graph, d, seed):
+        drawn.append((graph, d, seed))
+        return real(graph, d, seed)
 
-    monkeypatch.setattr(rigidity_mod, "rigidity_matrix", counting)
-    spokes_and_rim = list(range(w5.num_edges))
-    for drop in range(w5.num_edges):
-        # the wheel's 8 edges with any one dropped leave 7 independent rows
-        kept = spokes_and_rim[:drop] + spokes_and_rim[drop + 1:]
-        assert is_generically_rigid(w5, 2, 7, edges=kept)
-    assert len(built) == rigidity_mod.GENERIC_SAMPLES
-    assert all(g is w5 for g in built)
-    assert (2, 7) not in w5._rank_memo
+    monkeypatch.setattr(rigidity_mod, "_draws", counting)
+    basis = rigidity_mod._RowBasis(w5, 3, 7)
+    for i, j in w5.edges[:4]:
+        basis.insert(i, j)
+    copies = [basis.copy() for _ in range(3)]
+    assert drawn == [(w5, 3, 7)]
+    assert all(c.points is basis.points and c.rows is basis.rows for c in copies)
+    rows = basis.rows
+    assert copies[0].insert(*w5.edges[4])
+    assert copies[0].rows is not rows and basis.rows is rows and copies[1].rows is rows
+    assert w5._rank_memo == {}
 
 
 def test_small_n_rank_formula():
@@ -459,12 +460,10 @@ def test_edge_index_does_not_outlive_its_graph():
     m_star = distance_map(graph, p)
     gradient_field(graph, p, m_star)
     directed_field(orientation, p, m_star)
-    is_generically_rigid(graph, 2, edges=[0, 1, 2])
     refs = [weakref.ref(rigidity_mod._edge_index(graph, 2)),
             weakref.ref(rigidity_mod._edge_index(graph, 2, orientation)),
             weakref.ref(orientation.arrows[0]),
-            weakref.ref(orientation.strong_components[1][0]),
-            weakref.ref(graph._draw_memo[(2, 0)][0])]
+            weakref.ref(orientation.strong_components[1][0])]
     assert refs[0]() is graph._index_memo[2]
     assert refs[1]() is orientation._index_memo[2]
     assert refs[2]() is orientation.arrows[0]
@@ -494,31 +493,25 @@ def test_configuration_of_another_size_is_named(w5, p_star, call):
      "configurations have 5 and 4 points"),
     (lambda g, p: congruence_check(p, Configuration(3, np.zeros((5, 3)))),
      "configurations have dimensions 2 and 3"),
-    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, -1]),
-     SUBSET_MESSAGE),
-    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0.5, 1, 2, 3, 4]),
-     SUBSET_MESSAGE),
-    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 0, 0, 0, 0]),
-     SUBSET_MESSAGE),
-    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, 9]),
-     SUBSET_MESSAGE),
-    (lambda g, p: is_generically_rigid(BRACED_SQUARE, 2, edges=[True, 1, 2, 3, 4]),
-     SUBSET_MESSAGE),
     (lambda g, p: matrix_rank(np.ones(3)), "m must be a 2-D matrix, got 1 dimensions"),
     (lambda g, p: matrix_rank(np.ones((2, 2, 2))), "m must be a 2-D matrix, got 3 dimensions"),
 ], ids=["coincident-points", "lift-length", "motions-in-4d", "congruence-n",
-        "congruence-d", "subset-negative", "subset-fractional", "subset-repeated",
-        "subset-out-of-range", "subset-bool", "rank-1d", "rank-3d"])
+        "congruence-d", "rank-1d", "rank-3d"])
 def test_rigidity_argument_errors_are_named(w5, p_star, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(w5, p_star)
 
 
 def test_edge_subset_in_canonical_order_is_accepted():
-    assert is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3, 4])
-    assert is_generically_rigid(BRACED_SQUARE, 2, edges=np.arange(5))
-    assert not is_generically_rigid(BRACED_SQUARE, 2, edges=[0, 1, 2, 3])
-    assert not is_generically_rigid(BRACED_SQUARE, 2, edges=[])
+    # a reduction's edges taken in index order are a canonical Graph of
+    # their own, which persistence_check ranks as the witness
+    def subgraph(kept):
+        return Graph(BRACED_SQUARE.n, tuple(BRACED_SQUARE.edges[k] for k in kept))
+
+    assert is_generically_rigid(subgraph([0, 1, 2, 3, 4]), 2)
+    assert is_generically_rigid(subgraph(np.arange(5)), 2)
+    assert not is_generically_rigid(subgraph([0, 1, 2, 3]), 2)
+    assert not is_generically_rigid(subgraph([]), 2)
 
 
 def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
@@ -568,7 +561,7 @@ def test_matrix_rank_takes_nested_lists():
 
 
 @st.composite
-def _plane_graphs(draw):
+def _graphs_in_order(draw):
     """(a simple graph on 2..10 vertices, its edges in a drawn order, a seed)."""
     n = draw(st.integers(min_value=2, max_value=10))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -578,7 +571,7 @@ def _plane_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_plane_graphs())
+@given(_graphs_in_order())
 def test_pebble_game_counts_the_generic_rank_in_the_plane(drawn):
     # the exact count of Laman independent edges against the SVD rule at a
     # random point and the seeded generic-rank estimate, in any edge order
@@ -592,7 +585,7 @@ def test_pebble_game_counts_the_generic_rank_in_the_plane(drawn):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_plane_graphs())
+@given(_graphs_in_order())
 def test_pebble_game_copy_shares_no_state(drawn):
     # a copy taken partway goes on like the original, and inserting into
     # the copy leaves the original as it was
@@ -606,3 +599,38 @@ def test_pebble_game_copy_shares_no_state(drawn):
     assert (game.pebbles, game.out) == (pebbles, out)
     assert sum(game.insert(i, j) for i, j in order[half:]) == tail
     assert head + tail == generic_rank(graph, 2)
+
+
+def _rank_at_first_draw(graph, d, seed):
+    return matrix_rank(rigidity_matrix(graph, next(rigidity_mod._draws(graph, d, seed))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_in_order())
+def test_row_basis_counts_the_rank_at_its_draw(drawn):
+    # the rows accepted, in any edge order, are as many as the SVD rank of
+    # R at the first seeded draw, in R^3 (where persistence uses it) and
+    # in the plane
+    graph, order, seed = drawn
+    for d in (3, 2):
+        basis = rigidity_mod._RowBasis(graph, d, seed)
+        accepted = sum(basis.insert(i, j) for i, j in order)
+        assert accepted == len(basis.rows) == _rank_at_first_draw(graph, d, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_in_order())
+def test_row_basis_copy_shares_no_state(drawn):
+    # a copy taken partway goes on like the original, and inserting into
+    # the copy leaves the original as it was
+    graph, order, seed = drawn
+    half = len(order) // 2
+    basis = rigidity_mod._RowBasis(graph, 3, seed)
+    head = sum(basis.insert(i, j) for i, j in order[:half])
+    rows = basis.rows.copy()
+    copy = basis.copy()
+    tail = sum(copy.insert(i, j) for i, j in order[half:])
+    assert np.array_equal(basis.rows, rows)
+    assert sum(basis.insert(i, j) for i, j in order[half:]) == tail
+    assert np.array_equal(basis.rows, copy.rows)
+    assert head + tail == _rank_at_first_draw(graph, 3, seed)
