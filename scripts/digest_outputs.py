@@ -34,11 +34,19 @@ enumeration, so that the walk's pruning is covered too.  Then
 ``model_field`` at d*n = 300 once per path its lift can take, each from a
 perturbed start of
 ``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
-the banded certificate's block factor converges quickly; s = 50, where it
+the certificate's banded factor converges quickly; s = 50, where it
 converges slowly; s = 192, where it stalls and both solves fall back to LU;
 and s = 3, where no certificate is issued and least squares decides; and
 once at d*n = 1000, from ``rigid_formation(500, 250, default_rng(0))``,
-where the banded factor pays most.  An exception is digested as its type
+where the banded factor pays most.  Then two 3-D formations built here
+(:func:`_space_formation`), at d*n = 60, where the certificate is one
+block, and at d*n = 180, where it is banded: per controller,
+``restricted_sym_form`` and ``linearized_edge_matrix`` at the target and
+the field at a perturbed start, for the model controller its lift.  Then
+``model_field`` at d*n = 300 on ``rigid_formation(150, 75,
+default_rng(0))`` with 75 more random chords, whose reverse Cuthill-McKee
+order gives three blocks, so that the certificate keeps one block of the
+dn x dn matrix (:func:`_wide_lift`).  An exception is digested as its type
 and message.
 
 Last come the public readers of R's SVD, at every built-in's target and at
@@ -82,6 +90,7 @@ from rigidform import (  # noqa: E402
     builtin_scenario,
     distance_map,
     eta_matrix,
+    evaluate_field,
     field_gain,
     integrate,
     is_regular_point,
@@ -122,6 +131,15 @@ SVD_READER_SIZES = (20, 60)
 # 1.4 at the first three starts, and the last is issued no certificate
 # (rigidity module docstring)
 LIFT_SEEDS = (0, 50, 192, 3)
+# (n, window) of the 3-D formations of _space_formation digested per
+# controller: d*n = 60, one block of the certificate's layout, and d*n = 180,
+# whose window keeps the bandwidth at most 8 vertices, so that the reverse
+# Cuthill-McKee order gives eight blocks
+SPACE_FORMATIONS = ((20, 20), (60, 8))
+# the seed of the model lift at d*n = 300 on rigid_formation(150, 75) with
+# 75 more chords between random vertices, so that the reverse Cuthill-McKee
+# order gives three blocks and the certificate keeps one
+WIDE_LIFT_SEED = 0
 
 def _digest(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
@@ -277,6 +295,65 @@ def _lift_regimes() -> None:
                lambda: model_field(graph, Configuration(2, start), m_star, 0))
 
 
+def _space_formation(n: int, window: int, rng):
+    """(graph, orientation, target, start): a generically rigid formation in
+    R^3.  Vertices 0 to 3 form a tetrahedron, each later vertex senses 3
+    distinct vertices among the ``window`` before it (a Henneberg
+    construction), and then n chords each join a random vertex k > 3 to one
+    of the ``window`` before it that it does not sense yet.  Tails are at
+    the later vertex.  The target is uniform on [-1, 1]^3 and the start is
+    it perturbed by 0.05 of a standard normal, all drawn from ``rng``."""
+    arcs = {(k, i) for k in range(4) for i in range(k)}
+    for k in range(4, n):
+        low = max(0, k - window)
+        arcs.update((k, low + int(i)) for i in rng.choice(k - low, size=3, replace=False))
+    chords = 0
+    while chords < n:
+        k = int(rng.integers(4, n))
+        i = int(rng.integers(max(0, k - window), k))
+        if (k, i) not in arcs:
+            arcs.add((k, i))
+            chords += 1
+    labels = sorted((t + 1, h + 1) for t, h in arcs)
+    graph = build_graph(n, labels)
+    target = rng.uniform(-1.0, 1.0, size=(n, 3))
+    start = target + 0.05 * rng.standard_normal(target.shape)
+    return graph, orient(graph, labels), Configuration(3, target), Configuration(3, start)
+
+
+def _space_formations() -> None:
+    """Digest, on each ``SPACE_FORMATIONS`` formation from
+    ``default_rng(n)`` and per controller, ``restricted_sym_form`` and
+    ``linearized_edge_matrix`` at the target and the field at the start:
+    for the model controller, the model lift."""
+    for n, window in SPACE_FORMATIONS:
+        graph, orientation, target, start = _space_formation(n, window, np.random.default_rng(n))
+        for kind in CONTROLLER_KINDS:
+            o = orientation if kind == "directed" else None
+            spec = ControllerSpec(graph, kind, distance_map(graph, target), o)
+            label = f"formation d=3 n={n} {kind}"
+            _value(f"{label} restricted_sym_form", lambda: restricted_sym_form(spec, target))
+            _value(f"{label} linearized_edge_matrix", lambda: linearized_edge_matrix(spec, target))
+            _value(f"{label} field", lambda: evaluate_field(spec, start))
+
+
+def _wide_lift() -> None:
+    """Digest ``model_field`` at a perturbed start of
+    ``rigid_formation(150, 75, default_rng(WIDE_LIFT_SEED))`` with 75 more
+    chords, each between two random vertices, toward its own target."""
+    n, rng = 150, np.random.default_rng(WIDE_LIFT_SEED)
+    pts, edges, _ = rigid_formation(n, n // 2, rng)
+    edges = set(edges)
+    while len(edges) < 2 * n - 3 + n:
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((i, j))
+    graph = Graph(n, sorted(edges))
+    start = pts + 0.05 * rng.standard_normal(pts.shape)
+    m_star = distance_map(graph, Configuration(2, pts))
+    _value(f"model lift n={n} seed={WIDE_LIFT_SEED} wide",
+           lambda: model_field(graph, Configuration(2, start), m_star, 0))
+
+
 def _svd_readers(label: str, graph, orientation, target) -> None:
     """Digest the public functions that read the SVD of R at ``target``:
     ``tangent_basis``, ``projector`` and ``is_regular_point``, then per
@@ -320,6 +397,8 @@ def main() -> None:
     _formations()
     _space_persistence()
     _lift_regimes()
+    _space_formations()
+    _wide_lift()
     _all_svd_readers()
 
 

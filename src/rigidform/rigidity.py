@@ -110,26 +110,29 @@ lambda_min(K) >= 3 delta / 4 >= (3/4) sqrt(eps) tr(K), which bounds
 cond(R)^2 by 4 / (3 sqrt(eps)), so the normal-equation solution with one
 corrected semi-normal step (Bjorck, *Numerical Methods for Least Squares
 Problems*, 1996, 2.2), both solves with K backward stable, is as accurate
-as the least-squares solve.  The dense certificate (:class:`_Certificate`)
-keeps K itself: the shift is taken in place for the Cholesky and undone by
-writing K's saved diagonal back, exactly, and both solves are LU solves
-with K.
+as the least-squares solve.
 
-The banded certificate (:func:`_certify_banded`).  From d*n =
-``_BANDED_MIN_SIZE`` on, on a graph with a band layout
-(``_EdgeIndex.band``), the certificate is first tried on
-K_P = R^T R + s Q_P Q_P^T.  The vertices go in reverse Cuthill-McKee order
-(:func:`_band_order`), kept on the edge index and so freed with the graph;
-in it R^T R is block tridiagonal, with blocks w = d b wide for a vertex
-bandwidth b.  Q_P is the motion frame of the vertices of blocks 0 and 1,
-the patch, and zero elsewhere, so s Q_P Q_P^T lies inside the first two
-diagonal blocks and the block between them, and K_P is block tridiagonal
-too: its Cholesky factor is block bidiagonal and costs O(dn w^2), not
-O((dn)^3).  The proof above carries over.
+One certificate on one layout (:class:`_Certificate`, from
+:func:`_certify_full_rank`).  R^T R is laid out as a block-tridiagonal
+matrix (``_EdgeIndex.band``), kept on the edge index and so freed with the
+graph.  From d*n = ``_BANDED_MIN_SIZE`` on, the vertices go in reverse
+Cuthill-McKee order (:func:`_band_order`), in which R^T R is block
+tridiagonal with blocks w = d b wide for a vertex bandwidth b, where that
+gives four blocks or more; below that size, or with fewer blocks, the
+layout is one block of every vertex in vertex order, the dense dn x dn
+matrix (George and Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981).  The certificate is taken on
+K_P = R^T R + s Q_P Q_P^T, with Q_P the motion frame of the vertices of
+blocks 0 and 1, the patch, and zero elsewhere, so s Q_P Q_P^T lies inside
+the first two diagonal blocks and the block between them, and K_P is
+block tridiagonal too: its Cholesky factor is block bidiagonal and costs
+O(dn w^2), not O((dn)^3).  With one block the patch is every vertex,
+Q_P = Q and K_P = K, and a solve is LU with K.  The proof above carries
+over.
 tr(K_P) = tr(K), so delta is the same.  s Q_P Q_P^T is positive
 semidefinite of rank k, so by interlacing a Cholesky of K_P - delta I that
 succeeds proves rank R = dn - k as one of K - delta I does.  The factor is
-taken by Choleskys of two-block windows (:func:`_certify_banded`): each
+taken by Choleskys of two-block windows (:func:`_block_cholesky`): each
 entry of L is still a Cholesky inner product of at most dn terms, summed in
 another order, so the rounding bound above, and delta_0, hold unchanged.
 Where K_P is positive definite, v^T K_P v = s |Q_P^T v|^2 > 0 for every
@@ -142,17 +145,21 @@ The patch keeps the rigid motions weighted by s sigma_min(Q_J)^2, with Q_J
 the rows of Q at the patch, about s times the patch's share of the
 vertices; k pinned coordinates, whose rows Q_J are few, keep far less.  A
 patch that a rigid motion leaves fixed (its points coincide in d = 2, or
-are collinear in d = 3) makes K_P singular, so its Cholesky fails, and the
-dense certificate decides.  On the 40 model starts at n = 150 of the
-benchmark's large-formation workload for seeds 1 to 10, lambda_min(K_P) /
-delta is 0.29 to 0.92 times lambda_min(K) / delta, and never below 17; a
-patch of block 0 alone gave 0.12 to 0.99, and down to 10.
+are collinear in d = 3) makes K_P singular, so the certificate declines,
+and the SVD or least-squares rule decides, as at any point where it is not
+issued.  On the 40 model starts at n = 150 of the benchmark's
+large-formation workload for seeds 1 to 10, lambda_min(K_P) / delta is
+0.29 to 0.92 times lambda_min(K) / delta, and never below 17; a patch of
+block 0 alone gave 0.12 to 0.99, and down to 10.  The shift is taken in
+place for the Cholesky and undone by writing the saved diagonal back,
+exactly, so the certificate keeps the K_P it certified.
 
-Solves with K_P (:meth:`_BandedCertificate.solve`).  A solve of
-K_P y = c starts from y = M^-1 c, M = K_P - delta I, and refines,
+Solves with K_P of more than one block (:meth:`_Certificate.solve`).  A
+solve of K_P y = c starts from y = M^-1 c, M = K_P - delta I, and refines,
 y <- y + M^-1 (c - K_P y), with M^-1 applied as one block sweep down L and
-one up L^T on the inverses of L's diagonal blocks (formed once per
-certificate by :func:`_triangular_inverses`).  The iteration matrix is
+one up L^T on the inverses of L's diagonal blocks (formed by
+:func:`_triangular_inverses` on the certificate's first solve, so a rank
+decision forms none).  The iteration matrix is
 -delta M^-1, which contracts by delta / (lambda_min(K_P) - delta) per
 step.  Each step is checked a posteriori: with the residual rho computed
 as fl(c - K_P y), its rounding is at most beta = (dn + 2) eps (|c| + nu
@@ -167,10 +174,10 @@ fails to halve before that (lambda_min(K_P) < 3 delta, or so near it that
 the steps stall) hands the solve to LU with K_P, which the same argument
 covers.  Per model_field call on d = 2 formations of
 bench.inputs.rigid_formation(n, n // 2) (one BLAS thread, median over
-three formations of the best of fifteen interleaved 5-call trials), dense
-vs banded: d*n = 40, 110 us, no band layout; 80, 222 vs 468; 120, 385 vs
-632; 140, 526 vs 748; 160, 776 vs 800; 200, 1366 vs 944; 240, 2068 vs
-1078; 300, 3462 vs 1298; 500, 11148 vs 2501; 1000, 62191 vs 7189.
+three formations of the best of fifteen interleaved 5-call trials), one
+block vs banded: d*n = 40, 110 us, too few blocks; 80, 222 vs 468; 120,
+385 vs 632; 140, 526 vs 748; 160, 776 vs 800; 200, 1366 vs 944; 240, 2068
+vs 1078; 300, 3462 vs 1298; 500, 11148 vs 2501; 1000, 62191 vs 7189.
 """
 
 from __future__ import annotations
@@ -232,9 +239,10 @@ _CERTIFIED_MIN_SIZE = 36
 # 102, 597 vs 595; 108, 698 vs 643; 120, 905 vs 748.
 _GRAM_EIGENSOLVE_MIN_SIZE = 100
 
-# d*n from which the certificate is first tried banded (_certify_banded),
-# on graphs with a band layout: where the banded lift stops costing more
-# than the dense one (table in the module docstring)
+# d*n from which the band layout (_EdgeIndex.band) orders the vertices by
+# reverse Cuthill-McKee, where that gives four blocks or more: where the
+# banded lift stops costing more than one block (table in the module
+# docstring)
 _BANDED_MIN_SIZE = 160
 
 
@@ -290,57 +298,43 @@ class _EdgeIndex:
     size: int
 
     @cached_property
-    def stiffness(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where R^T R lives in the flat dn x dn matrix: (touched, slot,
-        diagonal).  ``touched`` holds, sorted, the distinct flat positions
-        of the dn diagonal entries and of edge k's blocks (first, first),
-        (first, second), (second, first) and (second, second), where R^T R
-        adds _STIFFNESS_SIGNS * D_k D_k^T; ``slot`` (2, 2, |E|, d, d) and
-        ``diagonal`` (dn,) index those block entries and the diagonal, in
-        order, into ``touched``."""
-        ends = np.stack((self.first, self.second))
-        at = ends[:, None, :, :, None] * self.size + ends[None, :, :, None, :]
-        diagonal = np.arange(self.size) * (self.size + 1)
-        touched, slot = np.unique(np.concatenate((diagonal, at.reshape(-1))), return_inverse=True)
-        slot = slot.reshape(-1)
-        plan = touched, slot[self.size:].reshape(at.shape), slot[: self.size]
-        for a in plan:
-            a.setflags(write=False)
-        return plan
+    def band(self) -> _Band:
+        """The block-tridiagonal layout of R^T R.  From d*n =
+        ``_BANDED_MIN_SIZE`` on, its vertices go in the order of
+        :func:`_band_order`, in blocks of as many vertices as its bandwidth,
+        so that each meets only the next, where that gives four blocks or
+        more; otherwise the layout is one block of every vertex in vertex
+        order, whose ``slot`` holds the flat positions of the dense dn x dn
+        matrix.  Two blocks are no layout that the two-block windows of
+        :func:`_block_cholesky` take, and with three one block is faster.
+        ``model_field`` on the three-block formations ``grid_formation(150,
+        default_rng(seed))`` of the tests, where both layouts are certified,
+        in ms (best of 20 in two alternating runs, one BLAS thread, 2 shared
+        CPUs):
 
-    @cached_property
-    def band(self) -> _Band | None:
-        """The block-tridiagonal layout of R^T R in the vertex order of
-        :func:`_band_order`, with blocks of as many vertices as its
-        bandwidth, so that each meets only the next; None where that gives
-        fewer than four blocks.  Two blocks are no layout that the two-block
-        windows of :func:`_certify_banded` take, and with three the dense
-        route is faster.  ``model_field`` on the three-block formations
-        ``_rigid_formation(150, default_rng(seed))`` of the tests, where both
-        certificates are issued, in ms (best of 20 in two alternating runs,
-        one BLAS thread, 2 shared CPUs):
-
-        ====  =====  =====  ======
-        seed  width  dense  banded
-        ====  =====  =====  ======
-        150   142    3.23   5.41
-        151   138    3.25   5.12
-        153   148    3.19   6.05
-        ====  =====  =====  ======
+        ====  =====  =========  ======
+        seed  width  one block  banded
+        ====  =====  =========  ======
+        150   142    3.23       5.41
+        151   138    3.25       5.12
+        153   148    3.19       6.05
+        ====  =====  =========  ======
         """
         d = self.first.shape[1]
         n = self.size // d
-        order = _band_order(n, self.first[:, 0] // d, self.second[:, 0] // d)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        ends = rank[np.stack((self.first[:, 0], self.second[:, 0])) // d]
-        per_block = max(1, int(np.abs(ends[0] - ends[1]).max(initial=0)))
-        count = -(-n // per_block)
-        if count < 4:
-            return None
-        width = d * per_block
-        at = (d * rank[:, None] + np.arange(d)).reshape(-1)
-        ends = at[np.stack((self.first, self.second))]
+        vertices = np.stack((self.first[:, 0], self.second[:, 0])) // d
+        order, per_block = np.arange(n), max(n, 1)
+        if self.size >= _BANDED_MIN_SIZE:
+            banded = _band_order(n, *vertices)
+            ends = np.argsort(banded)[vertices]
+            bandwidth = max(1, int(np.abs(ends[0] - ends[1]).max(initial=0)))
+            if -(-n // bandwidth) >= 4:
+                order, per_block = banded, bandwidth
+        count, width = -(-n // per_block), d * per_block
+        at = (d * np.argsort(order)[:, None] + np.arange(d)).reshape(-1)
+        ends = np.stack((self.first, self.second))
+        vertex_slot = ends[:, None, :, :, None] * self.size + ends[None, :, :, None, :]
+        ends = at[ends]
         row, col = ends[:, None, :, :, None], ends[None, :, :, None, :]
         row_block, col_block = row // width, col // width
         within = (row % width) * width + col % width
@@ -350,9 +344,9 @@ class _EdgeIndex:
                         np.where(row_block == col_block + 1,
                                  (count + col_block) * width**2 + within,
                                  (2 * count - 1) * width**2))
-        for a in (order, at, slot):
+        for a in (order, at, slot, vertex_slot):
             a.setflags(write=False)
-        return _Band(order, at, slot, count, width)
+        return _Band(order, at, slot, vertex_slot, count, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +357,17 @@ class _Band:
     block).  ``at`` (dn,) holds the position in that layout of each entry
     of vec(p), and ``slot`` (2, 2, |E|, d, d) the flat position, in the
     ``count`` diagonal blocks followed by the ``count`` - 1 blocks below
-    them, of each entry of the edges' stiffness blocks, in the order of
-    ``_EdgeIndex.stiffness``."""
+    them, of each entry of edge k's stiffness blocks (first, first),
+    (first, second), (second, first) and (second, second), where R^T R adds
+    _STIFFNESS_SIGNS * D_k D_k^T; ``vertex_slot`` holds their flat
+    positions in the dn x dn matrix in vertex order.  With one block,
+    ``order`` is the vertex order, ``width`` is dn and ``slot`` equals
+    ``vertex_slot``."""
 
     order: np.ndarray
     at: np.ndarray
     slot: np.ndarray
+    vertex_slot: np.ndarray
     count: int
     width: int
 
@@ -855,45 +854,48 @@ _STIFFNESS_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 @dataclass(frozen=True, eq=False)
 class _Certificate:
-    """A successful certificate of the stiffness matrix ``K`` =
-    R^T R + s Q Q^T, dense and in vertex order: the shift ``delta`` of its
-    Cholesky, the motion frame ``Q`` and the edge index and edge vectors
-    ``D`` of the R it certifies.  :meth:`solve` solves with K, and
-    :meth:`gram` forms R^T R."""
+    """A successful certificate (module docstring) of K_P = R^T R +
+    s Q_P Q_P^T in the order and layout of ``index.band``, for the R that
+    the edge index gives at ``points``: ``delta`` is the shift of its
+    Cholesky, ``outer`` (2, 2, |E|, d, d) the terms of R^T R that the
+    stiffness scatter summed, ``K`` K_P's m diagonal blocks, w x w, and
+    ``lower`` the m - 1 blocks below them; ``factor`` the diagonal blocks
+    of the block-bidiagonal Cholesky factor L of K_P - delta I, and
+    ``panels`` its blocks below them; ``scale`` is ||K_P||_F, or 0 with one
+    block, where K_P is K in vertex order.  :meth:`solve` solves with K,
+    and :meth:`gram` forms R^T R."""
 
     delta: float
-    Q: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False)
     index: _EdgeIndex = field(repr=False)
-    D: np.ndarray = field(repr=False)
+    outer: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
+    lower: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+    panels: np.ndarray = field(repr=False)
+    scale: float
 
     def gram(self) -> np.ndarray:
-        """R^T R, from the stiffness scatter of ``index``."""
-        touched, slot, _ = self.index.stiffness
-        G = np.zeros(self.index.size**2)
-        G[touched] = _scatter_outer(slot, self.D, _STIFFNESS_SIGNS, touched.size)[1]
-        return G.reshape(self.index.size, -1)
+        """R^T R in vertex order: ``outer`` summed over ``band.vertex_slot``,
+        as the certificate summed it over ``band.slot``."""
+        size = self.index.size
+        return np.bincount(self.index.band.vertex_slot.reshape(-1), self.outer.reshape(-1),
+                           minlength=size * size).reshape(size, size)
 
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        """K^-1 c, by LU with K."""
-        return np.linalg.solve(self.K, c)
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The motion frame at ``points``, built on the first banded solve."""
+        return _motion_frame(self.points)
 
-
-@dataclass(frozen=True, eq=False)
-class _BandedCertificate(_Certificate):
-    """A successful banded certificate (module docstring) of K_P =
-    R^T R + s Q_P Q_P^T in the order and layout of ``index.band``: ``K``
-    holds K_P's m diagonal blocks, w x w, and ``lower`` the m - 1 blocks
-    below them; ``inverse`` the inverses of the diagonal blocks of the
-    block-bidiagonal Cholesky factor L of K_P - delta I, and ``forward``
-    and ``backward`` its blocks below them, multiplied by those inverses
-    so that each step of a sweep is one product; ``scale`` is ||K_P||_F."""
-
-    lower: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
-    forward: np.ndarray = field(repr=False)
-    backward: np.ndarray = field(repr=False)
-    scale: float
+    @cached_property
+    def _sweeps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(inverse, forward, backward): the inverses of L's diagonal
+        blocks, and L's blocks below them multiplied by those inverses, so
+        that each step of a sweep is one product.  Built on the first
+        solve, so that a rank decision builds none of them."""
+        inverse = _triangular_inverses(self.factor)
+        forward = inverse[1:] @ self.panels
+        return inverse, forward, np.swapaxes(self.panels @ inverse[:-1], 1, 2)
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         """K_P y, for y in the band layout, (m, w)."""
@@ -905,12 +907,13 @@ class _BandedCertificate(_Certificate):
     def _substitute(self, c: np.ndarray) -> np.ndarray:
         """(K_P - delta I)^-1 c, for c in the band layout, by one sweep
         down L and one up L^T."""
-        z = (self.inverse @ c[:, :, None])[:, :, 0]
-        for t, step in enumerate(self.forward, 1):
+        inverse, forward, backward = self._sweeps
+        z = (inverse @ c[:, :, None])[:, :, 0]
+        for t, step in enumerate(forward, 1):
             z[t] -= step @ z[t - 1]
-        y = (z[:, None, :] @ self.inverse)[:, 0]
+        y = (z[:, None, :] @ inverse)[:, 0]
         for t in range(len(y) - 2, -1, -1):
-            y[t] -= self.backward[t] @ y[t + 1]
+            y[t] -= backward[t] @ y[t + 1]
         return y
 
     def _dense(self) -> np.ndarray:
@@ -925,12 +928,15 @@ class _BandedCertificate(_Certificate):
         return full.reshape(m * w, m * w)
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        """K^-1 c for c in Im R^T, backward stable: y = K_P^-1 c, refined
-        from :meth:`_substitute` until the module docstring's a-posteriori
-        test shows it backward stable, as long as each step at least
-        halves the residual, otherwise by LU with K_P; then y less its
-        component along the rigid motions, y - Q Q^T y."""
+        """K^-1 c for c in Im R^T, backward stable.  With one block, by LU
+        with K.  With more, y = K_P^-1 c, refined from :meth:`_substitute`
+        until the module docstring's a-posteriori test shows it backward
+        stable, as long as each step at least halves the residual,
+        otherwise by LU with K_P; then y less its component along the rigid
+        motions, y - Q Q^T y."""
         m, w, _ = self.K.shape
+        if m == 1:
+            return np.linalg.solve(self.K[0], c)
         at, size = self.index.band.at, self.index.size
         c_band = np.zeros(m * w)
         c_band[at] = c
@@ -975,63 +981,39 @@ def _triangular_inverses(L: np.ndarray) -> np.ndarray:
     return X[:, :w, :w]
 
 
-def _certify_banded(
-    index: _EdgeIndex, D: np.ndarray, p: Configuration, floor: float
-) -> _BandedCertificate | None:
-    """The banded certificate of :func:`_certify_full_rank` for the R at p
-    that ``index`` and D give: K_P = R^T R + s Q_P Q_P^T in the layout of
-    ``index.band``, with s = tr(R^T R) / dn and Q_P the motion frame of the
-    vertices of blocks 0 and 1, the patch, and zero elsewhere; None when
-    tr(R^T R) is not above 1 / SQUARE_LIMIT, the patch's points coincide,
-    or the Cholesky of a window of K_P - delta I fails.
+def _trace(K: np.ndarray) -> float:
+    """The trace of the diagonal blocks K, (m, w, w): one block summed
+    pairwise, as ``np.trace`` sums, and more block by block, each in turn,
+    as ``np.einsum`` sums; so each layout keeps the last bits of its
+    outputs."""
+    return float(K[0].trace() if len(K) == 1 else np.einsum("tii->", K))
 
-    R^T R is one scatter over ``band.slot``, which sums each entry as the
-    dense route does.  The factor is taken two blocks at a time: the
-    Cholesky of the window [[S_t, K_t+1,t^T], [K_t+1,t, K_t+1,t+1 -
-    delta I]], with S_0 = K_00 - delta I, gives L_tt, the panel
-    L_t+1,t below it and the factor of the next block; the next window
-    starts from S_t+1 = K_t+1,t+1 - delta I - L_t+1,t L_t+1,t^T.  So every
-    entry of L comes from LAPACK's Cholesky, and its panels from its own
-    triangular solves, which NumPy does not offer alone.  The last
-    block's padding is a diagonal of s, which stays apart from the rest."""
-    band = index.band
-    m, w, size = band.count, band.width, index.size
-    _, flat = _scatter_outer(band.slot, D, _STIFFNESS_SIGNS, (2 * m - 1) * w * w + 1)
-    K = flat[: m * w * w].reshape(m, w, w)
-    lower = flat[m * w * w: -1].reshape(m - 1, w, w)
-    trace = float(np.einsum("tii->", K))
-    patch = p.points[band.order[: 2 * w // p.d]]
-    if not trace > 1.0 / SQUARE_LIMIT or p.d > 1 and not np.ptp(patch, axis=0).any():
-        return None
-    Q = _motion_frame(p.points)
-    W = math.sqrt(trace / size) * _motion_frame(patch)
-    WW = W @ W.T
-    K[0] += WW[:w, :w]
-    K[1] += WW[w:, w:]
-    lower[0] += WW[w:, :w]
-    total = float(np.einsum("tii->", K))
-    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * total
-    scale = math.sqrt(np.vdot(K, K) + 2.0 * np.vdot(lower, lower))
-    pad = np.arange(size - (m - 1) * w, w)
-    K[-1, pad, pad] = trace / size
+
+def _block_cholesky(K: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(factor, panels): the diagonal blocks of the block-bidiagonal
+    Cholesky factor L of the symmetric block-tridiagonal matrix with
+    diagonal blocks K, (m, w, w), and the m - 1 blocks ``lower`` below
+    them, and L's blocks below its diagonal; LinAlgError where it is not
+    positive definite.  One block is one Cholesky.  More are factored two
+    at a time: the Cholesky of the window [[S_t, K_t+1,t^T], [K_t+1,t,
+    K_t+1,t+1]], with S_0 = K_00, gives L_tt, the panel L_t+1,t below it
+    and the factor of the next block; the next window starts from
+    S_t+1 = K_t+1,t+1 - L_t+1,t L_t+1,t^T.  So every entry of L comes from
+    LAPACK's Cholesky, and its panels from its own triangular solves, which
+    NumPy does not offer alone."""
+    m, w, _ = K.shape
+    if m == 1:
+        return np.linalg.cholesky(K), lower
+    factor, panels = np.empty_like(K), np.empty_like(lower)
     window = np.empty((2 * w, 2 * w))
-    shift = delta * np.eye(w)
-    schur = K[0] - shift
-    factor = np.empty_like(K)
-    panels = np.empty_like(lower)
-    try:
-        for t, below in enumerate(lower):
-            window[:w, :w], window[w:, :w] = schur, below
-            window[:w, w:], window[w:, w:] = below.T, K[t + 1] - shift
-            F = np.linalg.cholesky(window)
-            factor[t], panels[t], factor[t + 1] = F[:w, :w], F[w:, :w], F[w:, w:]
-            schur = window[w:, w:] - panels[t] @ panels[t].T
-    except np.linalg.LinAlgError:
-        return None
-    inverse = _triangular_inverses(factor)
-    forward = inverse[1:] @ panels
-    backward = np.swapaxes(panels @ inverse[:-1], 1, 2)
-    return _BandedCertificate(delta, Q, index, D, K, lower, inverse, forward, backward, scale)
+    schur = K[0]
+    for t, below in enumerate(lower):
+        window[:w, :w], window[w:, :w] = schur, below
+        window[:w, w:], window[w:, w:] = below.T, K[t + 1]
+        F = np.linalg.cholesky(window)
+        factor[t], panels[t], factor[t + 1] = F[:w, :w], F[w:, :w], F[w:, w:]
+        schur = window[w:, w:] - panels[t] @ panels[t].T
+    return factor, panels
 
 
 def _certify_full_rank(
@@ -1040,49 +1022,59 @@ def _certify_full_rank(
     """The certificate that the rigidity matrix R at p, given by its edge
     index and edge vectors D, has rank max_generic_rank(n, d), when d*n is
     at least ``_CERTIFIED_MIN_SIZE``; otherwise None, and nothing is
-    decided.  From d*n = ``_BANDED_MIN_SIZE`` on, on a graph with a band
-    layout, the :class:`_BandedCertificate` of :func:`_certify_banded`
-    where it is issued; otherwise the :class:`_Certificate` of
-    K = R^T R + s Q Q^T when a Cholesky of K - delta I succeeds.
+    decided.  It is the :class:`_Certificate` of K_P = R^T R + s Q_P Q_P^T
+    in the layout of ``index.band``, with s = tr(R^T R) / dn and Q_P the
+    motion frame (:func:`_motion_frame`) of the vertices of blocks 0 and 1,
+    the patch, and zero elsewhere: with one block, the patch is every
+    vertex and K_P is K.  None when tr(R^T R) is not above 1 / SQUARE_LIMIT,
+    the patch's points coincide, or :func:`_block_cholesky` of
+    K_P - delta I fails.
 
-    delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K): a rank
+    delta is max(2 (|E| + k + dn + 3) eps, ``floor``) tr(K_P): a rank
     decision takes the rounding term alone, and the model lift of
     :func:`_certified_solve` its sqrt(eps) floor; the module docstring
-    proves both.  Q is :func:`_motion_frame`.  R itself is not formed:
-    R^T R puts each edge's D_k D_k^T at its two endpoint blocks and
-    subtracts it at the two mixed ones, summed by :func:`_scatter_outer`
-    over the distinct positions ``index.stiffness`` and added to
-    s Q Q^T, which is the one dense matrix formed.  The shift is taken in
-    place for the Cholesky and undone by writing K's saved diagonal back,
-    so the certificate holds exactly the K it certified.
+    proves both.  R itself is not formed: R^T R puts each edge's D_k D_k^T
+    at its two endpoint blocks and subtracts it at the two mixed ones, one
+    scatter (:func:`_scatter_outer`) over ``band.slot``.  The last block's
+    padding is a diagonal of s, which stays apart from the rest.  The shift
+    is taken in place and undone by writing the saved diagonal back, so the
+    certificate holds exactly the K_P it certified.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
     if (size < _CERTIFIED_MIN_SIZE or d not in (1, 2, 3) or n < d
             or D.shape[0] < max_generic_rank(n, d)):
         return None
-    if size >= _BANDED_MIN_SIZE and index.band is not None:
-        certificate = _certify_banded(index, D, p, floor)
-        if certificate is not None:
-            return certificate
-    touched, slot, diagonal = index.stiffness
-    _, sums = _scatter_outer(slot, D, _STIFFNESS_SIGNS, touched.size)
-    trace = float(sums[diagonal].sum())
-    if not trace > 1.0 / SQUARE_LIMIT:
+    band = index.band
+    m, w = band.count, band.width
+    outer, flat = _scatter_outer(band.slot, D, _STIFFNESS_SIGNS, (2 * m - 1) * w * w + 1)
+    K = flat[: m * w * w].reshape(m, w, w)
+    lower = flat[m * w * w: -1].reshape(m - 1, w, w)
+    trace = _trace(K)
+    # with one block the patch is every vertex, which a positive trace
+    # already shows not to coincide
+    patch = p.points if m == 1 else p.points[band.order[: 2 * w // d]]
+    if not trace > 1.0 / SQUARE_LIMIT or m > 1 and d > 1 and (patch == patch[0]).all():
         return None
-    Q = _motion_frame(p.points)
-    W = np.sqrt(trace / size) * Q
-    K = W @ W.T
-    K.reshape(-1)[touched] += sums
-    delta = max(2.0 * (D.shape[0] + Q.shape[1] + size + 3) * _EPS, floor) * float(np.trace(K))
-    diagonal = K.diagonal().copy()
-    K.flat[:: size + 1] -= delta
+    W = math.sqrt(trace / size) * _motion_frame(patch)
+    WW = W @ W.T
+    K[0] += WW[:w, :w]
+    scale = 0.0
+    if m > 1:
+        K[1] += WW[w:, w:]
+        lower[0] += WW[w:, :w]
+        scale = math.sqrt(np.vdot(K, K) + 2.0 * np.vdot(lower, lower))
+    delta = max(2.0 * (D.shape[0] + W.shape[1] + size + 3) * _EPS, floor) * _trace(K)
+    diagonal = K.reshape(m, -1)[:, :: w + 1]
+    diagonal[-1, size - (m - 1) * w:] = trace / size
+    saved = diagonal.copy()
+    diagonal -= delta
     try:
-        np.linalg.cholesky(K)
+        factor, panels = _block_cholesky(K, lower)
     except np.linalg.LinAlgError:
         return None
-    K.flat[:: size + 1] = diagonal
-    return _Certificate(delta, Q, index, D, K)
+    diagonal[...] = saved
+    return _Certificate(delta, p.points, index, outer, K, lower, factor, panels, scale)
 
 
 def _certified_solve(

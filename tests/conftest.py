@@ -72,3 +72,20 @@ def random_orientation(rng: np.random.Generator, graph: Graph) -> Orientation:
     for i, j in graph.edge_labels:
         pairs.append((i, j) if rng.random() < 0.5 else (j, i))
     return orient(graph, pairs)
+
+
+def grid_formation(n: int, rng: np.random.Generator):
+    """(graph, target, start): a Henneberg 2-tree plus n // 2 chords on a
+    jittered grid, with a start perturbed by 5% of the spacing."""
+    side = int(np.ceil(np.sqrt(n)))
+    grid = np.array([(i % side, i // side) for i in range(n)], dtype=float)
+    target = grid + 0.2 * rng.standard_normal(grid.shape)
+    edges = {(1, 2)}
+    for k in range(3, n + 1):
+        i, j = rng.choice(k - 1, size=2, replace=False) + 1
+        edges.update({(int(i), k), (int(j), k)})
+    while len(edges) < 2 * n - 3 + n // 2:
+        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
+        edges.add((int(i), int(j)))
+    start = target + 0.05 * rng.standard_normal(target.shape)
+    return build_graph(n, sorted(edges)), Configuration(2, target), Configuration(2, start)

@@ -42,7 +42,7 @@ from rigidform.rigidity import (
     _tail_blocks,
 )
 
-from conftest import random_graph, random_instance, random_orientation
+from conftest import grid_formation, random_graph, random_instance, random_orientation
 
 # The one-edge example in d=1: p = (0, 1), current squared length 1,
 # target 4, error e = 3.
@@ -246,29 +246,12 @@ def test_model_field_takes_no_svd(monkeypatch, w5, p_star):
     assert calls == []
 
 
-def _rigid_formation(n: int, rng: np.random.Generator):
-    """(graph, target, start): a Henneberg 2-tree plus n // 2 chords on a
-    jittered grid, with a start perturbed by 5% of the spacing."""
-    side = int(np.ceil(np.sqrt(n)))
-    grid = np.array([(i % side, i // side) for i in range(n)], dtype=float)
-    target = grid + 0.2 * rng.standard_normal(grid.shape)
-    edges = {(1, 2)}
-    for k in range(3, n + 1):
-        i, j = rng.choice(k - 1, size=2, replace=False) + 1
-        edges.update({(int(i), k), (int(j), k)})
-    while len(edges) < 2 * n - 3 + n // 2:
-        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
-        edges.add((int(i), int(j)))
-    start = target + 0.05 * rng.standard_normal(target.shape)
-    return build_graph(n, sorted(edges)), Configuration(2, target), Configuration(2, start)
-
-
 @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"), (True, "True")],
                          ids=["negative", "fractional", "bool"])
 def test_model_field_names_a_bad_seed_on_both_routes(w5, p_star, seed, shown):
     # d*n = 40 takes the certified lift, which draws no generic rank, and
     # w5 (d*n = 10) the least-squares one: both name the seed
-    graph, target, p = _rigid_formation(20, np.random.default_rng(1))
+    graph, target, p = grid_formation(20, np.random.default_rng(1))
     index, D = _edge_vectors(graph, p)
     assert _certified_solve(index, D, p, np.zeros(graph.num_edges)) is not None
     message = f"seed must be a non-negative integer, got {shown}"
@@ -285,7 +268,7 @@ def test_model_field_names_a_bad_seed_on_both_routes(w5, p_star, seed, shown):
 def test_model_field_is_the_pseudoinverse_lift(n):
     # u = 1/2 R^+ (m* - m) and 2 R u = Pi (m* - m), against the SVD-based
     # pinv and projector
-    graph, target, p = _rigid_formation(n, np.random.default_rng(n))
+    graph, target, p = grid_formation(n, np.random.default_rng(n))
     m_star = distance_map(graph, target)
     u = model_field(graph, p, m_star)
     err = m_star.values - distance_map(graph, p).values
@@ -494,8 +477,8 @@ def test_certified_lift_agrees_with_the_least_squares_rule(case):
 def test_factored_lift_agrees_with_the_least_squares_rule(case):
     # the same through the banded certificate, as from _BANDED_MIN_SIZE
     # on: the block factor of K_P in band order, refined, with LU with K_P
-    # where the refinement stalls; where the banded Cholesky fails, the
-    # dense route decides
+    # where the refinement stalls, on graphs whose order gives four blocks;
+    # on the others, the one block of K
     _check_certified_lift(case, banded=True)
 
 
@@ -536,8 +519,8 @@ def _check_certified_lift(case, banded=False):
 def test_certified_full_rank_is_the_svd_rank(case):
     # wherever the certificate proves full rank with the rounding shift
     # alone, the SVD rule counts max_generic_rank too; so the rank decisions
-    # routed through it, here at every size, dense and then banded where
-    # the graph has a band layout, are those of the SVD alone
+    # routed through it, here at every size, in one block and then banded
+    # where the graph's order gives four blocks, are those of the SVD alone
     graph, p, _ = case
     R = rigidity_matrix(graph, p)
     svd_only = generic_rank(rigidity_mod.Graph(graph.n, graph.edges), p.d)
@@ -555,7 +538,7 @@ def test_certified_full_rank_is_the_svd_rank(case):
 def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
     # a certified draw reaches the ceiling and ends the generic-rank loop,
     # and the certificate decides regularity for the model restriction
-    graph, target, _ = _rigid_formation(60, np.random.default_rng(61))
+    graph, target, _ = grid_formation(60, np.random.default_rng(61))
     spec = ControllerSpec(graph, "model", distance_map(graph, target))
 
     def refuse(*args, **kwargs):
@@ -568,9 +551,9 @@ def test_rank_decisions_at_n60_take_no_svd(monkeypatch):
     assert rep.verdict == "pass" and rep.spectrum == (1.0,) * 117
 
 
-def _certified_lift_calls(monkeypatch, graph, p, m_star):
-    """The np.linalg calls of one model_field call, which must take no
-    lstsq, SVD or generic-rank draw."""
+def _certified_calls(monkeypatch, call):
+    """(what ``call()`` returns, the np.linalg factors, solves and inverses
+    it takes), where it must take no lstsq, SVD or generic-rank draw."""
     calls = []
 
     def refuse(name):
@@ -591,8 +574,7 @@ def _certified_lift_calls(monkeypatch, graph, p, m_star):
     monkeypatch.setattr(rigidity_mod, "generic_rank", refuse("generic_rank"))
     for name in ("cholesky", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, count(name))
-    assert model_field(graph, p, m_star).shape == (p.d * p.n,)
-    return calls
+    return call(), calls
 
 
 def _bench_formation(monkeypatch, n, seed):
@@ -612,19 +594,46 @@ def _bench_formation(monkeypatch, n, seed):
 def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
     # below _BANDED_MIN_SIZE both solves with K are LU solves
     assert 120 < rigidity_mod._BANDED_MIN_SIZE
-    graph, target, p = _rigid_formation(60, np.random.default_rng(60))
-    calls = _certified_lift_calls(monkeypatch, graph, p, distance_map(graph, target))
-    assert calls == ["cholesky", "solve", "solve"]
+    graph, target, p = grid_formation(60, np.random.default_rng(60))
+    m_star = distance_map(graph, target)
+    u, calls = _certified_calls(monkeypatch, lambda: model_field(graph, p, m_star))
+    assert u.shape == (120,) and calls == ["cholesky", "solve", "solve"]
 
 
 def test_certified_lift_at_n150_factors_once(monkeypatch):
-    # the banded route: one Cholesky per window of two blocks, one batched
-    # inverse of the factor's 8-wide diagonal leaves, no dense solve
+    # the banded route: one Cholesky per window of two blocks, and the
+    # sweeps built once for both solves, from one batched inverse of the
+    # factor's 8-wide diagonal leaves, with no dense solve
     graph, p, m_star = _bench_formation(monkeypatch, 150, 0)
     band = rigidity_mod._edge_index(graph, 2).band
     assert 300 >= rigidity_mod._BANDED_MIN_SIZE and band.count >= 4
-    calls = _certified_lift_calls(monkeypatch, graph, p, m_star)
-    assert calls == ["cholesky"] * (band.count - 1) + ["inv"]
+    u, calls = _certified_calls(monkeypatch, lambda: model_field(graph, p, m_star))
+    assert u.shape == (300,) and calls == ["cholesky"] * (band.count - 1) + ["inv"]
+
+
+def test_banded_rank_decision_at_n150_forms_no_inverse(monkeypatch):
+    # a rank decision, with no floor, on the banded route takes one
+    # Cholesky per window of two blocks and nothing else: the sweeps that a
+    # solve needs are not built
+    graph, p, _ = _bench_formation(monkeypatch, 150, 0)
+    index, D = _edge_vectors(graph, p)
+    assert index.size == 300 and index.band.count >= 4
+    certificate, calls = _certified_calls(monkeypatch, lambda: _certify_full_rank(index, D, p))
+    assert certificate is not None and calls == ["cholesky"] * (index.band.count - 1)
+    assert "_sweeps" not in vars(certificate)
+
+
+def test_gram_is_the_stiffness_in_vertex_order_in_either_layout(monkeypatch):
+    # the certificate's R^T R, read by the gradient eigensolve, is in
+    # vertex order whether K_P is one block (d*n = 120) or banded (300)
+    for n, one_block in ((60, True), (150, False)):
+        graph, p, _ = _bench_formation(monkeypatch, n, 0)
+        index, D = _edge_vectors(graph, p)
+        certificate = _certify_full_rank(index, D, p)
+        assert (len(certificate.K) == 1) == one_block
+        R = rigidity_matrix(graph, p)
+        gram = R.T @ R
+        assert np.allclose(certificate.gram(), gram, rtol=0.0, atol=1e-13 * np.trace(gram))
 
 
 def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
@@ -636,14 +645,14 @@ def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
     graph, p, m_star = _bench_formation(monkeypatch, 150, 192)
     index, D = _edge_vectors(graph, p)
     certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
-    assert isinstance(certificate, rigidity_mod._BandedCertificate)
+    assert len(certificate.K) == index.band.count >= 4
     ratio = np.linalg.eigvalsh(certificate._dense())[0] / certificate.delta
     assert 1.0 < ratio < 2.0
     e = m_star.values - distance_map(graph, p).values
     solves, substitutions = [], []
-    real_solve, real_substitute = np.linalg.solve, rigidity_mod._BandedCertificate._substitute
+    real_solve, real_substitute = np.linalg.solve, rigidity_mod._Certificate._substitute
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
-    monkeypatch.setattr(rigidity_mod._BandedCertificate, "_substitute",
+    monkeypatch.setattr(rigidity_mod._Certificate, "_substitute",
                         lambda self, c: substitutions.append(1) or real_substitute(self, c))
     x = _certified_solve(index, D, p, e)
     assert len(solves) == 2 and len(substitutions) >= 2
@@ -653,39 +662,35 @@ def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_degenerate_patch_falls_back_to_the_dense_route(monkeypatch, d):
+def test_degenerate_patch_declines_and_least_squares_decides(monkeypatch, d):
     # a strip of bandwidth d + 1 whose first two band blocks, the patch,
     # are coincident (d = 2, where their motion frame has no rotation) or
     # collinear (d = 3, where the rotation about the line vanishes on them):
-    # the banded certificate declines and the dense route decides, as it
-    # does with the banded route off
+    # the certificate declines, and the model field is the least-squares
+    # lift, or raises with its rank, as wherever no certificate is issued
+    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
+    monkeypatch.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 0)
     n = 16
     graph = build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                             if j - i <= d + 1])
     pts = np.random.default_rng(d).uniform(-1.0, 1.0, size=(n, d))
     band = rigidity_mod._edge_index(graph, d).band
+    assert band.count >= 4
     patch = band.order[: 2 * band.width // d]
     steps = np.linspace(0.0, 1.0, patch.size)[:, None] * (d == 3)
     pts[patch] = pts[patch[0]] + steps * np.array([0.3, -0.2, 0.5])[:d]
     p, target = Configuration(d, pts), Configuration(d, pts + 0.1)
     m_star = distance_map(graph, target)
     index, D = _edge_vectors(graph, p)
-    floor = np.sqrt(np.finfo(float).eps)
-    monkeypatch.setattr(rigidity_mod, "_CERTIFIED_MIN_SIZE", 0)
-
-    def outcome():
-        try:
-            return model_field(graph, p, m_star)
-        except RankDeficiencyError as exc:
-            return exc.rank
-
-    monkeypatch.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 10**9)
-    dense = _certify_full_rank(index, D, p, floor), outcome()
-    monkeypatch.setattr(rigidity_mod, "_BANDED_MIN_SIZE", 0)
-    assert rigidity_mod._certify_banded(index, D, p, floor) is None
-    routed = _certify_full_rank(index, D, p, floor), outcome()
-    assert type(routed[0]) is type(dense[0])
-    assert np.array_equal(routed[1], dense[1])
+    assert _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps)) is None
+    e = m_star.values - distance_map(graph, p).values
+    ref, r = _min_norm_solve(rigidity_matrix(graph, p), e)
+    if r == generic_rank(graph, d):
+        assert np.array_equal(model_field(graph, p, m_star), 0.5 * ref)
+    else:
+        with pytest.raises(RankDeficiencyError) as info:
+            model_field(graph, p, m_star)
+        assert info.value.rank == r
 
 
 def test_one_size_rule_routes_rank_and_lift_through_the_certificate(monkeypatch, w5, p_star):

@@ -39,7 +39,7 @@ from rigidform import (
 )
 from rigidform.scenarios import builtin_scenario
 
-from conftest import random_instance, random_orientation
+from conftest import grid_formation, random_instance, random_orientation
 
 # the unit square with one diagonal: 5 edges, minimally rigid in the plane
 BRACED_SQUARE = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -529,10 +529,26 @@ def test_tiny_trace_declines_the_certificate_not_regularity(monkeypatch):
         assert is_regular_point(graph, p)
 
 
+def _assert_one_block(graph, d):
+    """The band layout of ``graph`` in R^d is one block in vertex order,
+    whose slots are the flat positions of the edges' blocks in R^T R."""
+    index = rigidity_mod._edge_index(graph, d)
+    band, size = index.band, index.size
+    ends = np.stack((index.first, index.second))
+    dense = ends[:, None, :, :, None] * size + ends[None, :, :, None, :]
+    assert (band.count, band.width) == (1, size)
+    assert np.array_equal(band.order, np.arange(graph.n))
+    assert np.array_equal(band.at, np.arange(size))
+    assert np.array_equal(band.slot, dense) and np.array_equal(band.vertex_slot, dense)
+
+
 def test_band_order_is_no_wider_than_the_vertex_order(monkeypatch):
     # on the bench formations the reverse Cuthill-McKee order has a vertex
-    # bandwidth no larger than the vertex order's, and the band layout
-    # holds every edge in a diagonal block or the one below it
+    # bandwidth no larger than the vertex order's; from _BANDED_MIN_SIZE on
+    # the band layout holds every edge in a diagonal block or the one below
+    # it; and the layout is one block in vertex order below that size, and
+    # on the tests' grid formation of seed 150 (d*n = 300), whose order
+    # gives three blocks, too few for the windows of the banded factor
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from inputs import rigid_formation
 
@@ -544,12 +560,19 @@ def test_band_order_is_no_wider_than_the_vertex_order(monkeypatch):
         rank = np.argsort(order)
         width = np.abs(rank[first] - rank[second]).max()
         assert width <= np.abs(first - second).max()
+        if 2 * n < rigidity_mod._BANDED_MIN_SIZE:
+            _assert_one_block(Graph(n, edges), 2)
+            continue
         band = rigidity_mod._edge_index(Graph(n, edges), 2).band
-        if n >= 60:
-            assert band is not None and band.width == 2 * width
-            blocks = rank // width
-            assert np.all(np.abs(blocks[first] - blocks[second]) <= 1)
-            assert np.array_equal(band.at.reshape(n, 2)[:, 0], 2 * rank)
+        assert band.count >= 4 and band.width == 2 * width
+        blocks = rank // width
+        assert np.all(np.abs(blocks[first] - blocks[second]) <= 1)
+        assert np.array_equal(band.at.reshape(n, 2)[:, 0], 2 * rank)
+    graph, _, _ = grid_formation(150, np.random.default_rng(150))
+    first, second = graph.endpoints
+    rank = np.argsort(rigidity_mod._band_order(150, first, second))
+    assert -(-150 // np.abs(rank[first] - rank[second]).max()) == 3
+    _assert_one_block(graph, 2)
 
 
 def test_matrix_rank_takes_nested_lists():
