@@ -31,11 +31,10 @@ each in d = 3); then in d = 3 on two Henneberg orientations built
 here (:func:`_space_orientation`), a persistent one with 4096 reductions
 and a non-persistent one whose witness comes 160 reductions into the
 enumeration, so that the walk's pruning is covered too.  Then
-``model_field`` at d*n = 300 once per path its lift can take, each from a
-perturbed start of
-``rigid_formation(150, 75, default_rng(s))``: s = 0, where the refinement on
-the certificate's banded factor converges quickly; s = 50, where it
-converges slowly; s = 192, where it stalls and both solves fall back to LU;
+``model_field`` at d*n = 300 from four perturbed starts, each of
+``rigid_formation(150, 75, default_rng(s))``: s = 0, 50 and 192, certified
+banded with lambda_min(K_P) / delta about 539, 3.8 and 1.4, so that the one
+banded solve is covered across the conditioning the certificate admits;
 and s = 3, where no certificate is issued and least squares decides; and
 once at d*n = 1000, from ``rigid_formation(500, 250, default_rng(0))``,
 where the banded factor pays most.  Then two 3-D formations built here
@@ -127,9 +126,9 @@ FORMATION_SIZES = (20, 60, 150)
 REVERSED_READERS_SIZE = 60
 # the formations whose SVD readers are digested; n = 150 would add only time
 SVD_READER_SIZES = (20, 60)
-# lambda_min(K_P) / delta of the banded certificate is about 539, 3.8 and
-# 1.4 at the first three starts, and the last is issued no certificate
-# (rigidity module docstring)
+# the first three starts are certified banded, with lambda_min(K_P) / delta
+# about 539, 3.8 and 1.4, so that they cover the conditioning range of the
+# one banded solve; the last is issued no certificate
 LIFT_SEEDS = (0, 50, 192, 3)
 # (n, window) of the 3-D formations of _space_formation digested per
 # controller: d*n = 60, one block of the certificate's layout, and d*n = 180,

@@ -109,8 +109,8 @@ it (:func:`_certified_solve`).  The sqrt(eps) floor of its shift makes
 lambda_min(K) >= 3 delta / 4 >= (3/4) sqrt(eps) tr(K), which bounds
 cond(R)^2 by 4 / (3 sqrt(eps)), so the normal-equation solution with one
 corrected semi-normal step (Bjorck, *Numerical Methods for Least Squares
-Problems*, 1996, 2.2), both solves with K backward stable, is as accurate
-as the least-squares solve.
+Problems*, 1996, 2.2), both solves with K backward stable, or banded
+within the factor below, is as accurate as the least-squares solve.
 
 One certificate on one layout (:class:`_Certificate`, from
 :func:`_certify_full_rank`).  R^T R is laid out as a block-tridiagonal
@@ -154,30 +154,26 @@ block 0 alone gave 0.12 to 0.99, and down to 10.  The shift is taken in
 place for the Cholesky and undone by writing the saved diagonal back,
 exactly, so the certificate keeps the K_P it certified.
 
-Solves with K_P of more than one block (:meth:`_Certificate.solve`).  A
-solve of K_P y = c starts from y = M^-1 c, M = K_P - delta I, and refines,
-y <- y + M^-1 (c - K_P y), with M^-1 applied as one block sweep down L and
-one up L^T on the inverses of L's diagonal blocks (formed by
-:func:`_triangular_inverses` on the certificate's first solve, so a rank
-decision forms none).  The iteration matrix is
--delta M^-1, which contracts by delta / (lambda_min(K_P) - delta) per
-step.  Each step is checked a posteriori: with the residual rho computed
-as fl(c - K_P y), its rounding is at most beta = (dn + 2) eps (|c| + nu
-|y|), nu = ||K_P||_F >= || |K_P| ||_2 (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2002, 3.5), so y solves (K_P + E) y = c with
-||E||_2 <= (|rho| + beta) / |y| (Rigal and Gaches 1967), and
-||y - K_P^-1 c|| <= (4 / (3 delta)) (|rho| + beta).  y is taken once
-|rho| + beta <= 4 (dn + 2) eps nu |y|: E is then within the normwise
-backward error of the LU or Cholesky solve it replaces (Higham 2002, 9.3
-and 10.1), which is all the semi-normal argument needs.  A residual that
-fails to halve before that (lambda_min(K_P) < 3 delta, or so near it that
-the steps stall) hands the solve to LU with K_P, which the same argument
-covers.  Per model_field call on d = 2 formations of
-bench.inputs.rigid_formation(n, n // 2) (one BLAS thread, median over
-three formations of the best of fifteen interleaved 5-call trials), one
-block vs banded: d*n = 40, 110 us, too few blocks; 80, 222 vs 468; 120,
-385 vs 632; 140, 526 vs 748; 160, 776 vs 800; 200, 1366 vs 944; 240, 2068
-vs 1078; 300, 3462 vs 1298; 500, 11148 vs 2501; 1000, 62191 vs 7189.
+Solves with K_P of more than one block (:meth:`_Certificate.solve`) take
+the block-bidiagonal Cholesky factor of K_P itself, unshifted, by the same
+two-block windows, on the certificate's first solve (so a rank decision
+takes none), and sweep down it and up its transpose on the inverses of its
+diagonal blocks (:func:`_triangular_inverses`).  That factorization cannot
+fail where the shifted one succeeded: the exact K_P has every eigenvalue
+at least 3 delta / 4 >= 3 delta_0 / 4, above the delta_0 / 4 that forming
+and factoring it may perturb it by, so no fallback is needed.  The sweeps
+are the substitutions of a Cholesky solve, save that each diagonal block's
+product with its computed inverse leaves a residual up to cond(L_tt) times
+a substitution's; L_tt^-1 is a block of L^-1, so cond(L_tt) <= cond(L) =
+cond(K_P)^(1/2) <= (4 / (3 sqrt(eps)))^(1/2), about 1e4 under the floor,
+which leaves u cond(R)^2 times that factor far below 1, as the semi-normal
+step needs.  Per model_field call on d = 2 formations of
+bench.inputs.rigid_formation(n, n // 2) (one BLAS thread, 2 shared CPUs,
+median over three formations of the best of fifteen interleaved 5-call
+trials, the best of three such runs), one block vs banded: d*n = 40, 110
+us, too few blocks; 80, 279 vs 449; 120, 602 vs 656; 140, 957 vs 736; 160,
+1227 vs 974; 200, 1965 vs 1042; 240, 2915 vs 1325; 300, 5014 vs 1708; 500,
+17256 vs 3275; 1000, 86188 vs 9017.
 """
 
 from __future__ import annotations
@@ -241,8 +237,9 @@ _GRAM_EIGENSOLVE_MIN_SIZE = 100
 
 # d*n from which the band layout (_EdgeIndex.band) orders the vertices by
 # reverse Cuthill-McKee, where that gives four blocks or more: where the
-# banded lift stops costing more than one block (table in the module
-# docstring)
+# banded lift has stopped costing more than one block (table in the module
+# docstring; it already cost less at d*n = 140 there, one step of the grid
+# below, and the constant stays)
 _BANDED_MIN_SIZE = 160
 
 
@@ -857,12 +854,10 @@ class _Certificate:
     """A successful certificate (module docstring) of K_P = R^T R +
     s Q_P Q_P^T in the order and layout of ``index.band``, for the R that
     the edge index gives at ``points``: ``delta`` is the shift of its
-    Cholesky, ``outer`` (2, 2, |E|, d, d) the terms of R^T R that the
-    stiffness scatter summed, ``K`` K_P's m diagonal blocks, w x w, and
-    ``lower`` the m - 1 blocks below them; ``factor`` the diagonal blocks
-    of the block-bidiagonal Cholesky factor L of K_P - delta I, and
-    ``panels`` its blocks below them; ``scale`` is ||K_P||_F, or 0 with one
-    block, where K_P is K in vertex order.  :meth:`solve` solves with K,
+    Cholesky, which proved and was discarded, ``outer`` (2, 2, |E|, d, d)
+    the terms of R^T R that the stiffness scatter summed, ``K`` K_P's m
+    diagonal blocks, w x w, and ``lower`` the m - 1 blocks below them; with
+    one block, K_P is K in vertex order.  :meth:`solve` solves with K_P,
     and :meth:`gram` forms R^T R."""
 
     delta: float
@@ -871,9 +866,6 @@ class _Certificate:
     outer: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
-    factor: np.ndarray = field(repr=False)
-    panels: np.ndarray = field(repr=False)
-    scale: float
 
     def gram(self) -> np.ndarray:
         """R^T R in vertex order: ``outer`` summed over ``band.vertex_slot``,
@@ -889,72 +881,33 @@ class _Certificate:
 
     @cached_property
     def _sweeps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(inverse, forward, backward): the inverses of L's diagonal
+        """(inverse, forward, backward) for the block-bidiagonal Cholesky
+        factor L of K_P itself, unshifted: the inverses of L's diagonal
         blocks, and L's blocks below them multiplied by those inverses, so
         that each step of a sweep is one product.  Built on the first
         solve, so that a rank decision builds none of them."""
-        inverse = _triangular_inverses(self.factor)
-        forward = inverse[1:] @ self.panels
-        return inverse, forward, np.swapaxes(self.panels @ inverse[:-1], 1, 2)
-
-    def _apply(self, y: np.ndarray) -> np.ndarray:
-        """K_P y, for y in the band layout, (m, w)."""
-        out = (self.K @ y[:, :, None])[:, :, 0]
-        out[1:] += (self.lower @ y[:-1, :, None])[:, :, 0]
-        out[:-1] += (y[1:, None, :] @ self.lower)[:, 0]
-        return out
-
-    def _substitute(self, c: np.ndarray) -> np.ndarray:
-        """(K_P - delta I)^-1 c, for c in the band layout, by one sweep
-        down L and one up L^T."""
-        inverse, forward, backward = self._sweeps
-        z = (inverse @ c[:, :, None])[:, :, 0]
-        for t, step in enumerate(forward, 1):
-            z[t] -= step @ z[t - 1]
-        y = (z[:, None, :] @ inverse)[:, 0]
-        for t in range(len(y) - 2, -1, -1):
-            y[t] -= backward[t] @ y[t + 1]
-        return y
-
-    def _dense(self) -> np.ndarray:
-        """K_P in the band layout as one dense matrix."""
-        m, w, _ = self.K.shape
-        full = np.zeros((m, w, m, w))
-        for t in range(m):
-            full[t, :, t] = self.K[t]
-        for t, block in enumerate(self.lower):
-            full[t + 1, :, t] = block
-            full[t, :, t + 1] = block.T
-        return full.reshape(m * w, m * w)
+        factor, panels = _block_cholesky(self.K, self.lower)
+        inverse = _triangular_inverses(factor)
+        forward = inverse[1:] @ panels
+        return inverse, forward, np.swapaxes(panels @ inverse[:-1], 1, 2)
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        """K^-1 c for c in Im R^T, backward stable.  With one block, by LU
-        with K.  With more, y = K_P^-1 c, refined from :meth:`_substitute`
-        until the module docstring's a-posteriori test shows it backward
-        stable, as long as each step at least halves the residual,
-        otherwise by LU with K_P; then y less its component along the rigid
-        motions, y - Q Q^T y."""
+        """K^-1 c for c in Im R^T.  With one block, by LU with K.  With
+        more, y = K_P^-1 c by one sweep down L and one up L^T, then y less
+        its component along the rigid motions, y - Q Q^T y."""
         m, w, _ = self.K.shape
         if m == 1:
             return np.linalg.solve(self.K[0], c)
-        at, size = self.index.band.at, self.index.size
-        c_band = np.zeros(m * w)
-        c_band[at] = c
-        c_band = c_band.reshape(m, w)
-        scale, rounding = self.scale, (size + 2) * _EPS
-        c_norm = math.sqrt(c @ c)
-        y = self._substitute(c_band)
-        last = math.inf
-        while True:
-            residual = (c_band - self._apply(y)).reshape(-1)
-            r_norm, y_norm = math.sqrt(residual @ residual), math.sqrt(np.vdot(y, y))
-            if r_norm + rounding * (c_norm + scale * y_norm) <= 4.0 * rounding * scale * y_norm:
-                break
-            if not r_norm <= 0.5 * last:
-                y = np.linalg.solve(self._dense(), c_band.reshape(-1))
-                break
-            last = r_norm
-            y += self._substitute(residual.reshape(m, w))
+        inverse, forward, backward = self._sweeps
+        at = self.index.band.at
+        z = np.zeros(m * w)
+        z[at] = c
+        z = (inverse @ z.reshape(m, w, 1))[:, :, 0]
+        for t, step in enumerate(forward, 1):
+            z[t] -= step @ z[t - 1]
+        y = (z[:, None, :] @ inverse)[:, 0]
+        for t in range(m - 2, -1, -1):
+            y[t] -= backward[t] @ y[t + 1]
         x = y.reshape(-1)[at]
         return x - self.Q @ (self.Q.T @ x)
 
@@ -1038,7 +991,8 @@ def _certify_full_rank(
     scatter (:func:`_scatter_outer`) over ``band.slot``.  The last block's
     padding is a diagonal of s, which stays apart from the rest.  The shift
     is taken in place and undone by writing the saved diagonal back, so the
-    certificate holds exactly the K_P it certified.
+    certificate holds exactly the K_P it certified; the shifted factor only
+    proves, and is discarded.
     """
     d, n, size = p.d, p.n, index.size
     # dn - k is max_generic_rank only for n >= d, and fewer rows rule it out
@@ -1059,22 +1013,20 @@ def _certify_full_rank(
     W = math.sqrt(trace / size) * _motion_frame(patch)
     WW = W @ W.T
     K[0] += WW[:w, :w]
-    scale = 0.0
     if m > 1:
         K[1] += WW[w:, w:]
         lower[0] += WW[w:, :w]
-        scale = math.sqrt(np.vdot(K, K) + 2.0 * np.vdot(lower, lower))
     delta = max(2.0 * (D.shape[0] + W.shape[1] + size + 3) * _EPS, floor) * _trace(K)
     diagonal = K.reshape(m, -1)[:, :: w + 1]
     diagonal[-1, size - (m - 1) * w:] = trace / size
     saved = diagonal.copy()
     diagonal -= delta
     try:
-        factor, panels = _block_cholesky(K, lower)
+        _block_cholesky(K, lower)
     except np.linalg.LinAlgError:
         return None
     diagonal[...] = saved
-    return _Certificate(delta, p.points, index, outer, K, lower, factor, panels, scale)
+    return _Certificate(delta, p.points, index, outer, K, lower)
 
 
 def _certified_solve(

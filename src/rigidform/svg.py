@@ -2,7 +2,9 @@
 
 Deliberately dependency-free: simulation outputs are small, and emitting the
 handful of SVG elements directly keeps the artifact reproducible byte for
-byte.  Not a general plotting layer -- just what the CLI needs.
+byte.  Not a general plotting layer -- just what the CLI needs.  Titles,
+axis labels and series labels are escaped as XML text, so any scenario name
+gives a well-formed file.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 20, 34, 46  # margins
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape`` gives
+    it; that module is not imported, since it loads urllib.request, http and
+    ssl with it, about 7 MB more resident memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -55,7 +64,7 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-            f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+            f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>',
         ]
 
     def add(self, element: str):
@@ -137,13 +146,13 @@ def line_chart(
         svg.add(_poly([sx(v) for v in cx], [sy(v) for v in cy], color))
         ly = _MT + 14 + 14 * k
         svg.add(f'<line x1="{_W - _MR - 110}" y1="{ly - 4}" x2="{_W - _MR - 90}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        svg.add(f'<text x="{_W - _MR - 85}" y="{ly}">{label}</text>')
+        svg.add(f'<text x="{_W - _MR - 85}" y="{ly}">{_escape(label)}</text>')
     if xlabel:
-        svg.add(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" text-anchor="middle">{xlabel}</text>')
+        svg.add(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         svg.add(
             f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{_escape(ylabel)}</text>'
         )
     svg.write(path)
 

@@ -129,6 +129,20 @@ def test_run_that_starts_at_its_target_writes_valid_svgs(capsys, tmp_path):
         xml.dom.minidom.parse(str(tmp_path / name))
 
 
+def test_scenario_name_with_markup_characters_writes_valid_svgs(capsys, tmp_path):
+    # the name goes into every title as XML text, escaped, and reads back
+    doc = json.loads(builtin_path("triangle-cyclic").read_text())
+    doc["name"] = "A&B <pair>"
+    path = tmp_path / "markup.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "simulate", str(path), "--t-max", "0.1",
+                     "--svg", str(tmp_path / "run"))
+    assert code == 0
+    for suffix in ("-edge-error.svg", "-energy.svg", "-paths.svg"):
+        title = xml.dom.minidom.parse(str(tmp_path / f"run{suffix}")).getElementsByTagName("text")[0]
+        assert title.firstChild.data.startswith("A&B <pair>: ")
+
+
 def test_simulate_byte_determinism(capsys, tmp_path):
     outputs = []
     for sub in ("a", "b"):

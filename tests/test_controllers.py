@@ -476,9 +476,8 @@ def test_certified_lift_agrees_with_the_least_squares_rule(case):
 @given(near_degenerate_frameworks())
 def test_factored_lift_agrees_with_the_least_squares_rule(case):
     # the same through the banded certificate, as from _BANDED_MIN_SIZE
-    # on: the block factor of K_P in band order, refined, with LU with K_P
-    # where the refinement stalls, on graphs whose order gives four blocks;
-    # on the others, the one block of K
+    # on: the block factor of K_P in band order, on graphs whose order
+    # gives four blocks; on the others, the one block of K
     _check_certified_lift(case, banded=True)
 
 
@@ -601,14 +600,15 @@ def test_certified_lift_at_n60_takes_no_lstsq_svd_or_generic_rank(monkeypatch):
 
 
 def test_certified_lift_at_n150_factors_once(monkeypatch):
-    # the banded route: one Cholesky per window of two blocks, and the
-    # sweeps built once for both solves, from one batched inverse of the
-    # factor's 8-wide diagonal leaves, with no dense solve
+    # the banded route: one Cholesky per window of two blocks of the
+    # shifted K_P, which proves, then as many of K_P itself, and the sweeps
+    # built once on that factor for both solves, from one batched inverse
+    # of its 8-wide diagonal leaves, with no dense solve
     graph, p, m_star = _bench_formation(monkeypatch, 150, 0)
     band = rigidity_mod._edge_index(graph, 2).band
     assert 300 >= rigidity_mod._BANDED_MIN_SIZE and band.count >= 4
     u, calls = _certified_calls(monkeypatch, lambda: model_field(graph, p, m_star))
-    assert u.shape == (300,) and calls == ["cholesky"] * (band.count - 1) + ["inv"]
+    assert u.shape == (300,) and calls == ["cholesky"] * (2 * band.count - 2) + ["inv"]
 
 
 def test_banded_rank_decision_at_n150_forms_no_inverse(monkeypatch):
@@ -636,28 +636,30 @@ def test_gram_is_the_stiffness_in_vertex_order_in_either_layout(monkeypatch):
         assert np.allclose(certificate.gram(), gram, rtol=0.0, atol=1e-13 * np.trace(gram))
 
 
-def test_refinement_that_cannot_converge_hands_both_solves_to_lu(monkeypatch):
-    # the digest's n = 150 formation of seed 192, certified banded with
-    # lambda_min(K_P) / delta between 1 and 2: the refinement's iteration
-    # matrix -delta M^-1 has spectral radius delta / (lambda_min - delta)
-    # > 1, so the residual grows, both solves with K_P fall to LU, and the
-    # lift is still the least-squares one
-    graph, p, m_star = _bench_formation(monkeypatch, 150, 192)
+@pytest.mark.parametrize("seed, low, high", [(0, 100.0, np.inf), (50, 2.0, 8.0), (192, 1.0, 2.0)],
+                         ids=["0", "50", "192"])
+def test_banded_lift_takes_one_path_at_every_conditioning(monkeypatch, seed, low, high):
+    # the digest's n = 150 formations, certified banded with
+    # lambda_min(K_P) / delta about 539, 3.8 and 1.4: each takes the same
+    # factor of K_P, the same sweeps and no dense solve, and its lift is the
+    # least-squares one
+    graph, p, m_star = _bench_formation(monkeypatch, 150, seed)
     index, D = _edge_vectors(graph, p)
     certificate = _certify_full_rank(index, D, p, np.sqrt(np.finfo(float).eps))
-    assert len(certificate.K) == index.band.count >= 4
-    ratio = np.linalg.eigvalsh(certificate._dense())[0] / certificate.delta
-    assert 1.0 < ratio < 2.0
+    m, w, _ = certificate.K.shape
+    assert m == index.band.count >= 4
+    full = np.zeros((m, w, m, w))
+    for t in range(m):
+        full[t, :, t] = certificate.K[t]
+    for t, block in enumerate(certificate.lower):
+        full[t + 1, :, t], full[t, :, t + 1] = block, block.T
+    ratio = np.linalg.eigvalsh(full.reshape(m * w, m * w))[0] / certificate.delta
+    assert low < ratio < high
     e = m_star.values - distance_map(graph, p).values
-    solves, substitutions = [], []
-    real_solve, real_substitute = np.linalg.solve, rigidity_mod._Certificate._substitute
-    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
-    monkeypatch.setattr(rigidity_mod._Certificate, "_substitute",
-                        lambda self, c: substitutions.append(1) or real_substitute(self, c))
-    x = _certified_solve(index, D, p, e)
-    assert len(solves) == 2 and len(substitutions) >= 2
-    assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
     ref, r = _min_norm_solve(rigidity_matrix(graph, p), e)
+    x, calls = _certified_calls(monkeypatch, lambda: _certified_solve(index, D, p, e))
+    assert calls == ["cholesky"] * (2 * m - 2) + ["inv"]
+    assert np.array_equal(model_field(graph, p, m_star), 0.5 * x)
     assert r == 297 and np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
